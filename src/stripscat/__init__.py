@@ -1,15 +1,10 @@
 """stripscat: impedance-strip diffraction solver and verification suite."""
 
 from .core import (
-    BranchContext,
     BranchMode,
     Parity,
     ProblemConfig,
-    green_kernel,
-    green_kernel_dy,
-    green_kernel_dyy,
     incident_field,
-    k_star,
     xi,
 )
 from .bie import (
@@ -25,15 +20,10 @@ from .bie import (
 )
 
 __all__ = [
-    "BranchContext",
     "BranchMode",
     "Parity",
     "ProblemConfig",
-    "green_kernel",
-    "green_kernel_dy",
-    "green_kernel_dyy",
     "incident_field",
-    "k_star",
     "xi",
     "Density",
     "SolveDiagnostics",

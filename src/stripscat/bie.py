@@ -94,12 +94,6 @@ class Density:
             return np.sqrt(np.maximum(self.a ** 2 - x * x, 0.0)) * self.poly(s)
         return self.poly(s)
 
-    def tail_decay(self) -> float:
-        """Max |coeff| over the trailing 10% relative to the overall max."""
-        n = len(self.coeffs)
-        tail = np.max(np.abs(self.coeffs[int(0.9 * n):]))
-        return float(tail / np.max(np.abs(self.coeffs)))
-
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
@@ -133,20 +127,6 @@ def _log_sum_rect(Lbig: np.ndarray, Rbig: np.ndarray, Pi: np.ndarray, rmax: int)
     return out
 
 
-def _mass2_rect(nrow: int, ncol: int) -> np.ndarray:
-    """int (1-s^2) U_m U_n ds, rectangular."""
-    def c(p: int) -> float:
-        if p % 2 == 1:
-            return 0.0
-        return 2.0 / (1 - p * p)
-
-    M = np.zeros((nrow, ncol))
-    for m in range(nrow):
-        for q in range(ncol):
-            M[m, q] = 0.5 * (c(abs(m - q)) - c(m + q + 2))
-    return M
-
-
 def _assemble_antisym_operator(cfg: ProblemConfig, Ntest: int, Ntr: int):
     """Rows: test sqrt(w)U_m; columns: trial density sqrt(a^2-x^2)U_n(x/a)."""
     k0, a, eta = cfg.k0, cfg.a, cfg.eta
@@ -165,7 +145,7 @@ def _assemble_antisym_operator(cfg: ProblemConfig, Ntest: int, Ntr: int):
     n = np.arange(min(Ntest, Ntr))
     M[n, n] = -a * np.pi * (n + 1) / 4.0
     M += a ** 3 * ((np.log(a) - np.log(2.0)) * D + Slog + DQ)
-    M -= (eta / 2.0) * a * a * _mass2_rect(Ntest, Ntr)
+    M -= (eta / 2.0) * a * a * ck.mass2_matrix(Ntest, Ntr)
     return M, ker
 
 
@@ -232,19 +212,107 @@ def _rhs_sym(cfg: ProblemConfig, Ntest: int) -> np.ndarray:
 
 
 def _edge_tail_vectors(N: int, Ntr: int):
-    """Unit-normalized trailing parts (orders >= N) of the edge-log expansions."""
+    """Unit-normalized trailing parts (orders >= N) of the edge-log expansions,
+    and their normalization factors."""
     bp = ck.edge_log_t_coeffs(Ntr)
     bm = bp * (-1.0) ** np.arange(Ntr)
     bp_t = bp.copy()
     bm_t = bm.copy()
     bp_t[:N] = 0.0
     bm_t[:N] = 0.0
-    return bp_t / np.linalg.norm(bp_t), bm_t / np.linalg.norm(bm_t)
+    np_, nm_ = np.linalg.norm(bp_t), np.linalg.norm(bm_t)
+    return bp_t / np_, bm_t / nm_, np_, nm_
 
 
 # ---------------------------------------------------------------------------
 # solvers
 # ---------------------------------------------------------------------------
+def _augmented_antisym(cfg: ProblemConfig, N: int, Ntest: int, Ntr: int):
+    """Augmented matrix: the first N trial columns plus the two edge-log tails."""
+    O, ker = _assemble_antisym_operator(cfg, Ntest, Ntr)
+    tails = _edge_tail_vectors_u(N, Ntr)
+    A = np.zeros((Ntest, N + 2), dtype=complex)
+    A[:, :N] = O[:, :N]
+    A[:, N] = O @ tails[0]
+    A[:, N + 1] = O @ tails[1]
+    return A, tails, ker.tail_mass()
+
+
+def _augmented_sym(cfg: ProblemConfig, N: int, Ntest: int, Ntr: int):
+    """Augmented matrix of -sigma/2 - eta S sigma with the two edge-log tails."""
+    O, ker = _assemble_sym_operator(cfg, Ntest, Ntr)
+    tails = _edge_tail_vectors(N, Ntr)
+    vdiag = (np.pi / 2) * np.ones(Ntest)
+    vdiag[0] = np.pi
+    A = np.zeros((Ntest, N + 2), dtype=complex)
+    mm = np.arange(min(N, Ntest))
+    A[mm, mm] = -0.5 * cfg.a * vdiag[mm]
+    A[:, :N] += -cfg.eta * O[:, :N]
+    for col, vec in ((N, tails[0]), (N + 1, tails[1])):
+        mass_col = -0.5 * cfg.a * vdiag * vec[:Ntest]
+        A[:, col] = mass_col - cfg.eta * (O @ vec)
+    return A, tails, ker.tail_mass()
+
+
+# the parts of a solve that differ by parity
+_AUGMENTED = {Parity.ANTISYMMETRIC: _augmented_antisym, Parity.SYMMETRIC: _augmented_sym}
+_RHS = {Parity.ANTISYMMETRIC: _rhs_antisym, Parity.SYMMETRIC: _rhs_sym}
+
+# (k0, a, eta, parity, N) -> (augmented matrix, condition estimate, edge-tail
+# vectors with their norms, kernel tail mass).  The operator does not depend
+# on the incidence angle, so every incidence on one medium reuses the entry.
+_OPERATOR_CACHE: dict = {}
+
+
+def _operator(cfg: ProblemConfig, parity: Parity, N: int):
+    key = (complex(cfg.k0), float(cfg.a), complex(cfg.eta), parity, N)
+    entry = _OPERATOR_CACHE.get(key)
+    if entry is None:
+        A, tails, ker_tail = _AUGMENTED[parity](cfg, N, N + 2, max(192, N + 96))
+        cond = float(np.linalg.cond(A))
+        if not np.isfinite(cond) or cond > 1e13:
+            raise SingularSystemError(f"{parity.value} system condition {cond:.2e}")
+        if len(_OPERATOR_CACHE) > 32:
+            _OPERATOR_CACHE.clear()
+        entry = _OPERATOR_CACHE[key] = (A, cond, tails, ker_tail)
+    return entry
+
+
+def _solve(cfg: ProblemConfig, parity: Parity, N: int, tail_tol: float, on_unconverged: str):
+    """The one solve path of both parities; returns (Density, SolveDiagnostics).
+
+    The solution's last two entries are the amplitudes of the unit-normalized
+    edge-log tails; they are folded into one long coefficient vector.
+    """
+    if N < 4:
+        raise ValueError("N must be >= 4")
+    if parity is Parity.SYMMETRIC and cfg.eta == 0:
+        # the equation degenerates to -sigma/2 = 0
+        dens = Density(parity, cfg.a, np.zeros(N, dtype=complex), N)
+        return dens, SolveDiagnostics(N, 0.0, 0.0, 1.0, True, 0.0)
+    A, cond, (vp, vm, norm_p, norm_m), ker_tail = _operator(cfg, parity, N)
+    sol = np.linalg.solve(A, _RHS[parity](cfg, N + 2))
+    coeffs = np.zeros(len(vp), dtype=complex)
+    coeffs[:N] = sol[:N]
+    coeffs += sol[N] * vp + sol[N + 1] * vm
+    dens = Density(parity, cfg.a, coeffs, N,
+                   aug_amp=(complex(sol[N]) / norm_p, complex(sol[N + 1]) / norm_m))
+
+    # the folded edge-log tail is an exact feature of the density; the
+    # convergence-relevant decay is that of the solved polynomial block
+    peak = np.max(np.abs(coeffs))
+    tail = float(np.max(np.abs(coeffs[int(0.9 * N):N])) / peak) if peak > 0 else 0.0
+    res = boundary_residual(dens, cfg, 48)
+    ok = tail <= tail_tol
+    if not ok:
+        msg = (f"{parity.value} solve at N={N}: coefficient tail "
+               f"{tail:.2e} above target {tail_tol:.0e} (bc residual {res:.2e})")
+        if on_unconverged == "raise":
+            raise UnconvergedSolveError(msg)
+        logger.debug(msg)
+    return dens, SolveDiagnostics(N, res, tail, cond, ok, ker_tail)
+
+
 def solve_antisymmetric(cfg: ProblemConfig, N: int, *, tail_tol: float = DEFAULT_TAIL_TOL,
                         on_unconverged: str = "warn"):
     """Solve the hypersingular problem; return (Density, SolveDiagnostics).
@@ -254,29 +322,7 @@ def solve_antisymmetric(cfg: ProblemConfig, N: int, *, tail_tol: float = DEFAULT
     (which carry the rho^{3/2} log rho edge correction); their
     contribution is folded back into one long coefficient vector.
     """
-    if N < 4:
-        raise ValueError("N must be >= 4")
-    Ntest = N + 2
-    Ntr = max(192, N + 96)
-    O, ker = _assemble_antisym_operator(cfg, Ntest, Ntr)
-    up_t, um_t, norm_p, norm_m = _edge_tail_vectors_u(N, Ntr)
-
-    A = np.zeros((Ntest, N + 2), dtype=complex)
-    A[:, :N] = O[:, :N]
-    A[:, N] = O @ up_t
-    A[:, N + 1] = O @ um_t
-    rhs = _rhs_antisym(cfg, Ntest)
-
-    cond = float(np.linalg.cond(A))
-    if not np.isfinite(cond) or cond > 1e13:
-        raise SingularSystemError(f"antisymmetric system condition {cond:.2e}")
-    sol = np.linalg.solve(A, rhs)
-    coeffs = np.zeros(Ntr, dtype=complex)
-    coeffs[:N] = sol[:N]
-    coeffs += sol[N] * up_t + sol[N + 1] * um_t
-    dens = Density(Parity.ANTISYMMETRIC, cfg.a, coeffs, N,
-                   aug_amp=(complex(sol[N]) / norm_p, complex(sol[N + 1]) / norm_m))
-    return _finalize(dens, cfg, cond, ker.tail_mass(), tail_tol, on_unconverged)
+    return _solve(cfg, Parity.ANTISYMMETRIC, N, tail_tol, on_unconverged)
 
 
 def solve_symmetric(cfg: ProblemConfig, N: int, *, tail_tol: float = DEFAULT_TAIL_TOL,
@@ -286,58 +332,7 @@ def solve_symmetric(cfg: ProblemConfig, N: int, *, tail_tol: float = DEFAULT_TAI
     eta = 0 short-circuits to the exact zero density (the equation
     degenerates to -sigma/2 = 0).
     """
-    if N < 4:
-        raise ValueError("N must be >= 4")
-    if cfg.eta == 0:
-        dens = Density(Parity.SYMMETRIC, cfg.a, np.zeros(N, dtype=complex), N)
-        diag = SolveDiagnostics(N, 0.0, 0.0, 1.0, True, 0.0)
-        return dens, diag
-
-    Ntest = N + 2
-    Ntr = max(192, N + 96)
-    O, ker = _assemble_sym_operator(cfg, Ntest, Ntr)
-    bp_t, bm_t = _edge_tail_vectors(N, Ntr)
-
-    vdiag = (np.pi / 2) * np.ones(Ntest)
-    vdiag[0] = np.pi
-    A = np.zeros((Ntest, N + 2), dtype=complex)
-    mm = np.arange(min(N, Ntest))
-    A[mm, mm] = -0.5 * cfg.a * vdiag[mm]
-    A[:, :N] += -cfg.eta * O[:, :N]
-    for col, vec in ((N, bp_t), (N + 1, bm_t)):
-        mass_col = -0.5 * cfg.a * vdiag * vec[:Ntest]
-        A[:, col] = mass_col - cfg.eta * (O @ vec)
-    rhs = _rhs_sym(cfg, Ntest)
-
-    cond = float(np.linalg.cond(A))
-    if not np.isfinite(cond) or cond > 1e13:
-        raise SingularSystemError(f"symmetric system condition {cond:.2e}")
-    sol = np.linalg.solve(A, rhs)
-    coeffs = np.zeros(Ntr, dtype=complex)
-    coeffs[:N] = sol[:N]
-    coeffs += sol[N] * bp_t + sol[N + 1] * bm_t
-    dens = Density(Parity.SYMMETRIC, cfg.a, coeffs, N)
-    return _finalize(dens, cfg, cond, ker.tail_mass(), tail_tol, on_unconverged)
-
-
-def _finalize(dens: Density, cfg: ProblemConfig, cond: float, ker_tail: float,
-              tail_tol: float, on_unconverged: str):
-    # the folded edge-log tail is an exact feature of the density; the
-    # convergence-relevant decay is that of the solved polynomial block
-    n = dens.n_solve
-    block = dens.coeffs[:n]
-    peak = np.max(np.abs(dens.coeffs))
-    tail = float(np.max(np.abs(block[int(0.9 * n):])) / peak) if peak > 0 else 0.0
-    res = boundary_residual(dens, cfg, 48)
-    ok = tail <= tail_tol
-    if not ok:
-        msg = (f"{dens.parity.value} solve at N={dens.n_solve}: coefficient tail "
-               f"{tail:.2e} above target {tail_tol:.0e} (bc residual {res:.2e})")
-        if on_unconverged == "raise":
-            raise UnconvergedSolveError(msg)
-        logger.debug(msg)
-    diag = SolveDiagnostics(dens.n_solve, res, tail, cond, ok, ker_tail)
-    return dens, diag
+    return _solve(cfg, Parity.SYMMETRIC, N, tail_tol, on_unconverged)
 
 
 # ---------------------------------------------------------------------------
@@ -462,13 +457,7 @@ def _strip_theta_quad(s0: float, dist: float, nper: int = 20):
             t *= 2.0
     edges = np.array(sorted(breaks))
     keep = np.concatenate([[True], np.diff(edges) > 1e-12])
-    edges = edges[keep]
-    xg, wg = np.polynomial.legendre.leggauss(nper)
-    nodes, wts = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        nodes.append(lo + (xg + 1) / 2 * (hi - lo))
-        wts.append(wg * (hi - lo) / 2)
-    return np.concatenate(nodes), np.concatenate(wts)
+    return ck.panels(edges[keep], nper)
 
 
 def scattered_field(dens: Density, cfg: ProblemConfig, x, y, *, on_strip_trace: bool = False):
@@ -521,31 +510,6 @@ def strip_trace(dens: Density, cfg: ProblemConfig, x):
     return out if np.ndim(x) else complex(out[0])
 
 
-_BOTH_EDGE_CACHE: list = []
-
-
-def _both_edge_theta(nper: int = 16, th_min: float = 1e-5):
-    """Fixed theta panels on [0, pi], geometrically refined toward both ends
-    (resolves the rho log rho edge structure of the densities)."""
-    if _BOTH_EDGE_CACHE:
-        return _BOTH_EDGE_CACHE[0]
-    edges = [0.0]
-    t = th_min
-    while t < np.pi / 2:
-        edges.append(t)
-        t *= 2.0
-    edges.append(np.pi / 2)
-    be = np.array(edges)
-    segs = np.unique(np.concatenate([be, np.pi - be]))
-    xg, wg = np.polynomial.legendre.leggauss(nper)
-    nodes, wts = [], []
-    for lo, hi in zip(segs[:-1], segs[1:]):
-        nodes.append(lo + (xg + 1) / 2 * (hi - lo))
-        wts.append(wg * (hi - lo) / 2)
-    _BOTH_EDGE_CACHE.append((np.concatenate(nodes), np.concatenate(wts)))
-    return _BOTH_EDGE_CACHE[0]
-
-
 def _off_strip_eval(dens: Density, cfg: ProblemConfig, x, antisym: bool):
     """Bulk off-strip evaluation: edge-graded quadrature near the edges,
     one vectorized fixed rule for targets farther than half a strip-length."""
@@ -558,7 +522,15 @@ def _off_strip_eval(dens: Density, cfg: ProblemConfig, x, antisym: bool):
     far = dist > 0.5
 
     if np.any(far):
-        th, w = _both_edge_theta()
+        # fixed panels on [0, pi], geometrically refined toward both ends
+        # (resolves the rho log rho edge structure of the densities)
+        ladder = [0.0]
+        t = 1e-5
+        while t < np.pi / 2:
+            ladder.append(t)
+            t *= 2.0
+        ladder = np.array(ladder + [np.pi / 2])
+        th, w = ck.panels(np.unique(np.concatenate([ladder, np.pi - ladder])), 16)
         tau = np.cos(th)
         P = dens.poly(tau)
         R = np.abs(xs[far, None] - a * tau[None, :])

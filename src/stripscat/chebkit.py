@@ -141,53 +141,18 @@ def c3_matrix(nrow: int, ncol: int) -> np.ndarray:
     return 0.5 * (J[p + n] + J[np.abs(p - n)])
 
 
-def z_matrix(n: int) -> np.ndarray:
-    """Z[m, n] = int_{-1}^{1} U_m T_n ds (exact, via T_n U_m product rule)."""
-    def moment_u(j: int) -> float:
-        if j < 0:
-            if j == -1:
-                return 0.0
-            return -moment_u(-j - 2)
-        if j % 2 == 1:
-            return 0.0
-        return 2.0 / (j + 1)
-
-    Z = np.zeros((n, n))
-    for m in range(n):
-        for q in range(n):
-            Z[m, q] = 0.5 * (moment_u(m + q) + moment_u(m - q))
-    return Z
-
-
-def mass2_matrix(n: int) -> np.ndarray:
-    """M[m, n] = int_{-1}^{1} (1-s^2) U_m U_n ds."""
+def mass2_matrix(nrow: int, ncol: int) -> np.ndarray:
+    """M[m, n] = int_{-1}^{1} (1-s^2) U_m U_n ds, rectangular."""
     def c(p: int) -> float:
         if p % 2 == 1:
             return 0.0
         return 2.0 / (1 - p * p)
 
-    M = np.zeros((n, n))
-    for m in range(n):
-        for q in range(n):
+    M = np.zeros((nrow, ncol))
+    for m in range(nrow):
+        for q in range(ncol):
             M[m, q] = 0.5 * (c(abs(m - q)) - c(m + q + 2))
     return M
-
-
-def log_uu_matrix(n: int) -> np.ndarray:
-    """L[g, d] = int int sqrt(w)U_g(s) ln|s-t| sqrt(w)U_d(t) ds dt.
-
-    Pentadiagonal (offsets 0, +-2) closed form from the bilinear log
-    expansion; L[0,0] also carries the -ln 2 constant.
-    """
-    L = np.zeros((n, n))
-    for g in range(n):
-        L[g, g] = -(np.pi ** 2 / 8) * ((1.0 / g if g >= 1 else 0.0) + 1.0 / (g + 2))
-        if g == 0:
-            L[0, 0] += -(np.pi ** 2 / 4) * np.log(2)
-        if g + 2 < n:
-            L[g, g + 2] = np.pi ** 2 / (8 * (g + 2))
-            L[g + 2, g] = L[g, g + 2]
-    return L
 
 
 def log_point_u(nmax: int, s) -> np.ndarray:
@@ -202,17 +167,6 @@ def log_point_u(nmax: int, s) -> np.ndarray:
     out[:, 0] = -(np.pi / 2) * np.log(2) + (np.pi / 4) * T[:, 2]
     for n in range(1, nmax):
         out[:, n] = -(np.pi / 2) * (T[:, n] / n - T[:, n + 2] / (n + 2))
-    return out
-
-
-def log_point_t(nmax: int, s) -> np.ndarray:
-    """lam[i, n] = int ln|s_i - t| T_n(t)/sqrt(w(t)) dt = -pi ln2 [n=0]; -(pi/n) T_n(s)."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    T = np.cos(np.arange(nmax)[None, :] * np.arccos(np.clip(s, -1, 1))[:, None])
-    out = np.empty((len(s), nmax))
-    out[:, 0] = -np.pi * np.log(2)
-    for n in range(1, nmax):
-        out[:, n] = -(np.pi / n) * T[:, n]
     return out
 
 
@@ -262,14 +216,6 @@ def log_point_plain_t(nmax: int, s) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Chebyshev coefficient extraction (DCT on the roots grid)
 # ---------------------------------------------------------------------------
-def cheb_coeffs_1d(values: np.ndarray) -> np.ndarray:
-    """T-coefficients of the interpolant through f(cos((2i+1)pi/2M))."""
-    M = values.shape[0]
-    c = dct(values, type=2, axis=0) / M
-    c[0] *= 0.5
-    return c
-
-
 def cheb_coeffs_2d(f, M: int) -> np.ndarray:
     """C[p, q] with f(s, t) ~ sum C[p,q] T_p(s) T_q(t), roots grid of size M."""
     i = np.arange(M)
@@ -280,11 +226,6 @@ def cheb_coeffs_2d(f, M: int) -> np.ndarray:
     C[0, :] *= 0.5
     C[:, 0] *= 0.5
     return C
-
-
-def cheb_grid(M: int) -> np.ndarray:
-    i = np.arange(M)
-    return np.cos((2 * i + 1) * np.pi / (2 * M))
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +295,15 @@ def theta_graded(dist: float, nper: int = 20, ratio: float = 2.0):
     while t < np.pi:
         t = min(t * ratio, np.pi)
         edges.append(t)
-    xg, wg = np.polynomial.legendre.leggauss(nper)
-    nodes = []
-    wts = []
-    for t0, t1 in zip(edges[:-1], edges[1:]):
-        nodes.append(t0 + (xg + 1) / 2 * (t1 - t0))
-        wts.append(wg * (t1 - t0) / 2)
-    return np.concatenate(nodes), np.concatenate(wts)
+    return panels(edges, nper)
+
+
+def panels(breaks, n: int):
+    """Gauss-Legendre rule with n nodes on each panel [breaks[i], breaks[i+1]].
+
+    Returns (nodes, weights), panel after panel.
+    """
+    xg, wg = np.polynomial.legendre.leggauss(n)
+    b = np.asarray(breaks, dtype=float)
+    lo, hi = b[:-1, None], b[1:, None]
+    return (lo + (xg + 1) / 2 * (hi - lo)).ravel(), (wg * (hi - lo) / 2).ravel()

@@ -9,6 +9,7 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import sys
@@ -17,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import rhstructure as rh
-from .bie import SingularSystemError, solve_antisymmetric, solve_symmetric
+from .bie import SingularSystemError
 from .edge import extract_c, extract_d
-from .spectral import SpectralBundle, directivity, energy_balance
+from .spectral import Scattering
 from .verify import RunConfig, run_suite
 
 logger = logging.getLogger(__name__)
@@ -35,39 +36,31 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
         for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, (float, np.floating)) else str(v)
-                              for v in row) + "\n")
+            writer.writerow(_fmt(v) if isinstance(v, (float, np.floating)) else v for v in row)
+
+
+# what reading and validating a config file raises for bad input (exit 2)
+CONFIG_ERRORS = (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError)
 
 
 def _load_config(path: str) -> RunConfig:
     try:
         return RunConfig.from_json_file(path)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_CONFIG)
 
 
-def _solve_all(rc: RunConfig):
-    cfg = rc.problem()
-    da, dga = solve_antisymmetric(cfg, rc.N, tail_tol=rc.tail_tol)
-    ds, dgs = solve_symmetric(cfg, rc.N, tail_tol=rc.tail_tol)
-    return cfg, da, ds, dga, dgs
-
-
-def _directivity_rows(cfg, da, ds, rc):
-    th = np.linspace(0.02, np.pi - 0.02, rc.n_theta)
-    ba = SpectralBundle(cfg, da, tail_tol=rc.tail_tol)
-    bs = SpectralBundle(cfg, ds, tail_tol=rc.tail_tol)
-    tab = directivity(ba, bs, th)
-    rows = []
-    for i, t in enumerate(th):
-        rows.append((np.degrees(t), tab.S[i].real, tab.S[i].imag,
-                     tab.S_a[i].real, tab.S_a[i].imag,
-                     tab.S_s[i].real, tab.S_s[i].imag))
-    return rows, (ba, bs, tab)
+def _directivity_table(sc: Scattering, rc: RunConfig):
+    """Directivity on the CLI's theta grid and its CSV rows."""
+    tab = sc.directivity(np.linspace(0.02, np.pi - 0.02, rc.n_theta))
+    rows = [(np.degrees(t), S.real, S.imag, Sa.real, Sa.imag, Ss.real, Ss.imag)
+            for t, S, Sa, Ss in zip(tab.theta, tab.S, tab.S_a, tab.S_s)]
+    return tab, rows
 
 
 DIRECTIVITY_HEADER = ["theta_deg", "S_re", "S_im", "Sa_re", "Sa_im", "Ss_re", "Ss_im"]
@@ -78,29 +71,29 @@ def cmd_solve(args) -> int:
     out = Path(args.out or rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        cfg, da, ds, dga, dgs = _solve_all(rc)
+        sc = Scattering(rc.problem(), rc.N, rc.tail_tol)
     except SingularSystemError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    rows, _ = _directivity_rows(cfg, da, ds, rc)
+    _, rows = _directivity_table(sc, rc)
     _write_csv(out / "directivity.csv", DIRECTIVITY_HEADER, rows)
 
-    xg = cfg.a * np.cos(np.pi * (2 * np.arange(201) + 1) / 402)
-    mu = da(xg)
-    sg = ds(xg)
+    xg = sc.cfg.a * np.cos(np.pi * (2 * np.arange(201) + 1) / 402)
+    mu = sc.da(xg)
+    sg = sc.ds(xg)
     _write_csv(out / "densities.csv",
                ["x", "mu_re", "mu_im", "sigma_re", "sigma_im"],
                [(x, m.real, m.imag, s.real, s.imag) for x, m, s in zip(xg, mu, sg)])
 
     diags = {
-        "antisymmetric": _diag_dict(dga),
-        "symmetric": _diag_dict(dgs),
+        "antisymmetric": _diag_dict(sc.diag_a),
+        "symmetric": _diag_dict(sc.diag_s),
         "config": rc.to_dict(),
     }
     (out / "diagnostics.json").write_text(json.dumps(diags, sort_keys=True, indent=1),
                                           encoding="utf-8")
-    if not (dga.tail_converged and dgs.tail_converged):
+    if not (sc.diag_a.tail_converged and sc.diag_s.tail_converged):
         logger.warning("coefficient tails above target; see diagnostics.json")
         return EXIT_NUMERICAL if args.strict else EXIT_OK
     return EXIT_OK
@@ -125,14 +118,16 @@ def cmd_spectra(args) -> int:
     if complex(cfg.k0).imag <= 0:
         print("config error: spectra require Im(k0) > 0", file=sys.stderr)
         return EXIT_CONFIG
+    if cfg.eta == 0:
+        print("config error: spectra require eta != 0 (the V0 prefactor 1/(eta xi)"
+              " is degenerate for the hard strip)", file=sys.stderr)
+        return EXIT_CONFIG
     try:
-        cfg, da, ds, _, _ = _solve_all(rc)
+        ba, bs = Scattering(cfg, rc.N, rc.tail_tol).bundles
     except SingularSystemError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    ba = SpectralBundle(cfg, da, tail_tol=rc.tail_tol)
-    bs = SpectralBundle(cfg, ds, tail_tol=rc.tail_tol)
     kmax = rc.k_grid_factor * abs(cfg.k0)
     if kmax > 8 * abs(cfg.k0):
         logger.warning("k grid extends beyond the truncation-validated window")
@@ -216,17 +211,19 @@ def cmd_sweep(args) -> int:
             d["k0"]["im"] *= scale
         try:
             rci = RunConfig.from_dict(d)
-            cfg, da, ds, dga, dgs = _solve_all(rci)
-            rows, (ba, bs, tab) = _directivity_rows(cfg, da, ds, rci)
+            sc = Scattering(rci.problem(), rci.N, rci.tail_tol)
+            cfg = sc.cfg
+            tab, rows = _directivity_table(sc, rci)
             _write_csv(out / f"directivity_{iv:03d}.csv", DIRECTIVITY_HEADER, rows)
-            eb = energy_balance(cfg, N=rci.N) if complex(cfg.k0).imag < 1e-2 else None
             fwd = tab.S[np.argmin(np.abs(tab.theta - (np.pi - cfg.theta_in)))]
+            c_plus = extract_c(sc.da, cfg, "+")
+            d_plus = extract_d(sc.ds, cfg, "+")
             summary.append((
                 v,
                 fwd.real, fwd.imag,
                 float(np.mean(np.abs(tab.S) ** 2)),
-                extract_c(da, cfg, "+").real, extract_c(da, cfg, "+").imag,
-                extract_d(ds, cfg, "+").real, extract_d(ds, cfg, "+").imag,
+                c_plus.real, c_plus.imag,
+                d_plus.real, d_plus.imag,
                 int(rh.deformation_needed(cfg)),
                 "ok",
             ))
@@ -250,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="JSON run configuration")
     common.add_argument("--out", default=None, help="output directory (default from config)")
-    common.add_argument("--threads", type=int, default=None,
-                        help="max worker threads hint (computation is deterministic)")
 
     p = sub.add_parser("solve", parents=[common], help="solve and write directivity/densities")
     p.add_argument("--strict", action="store_true",

@@ -1,4 +1,4 @@
-"""Problem configuration, branch-tracked square root, incident fields, kernels.
+"""Problem configuration, branch-tracked square root, incident fields.
 
 Scattering scenario: the segment y = 0, -a < x < a carries impedance
 boundary conditions +-du/dy(x, +-0) = eta * u(x, +-0) in a 2D Helmholtz
@@ -19,10 +19,9 @@ real nonnegative (one from +k0 and one from -k0, heading to +-i*infinity).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import hankel1
 
 
 class Parity(enum.Enum):
@@ -49,13 +48,6 @@ class BranchMode(enum.Enum):
     CONTINUED_UPPER = "continued-to-upper"
     CONTINUED_LOWER = "continued-to-lower"
     SECOND_SHEET = "second-sheet"
-
-
-@dataclass(frozen=True)
-class BranchContext:
-    """Carries the branch selection for xi evaluations."""
-
-    mode: BranchMode = BranchMode.PRINCIPAL
 
 
 @dataclass(frozen=True)
@@ -89,12 +81,15 @@ class ProblemConfig:
             raise ValueError(f"Im(k0) must be >= 0 (limiting absorption), got {k0}")
         if k0.real <= 0:
             raise ValueError(f"Re(k0) must be > 0, got {k0}")
-        if complex(self.eta).imag > 0:
+        eta = complex(self.eta)
+        if not np.isfinite([eta.real, eta.imag]).all():
+            raise ValueError(f"eta must be finite, got {eta}")
+        if eta.imag > 0:
             raise ValueError(
                 f"Im(eta) must be <= 0 (dissipation condition), got {self.eta}"
             )
-        if not self.a > 0:
-            raise ValueError(f"half-length a must be > 0, got {self.a}")
+        if not 0 < self.a < np.inf:
+            raise ValueError(f"half-length a must be finite and > 0, got {self.a}")
         if not 0.0 <= self.theta_in <= np.pi / 2 + 1e-14:
             raise ValueError(
                 f"theta_in must lie in [0, pi/2], got {self.theta_in}"
@@ -106,12 +101,7 @@ class ProblemConfig:
         return complex(self.k0) * np.cos(self.theta_in)
 
 
-def k_star(cfg: ProblemConfig) -> complex:
-    """Return k0*cos(theta_in) for the configuration."""
-    return cfg.k_star
-
-
-def xi(k, ctx: BranchContext | None = None, *, k0: complex) -> np.ndarray | complex:
+def xi(k, mode: BranchMode = BranchMode.PRINCIPAL, *, k0: complex) -> np.ndarray | complex:
     """Branch-tracked square root xi(k) = sqrt(k0^2 - k^2).
 
     The principal determination is computed as i*sqrt(k^2 - k0^2) with the
@@ -125,7 +115,6 @@ def xi(k, ctx: BranchContext | None = None, *, k0: complex) -> np.ndarray | comp
     cut); SECOND_SHEET negates the principal value.  Branch points +-k0
     return exactly 0 in every mode.
     """
-    mode = (ctx or BranchContext()).mode
     karr = np.asarray(k, dtype=complex)
     scalar = karr.ndim == 0
     # taken before any shore offset, which would move k off the branch point
@@ -173,35 +162,3 @@ def incident_field(cfg: ProblemConfig, parity: Parity, x, y):
     if parity is Parity.ANTISYMMETRIC:
         return -1j * carrier * np.sin(ky * y)
     return carrier * np.cos(ky * y)
-
-
-def green_kernel(k0: complex, r):
-    """Outgoing free-space kernel (i/4) H0^(1)(k0 r), r > 0."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("green_kernel requires r > 0")
-    return 0.25j * hankel1(0, k0 * r)
-
-
-def green_kernel_dy(k0: complex, x_minus_t):
-    """On-axis first normal-derivative kernel; identically zero.
-
-    The kernel d/dy of the fundamental solution is proportional to
-    (y - y') and vanishes when source and target both lie on y = 0.
-    """
-    d = np.asarray(x_minus_t, dtype=float)
-    if np.any(d == 0):
-        raise ValueError("green_kernel_dy requires x_minus_t != 0")
-    return np.zeros_like(d, dtype=complex)
-
-
-def green_kernel_dyy(k0: complex, x_minus_t):
-    """On-axis hypersingular kernel d^2 G / dy dy' = (i k0/4) H1^(1)(k0 r)/r.
-
-    Valid off the singular point; used for the off-strip normal derivative
-    of the antisymmetric double-layer field.
-    """
-    r = np.abs(np.asarray(x_minus_t, dtype=float))
-    if np.any(r == 0):
-        raise ValueError("green_kernel_dyy requires x_minus_t != 0")
-    return 0.25j * k0 * hankel1(1, k0 * r) / r

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BranchContext, BranchMode, ProblemConfig, xi
+from .core import BranchMode, ProblemConfig, xi
 
 
 class SingularJumpError(ValueError):
@@ -100,11 +100,7 @@ def build_cut(cfg: ProblemConfig, which: str, radius: float, n_nodes: int = 400)
 
 def xi_left_shore(k, cfg: ProblemConfig):
     """xi on the left shore of the cut through k (walking from +-k0 outward)."""
-    return xi(k, BranchContext(BranchMode.CONTINUED_UPPER), k0=cfg.k0)
-
-
-def xi_right_shore(k, cfg: ProblemConfig):
-    return xi(k, BranchContext(BranchMode.CONTINUED_LOWER), k0=cfg.k0)
+    return xi(k, BranchMode.CONTINUED_UPPER, k0=cfg.k0)
 
 
 _LABELS = ("M1", "M2", "N1", "N2")

@@ -30,7 +30,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chebkit as ck
-from .bie import Density, off_strip_normal_derivative, off_strip_trace
+from .bie import (
+    Density,
+    off_strip_normal_derivative,
+    off_strip_trace,
+    solve_antisymmetric,
+    solve_symmetric,
+)
 from .core import Parity, ProblemConfig, xi
 
 logger = logging.getLogger(__name__)
@@ -138,20 +144,17 @@ class SpectralBundle:
         h0 = min(hmax, max(3.0 / (1.0 + min(rate_hi, 1e3)), 1e-3))
         xg, wg = np.polynomial.legendre.leggauss(16)
 
-        # first panel [a, a+h0] via x = a + u^2 (integrable 1/sqrt edge data)
+        # first panel [a, a+h0] via x = a + u^2 (integrable 1/sqrt edge data),
+        # then panels growing geometrically up to hmax
         uq = np.sqrt(h0) * (xg + 1) / 2
-        nodes = [a + uq ** 2]
-        wts = [np.sqrt(h0) / 2 * wg * 2 * uq]
-        x0 = a + h0
+        breaks = [a + h0]
         h = h0
-        while x0 < X:
+        while breaks[-1] < X:
             h = min(1.6 * h, hmax)
-            x1 = min(x0 + h, X)
-            nodes.append(x0 + (xg + 1) / 2 * (x1 - x0))
-            wts.append(wg * (x1 - x0) / 2)
-            x0 = x1
-        xs = np.concatenate(nodes)
-        ws = np.concatenate(wts)
+            breaks.append(min(breaks[-1] + h, X))
+        xp, wp = ck.panels(breaks, 16)
+        xs = np.concatenate([a + uq ** 2, xp])
+        ws = np.concatenate([np.sqrt(h0) / 2 * wg * 2 * uq, wp])
         gp = self._boundary_data(xs)
         gm = self._boundary_data(-xs)
         bank = (xs, ws * gp, ws * gm)
@@ -202,29 +205,6 @@ class SpectralBundle:
         return out if np.ndim(k) else complex(out[0])
 
 
-# spec-facing aliases -------------------------------------------------------
-def u0_tilde(bundle: SpectralBundle, k):
-    assert bundle.parity is Parity.ANTISYMMETRIC
-    return bundle.f0_tilde(k)
-
-
-def v0_tilde(bundle: SpectralBundle, k):
-    assert bundle.parity is Parity.SYMMETRIC
-    return bundle.f0_tilde(k)
-
-
-def u_plus(bundle: SpectralBundle, k):
-    return bundle.f_plus(k)
-
-
-def u_minus(bundle: SpectralBundle, k):
-    return bundle.f_minus(k)
-
-
-v_plus = u_plus
-v_minus = u_minus
-
-
 def functional_residual(bundle: SpectralBundle, k_grid) -> float:
     """max_k |F-(k) + F0(k) + F+(k)| / max(|F-|, |F0|, |F+|) on the grid."""
     k = np.asarray(k_grid, dtype=complex)
@@ -262,30 +242,36 @@ def directivity(bundle_a: SpectralBundle, bundle_s: SpectralBundle, theta_grid) 
     return DirectivityTable(th, Sa, Ss, cfg)
 
 
-_POINT_CACHE: dict = {}
+class Scattering:
+    """Both parities solved for one configuration: the densities, their
+    diagnostics and their spectral bundles (whose banks are built on first use).
+
+    This is the one place where the antisymmetric and symmetric solutions
+    are paired.  `tail_tol` is both the solves' coefficient-tail target and
+    the bundles' truncation tolerance.
+    """
+
+    def __init__(self, cfg: ProblemConfig, N: int = 64, tail_tol: float = 1e-9):
+        self.cfg = cfg
+        self.da, self.diag_a = solve_antisymmetric(cfg, N, tail_tol=tail_tol)
+        self.ds, self.diag_s = solve_symmetric(cfg, N, tail_tol=tail_tol)
+        self.bundles = (SpectralBundle(cfg, self.da, tail_tol),
+                        SpectralBundle(cfg, self.ds, tail_tol))
+
+    def directivity(self, theta_grid) -> DirectivityTable:
+        return directivity(*self.bundles, theta_grid)
 
 
 def directivity_point(cfg: ProblemConfig, theta: float, theta_in: float, N: int = 64) -> complex:
     """S(theta; theta_in) for theta, theta_in in (0, pi).
 
     Incidence beyond pi/2 uses the x-mirror map S(theta; pi - t) =
-    S(pi - theta; t).  Solves are memoized per (cfg, theta_in, N).
+    S(pi - theta; t).
     """
     if theta_in > np.pi / 2:
         return directivity_point(cfg, np.pi - theta, np.pi - theta_in, N)
-    from .bie import solve_antisymmetric, solve_symmetric
-
-    key = (cfg, round(theta_in, 15), N)
-    if key not in _POINT_CACHE:
-        c = ProblemConfig(cfg.k0, cfg.a, cfg.eta, theta_in)
-        da, _ = solve_antisymmetric(c, N)
-        ds, _ = solve_symmetric(c, N)
-        if len(_POINT_CACHE) > 64:
-            _POINT_CACHE.clear()
-        _POINT_CACHE[key] = (c, SpectralBundle(c, da), SpectralBundle(c, ds))
-    c, ba, bs = _POINT_CACHE[key]
-    tab = directivity(ba, bs, np.array([theta]))
-    return complex(tab.S[0])
+    sc = Scattering(ProblemConfig(cfg.k0, cfg.a, cfg.eta, theta_in), N)
+    return complex(sc.directivity(np.array([theta])).S[0])
 
 
 def directivity_full_circle(bundle_a: SpectralBundle, bundle_s: SpectralBundle, m: int = 720):
@@ -336,12 +322,7 @@ def _edge_graded_unit(nlev: int, nper: int):
     edges.append(1.0)
     be = np.array(edges)
     segs = np.sort(np.unique(np.concatenate([-1 + be, 1 - be])))
-    xg, wg = np.polynomial.legendre.leggauss(nper)
-    nodes, wts = [], []
-    for lo, hi in zip(segs[:-1], segs[1:]):
-        nodes.append(lo + (xg + 1) / 2 * (hi - lo))
-        wts.append(wg * (hi - lo) / 2)
-    return np.concatenate(nodes), np.concatenate(wts)
+    return ck.panels(segs, nper)
 
 
 # ---------------------------------------------------------------------------
@@ -368,19 +349,19 @@ def embedding_kernel(bundle: SpectralBundle, k) -> np.ndarray | complex:
 
 
 def embedding_rank_test(cfg: ProblemConfig, parity: Parity, incidences, k_points, N: int = 64):
-    """Solve per incidence; report pair antisymmetry and sigma3/sigma1 of W."""
-    from .bie import solve_antisymmetric, solve_symmetric
+    """Solve per incidence; report pair antisymmetry and sigma3/sigma1 of W.
 
+    The incidences share one medium, so their solves share one operator.
+    """
     incidences = list(incidences)
     if len(incidences) < 3:
         return {"status": "insufficient data", "n_incidences": len(incidences)}
     k_points = np.asarray(k_points, dtype=complex)
+    solve = solve_antisymmetric if parity is Parity.ANTISYMMETRIC else solve_symmetric
     bundles = []
     for t in incidences:
         c = ProblemConfig(cfg.k0, cfg.a, cfg.eta, t)
-        d, _ = (solve_antisymmetric if parity is Parity.ANTISYMMETRIC
-                else solve_symmetric)(c, N)
-        bundles.append(SpectralBundle(c, d))
+        bundles.append(SpectralBundle(c, solve(c, N)[0]))
     kappas = [b.cfg.k_star for b in bundles]
 
     W = np.column_stack([np.atleast_1d(embedding_kernel(b, k_points)) for b in bundles])
@@ -528,13 +509,7 @@ def energy_balance(cfg: ProblemConfig, N: int = 64, m_theta: int = 720):
     extinction = -2 Re[e^{i pi/4} S(theta_in + pi)]  (forward direction),
     absorbed = extinction - P_scat.
     """
-    from .bie import solve_antisymmetric, solve_symmetric
-
-    da, _ = solve_antisymmetric(cfg, N)
-    ds, _ = solve_symmetric(cfg, N)
-    ba = SpectralBundle(cfg, da)
-    bs = SpectralBundle(cfg, ds)
-
+    ba, bs = Scattering(cfg, N).bundles
     th, S = directivity_full_circle(ba, bs, m_theta)
     p_scat = float(np.mean(np.abs(S) ** 2))
 

@@ -16,14 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rhstructure as rh
-from .bie import solve_antisymmetric, solve_symmetric
+from .bie import solve_symmetric
 from .core import Parity, ProblemConfig
 from .edge import local_expansion_fit
 from .spectral import (
+    Scattering,
     SpectralBundle,
     cauchy_analyticity_test,
     contour_integral_rect,
-    directivity,
     embedding_rank_test,
     energy_balance,
     farfield_oracle,
@@ -64,15 +64,16 @@ class RunConfig:
     N: int = 64
     tail_tol: float = 1e-9
     cut_radius_factor: float = 50.0
-    threads: int = 1
     n_theta: int = 73
     k_grid_factor: float = 3.0
     n_k: int = 41
     out_dir: str = "out"
 
     def __post_init__(self):
-        if self.tail_tol <= 0:
-            raise ValueError("tail_tol must be positive")
+        if self.N < 4:
+            raise ValueError(f"N must be >= 4, got {self.N}")
+        if not 0 < self.tail_tol < 1:
+            raise ValueError(f"tail_tol must lie in (0, 1), got {self.tail_tol}")
         if self.n_theta < 1 or self.n_k < 1:
             raise ValueError("grids must be non-empty")
         self.problem()  # validates the physical fields
@@ -91,7 +92,6 @@ class RunConfig:
                 "N": self.N,
                 "tail_tol": self.tail_tol,
                 "cut_radius_factor": self.cut_radius_factor,
-                "threads": self.threads,
             },
             "grids": {
                 "n_theta": self.n_theta,
@@ -113,7 +113,6 @@ class RunConfig:
             N=int(num.get("N", 64)),
             tail_tol=float(num.get("tail_tol", 1e-9)),
             cut_radius_factor=float(num.get("cut_radius_factor", 50.0)),
-            threads=int(num.get("threads", 1)),
             n_theta=int(grids.get("n_theta", 73)),
             k_grid_factor=float(grids.get("k_grid_factor", 3.0)),
             n_k=int(grids.get("n_k", 41)),
@@ -162,32 +161,12 @@ class VerificationReport:
 
 
 class _Ctx:
-    """Shared solves/bundles for the suite, built lazily."""
+    """The suite's reference solution and grids."""
 
     def __init__(self, rc: RunConfig):
         self.rc = rc
         self.cfg = rc.problem()
-        self._cache: dict = {}
-
-    def solves(self, N=None, cfg=None):
-        cfg = cfg or self.cfg
-        N = N or self.rc.N
-        key = ("solve", cfg, N)
-        if key not in self._cache:
-            da, dga = solve_antisymmetric(cfg, N, tail_tol=self.rc.tail_tol)
-            ds, dgs = solve_symmetric(cfg, N, tail_tol=self.rc.tail_tol)
-            self._cache[key] = (da, ds, dga, dgs)
-        return self._cache[key]
-
-    def bundles(self, N=None, cfg=None):
-        cfg = cfg or self.cfg
-        N = N or self.rc.N
-        key = ("bundle", cfg, N)
-        if key not in self._cache:
-            da, ds, _, _ = self.solves(N, cfg)
-            self._cache[key] = (SpectralBundle(cfg, da, tail_tol=self.rc.tail_tol),
-                                SpectralBundle(cfg, ds, tail_tol=self.rc.tail_tol))
-        return self._cache[key]
+        self.sc = Scattering(self.cfg, rc.N, rc.tail_tol)
 
     def theta_grid(self):
         return np.linspace(0.02, np.pi - 0.02, self.rc.n_theta)
@@ -207,10 +186,8 @@ def _chk(check_id, value, tol, **details) -> CheckResult:
 
 def check_self_convergence(ctx: _Ctx) -> CheckResult:
     th = ctx.theta_grid()
-    ba, bs = ctx.bundles(ctx.rc.N)
-    ba2, bs2 = ctx.bundles(2 * ctx.rc.N)
-    S1 = directivity(ba, bs, th).S
-    S2 = directivity(ba2, bs2, th).S
+    S1 = ctx.sc.directivity(th).S
+    S2 = Scattering(ctx.cfg, 2 * ctx.rc.N, ctx.rc.tail_tol).directivity(th).S
     val = float(np.max(np.abs(S1 - S2)) / np.max(np.abs(S2)))
     return _chk("directivity-self-convergence", val, 1e-8,
                 N=ctx.rc.N, N2=2 * ctx.rc.N)
@@ -218,16 +195,14 @@ def check_self_convergence(ctx: _Ctx) -> CheckResult:
 
 def check_oracle_equivalence(ctx: _Ctx) -> CheckResult:
     th = ctx.theta_grid()
-    ba, bs = ctx.bundles()
-    da, ds, _, _ = ctx.solves()
-    S = directivity(ba, bs, th).S
-    S_or = farfield_oracle(da, ctx.cfg, th) + farfield_oracle(ds, ctx.cfg, th)
+    S = ctx.sc.directivity(th).S
+    S_or = farfield_oracle(ctx.sc.da, ctx.cfg, th) + farfield_oracle(ctx.sc.ds, ctx.cfg, th)
     val = float(np.max(np.abs(S - S_or)) / np.max(np.abs(S)))
     return _chk("directivity-oracle-equivalence", val, 1e-7)
 
 
 def check_functional_equation(ctx: _Ctx, parity: Parity, n_k=None) -> CheckResult:
-    ba, bs = ctx.bundles()
+    ba, bs = ctx.sc.bundles
     b = ba if parity is Parity.ANTISYMMETRIC else bs
     kg = ctx.k_grid(n_k)
     val = functional_residual(b, kg)
@@ -236,7 +211,7 @@ def check_functional_equation(ctx: _Ctx, parity: Parity, n_k=None) -> CheckResul
 
 
 def check_pole_residue(ctx: _Ctx, parity: Parity) -> CheckResult:
-    ba, bs = ctx.bundles()
+    ba, bs = ctx.sc.bundles
     b = ba if parity is Parity.ANTISYMMETRIC else bs
     ks = ctx.cfg.k_star
     w = 0.35 * abs(ctx.cfg.k0)
@@ -252,7 +227,7 @@ def check_pole_residue(ctx: _Ctx, parity: Parity) -> CheckResult:
 
 
 def check_cauchy_minus(ctx: _Ctx) -> CheckResult:
-    ba, _ = ctx.bundles()
+    ba, _ = ctx.sc.bundles
     k0 = abs(ctx.cfg.k0)
     rect = (-1.1 * k0, 1.2 * k0, -0.45 * k0, -0.3 * complex(ctx.cfg.k0).imag)
     val = cauchy_analyticity_test(lambda z: np.atleast_1d(ba.f_minus(z)), rect,
@@ -270,8 +245,7 @@ def check_embedding(ctx: _Ctx, parity: Parity) -> CheckResult:
 
 
 def check_edge_antisym(ctx: _Ctx):
-    da, _, _, _ = ctx.solves()
-    fit = local_expansion_fit(da, ctx.cfg, "+")
+    fit = local_expansion_fit(ctx.sc.da, ctx.cfg, "+")
     yield _chk("edge-exponent-antisymmetric", abs(fit["exponent"] - 0.5), 0.005,
                exponent=fit["exponent"])
     yield _chk("edge-log-ratio-antisymmetric", fit["log_coeff_rel_err"], 0.05,
@@ -282,14 +256,13 @@ def check_edge_antisym(ctx: _Ctx):
 
 
 def check_edge_sym(ctx: _Ctx) -> CheckResult:
-    _, ds, _, _ = ctx.solves()
-    fit = local_expansion_fit(ds, ctx.cfg, "+")
+    fit = local_expansion_fit(ctx.sc.ds, ctx.cfg, "+")
     return _chk("edge-constant-symmetric", fit["constant_term_rel_err"], 1e-2,
                 exponent=fit["exponent"])
 
 
 def check_growth(ctx: _Ctx):
-    ba, bs = ctx.bundles()
+    ba, bs = ctx.sc.bundles
     k0a = abs(ctx.cfg.k0)
     t = np.geomspace(2 * k0a, 20 * k0a, 10)
     cases = [
@@ -332,7 +305,7 @@ def check_jump_algebra(ctx: _Ctx):
 
 
 def check_continuation(ctx: _Ctx):
-    ba, bs = ctx.bundles()
+    ba, bs = ctx.sc.bundles
     g2 = rh.build_cut(ctx.cfg, "G2", 10 * abs(ctx.cfg.k0))
     ks = [g2.nodes[40], g2.nodes[120]]
     val_a = max(rh.continuation_identity_check(ba, k) for k in ks)
@@ -417,7 +390,9 @@ def run_suite(rc: RunConfig, suite: str = "full"):
     """Run the verification suite; returns (VerificationReport, timings dict)."""
     if suite not in ("fast", "full"):
         raise ValueError("suite must be 'fast' or 'full'")
+    t0 = time.perf_counter()
     ctx = _Ctx(rc)
+    timings = {"solve": time.perf_counter() - t0}
     plan = []
     plan.append(("self", check_self_convergence))
     plan.append(("oracle", check_oracle_equivalence))
@@ -444,7 +419,6 @@ def run_suite(rc: RunConfig, suite: str = "full"):
     plan.append(("eta0", check_eta_zero_sym))
 
     checks = []
-    timings = {}
     for name, fn in plan:
         t0 = time.perf_counter()
         out = fn(ctx)

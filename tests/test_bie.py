@@ -186,3 +186,55 @@ class TestRadiation:
         lhs = hypersingular_action(d_mir, ref_cfg, x)
         rhs = hypersingular_action(da, ref_cfg, -x)
         assert np.allclose(lhs, rhs, rtol=1e-11)
+
+
+class TestOperatorReuse:
+    """The Galerkin operator depends on the medium alone; incidences reuse it."""
+
+    INCIDENCES = tuple(np.deg2rad([20.0, 50.0, 80.0]))
+
+    @pytest.mark.parametrize("parity", [Parity.ANTISYMMETRIC, Parity.SYMMETRIC])
+    def test_one_assembly_per_medium(self, monkeypatch, parity):
+        from stripscat import bie
+        name = ("_assemble_antisym_operator" if parity is Parity.ANTISYMMETRIC
+                else "_assemble_sym_operator")
+        solve = solve_antisymmetric if parity is Parity.ANTISYMMETRIC else solve_symmetric
+        assemble = getattr(bie, name)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return assemble(*args)
+
+        monkeypatch.setattr(bie, name, counted)
+        bie._OPERATOR_CACHE.clear()
+        cfgs = [ProblemConfig(K0, A, ETA, t) for t in self.INCIDENCES]
+        reused = [solve(c, 24) for c in cfgs]
+        assert len(calls) == 1
+        for c, (dens, diag) in zip(cfgs, reused):
+            bie._OPERATOR_CACHE.clear()
+            fresh, fresh_diag = solve(c, 24)
+            assert np.array_equal(dens.coeffs, fresh.coeffs)
+            assert dens.aug_amp == fresh.aug_amp
+            assert diag == fresh_diag
+        assert len(calls) == 1 + len(cfgs)
+
+    def test_singular_medium_is_not_cached(self, monkeypatch):
+        from stripscat import bie
+        from stripscat.bie import SingularSystemError
+        assemble = bie._assemble_antisym_operator
+        calls = []
+
+        def degenerate(*args):
+            calls.append(args)
+            O, ker = assemble(*args)
+            return np.zeros_like(O), ker
+
+        monkeypatch.setattr(bie, "_assemble_antisym_operator", degenerate)
+        bie._OPERATOR_CACHE.clear()
+        cfg = ProblemConfig(K0, A, ETA, THETA)
+        for _ in range(2):
+            with pytest.raises(SingularSystemError):
+                solve_antisymmetric(cfg, 24)
+        assert len(calls) == 2
+        assert not bie._OPERATOR_CACHE

@@ -1,11 +1,15 @@
 """CLI surface: schemas, exit codes, determinism of outputs."""
 
+import csv
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 SMALL_CFG = {
     "k0": {"re": 2.0, "im": 0.05},
@@ -75,6 +79,20 @@ class TestSolve:
         r = run_cli("solve", "--config", str(p), cwd=tmp_path)
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("numerics", "N", 2),
+        ("eta", "re", float("nan")),
+        ("eta", "im", float("-inf")),
+    ])
+    def test_invalid_values_exit_2(self, tmp_path, run_cli, section, key, value):
+        cfg = json.loads(json.dumps(SMALL_CFG))
+        cfg[section][key] = value
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        r = run_cli("solve", "--config", str(p), cwd=tmp_path)
+        assert r.returncode == 2
+        assert r.stderr.startswith("config error:") and "Traceback" not in r.stderr
+
     def test_gain_violating_eta_rejected(self, tmp_path, run_cli):
         cfg = dict(SMALL_CFG)
         cfg["eta"] = {"re": 1.0, "im": 0.5}   # Im eta > 0: gain, rejected
@@ -105,6 +123,16 @@ class TestSpectra:
         assert r.returncode == 2
 
 
+    def test_hard_strip_rejected_before_solving(self, tmp_path, run_cli):
+        cfg = dict(SMALL_CFG)
+        cfg["eta"] = {"re": 0.0, "im": 0.0}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        r = run_cli("spectra", "--config", str(p), cwd=tmp_path)
+        assert r.returncode == 2
+        assert r.stderr.count("\n") == 1 and r.stderr.startswith("config error:")
+
+
 class TestSweep:
     def test_eta_sweep_toggles_deformation_flag(self, tmp_path, cfg_file, run_cli):
         r = run_cli("sweep", "--config", str(cfg_file), "--param", "eta_re",
@@ -132,8 +160,42 @@ class TestSweep:
         assert solo == swept
 
 
+    def test_error_message_stays_one_field(self, tmp_path, cfg_file, run_cli):
+        # k0a = 0 fails with "Re(k0) must be > 0, got 0j", which holds a comma
+        r = run_cli("sweep", "--config", str(cfg_file), "--param", "k0a",
+                    "--values", "0,1", cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        with open(tmp_path / "out" / "sweep_summary.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [10, 10, 10]
+        assert rows[1][-1].startswith("error:") and rows[2][-1] == "ok"
+
+
+_NUMBER = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                    st.integers(-10, 10 ** 6))
+
+
 class TestConfigRoundtrip:
     def test_lossless_serialization(self):
         from stripscat.verify import RunConfig
         rc = RunConfig.from_dict(SMALL_CFG)
         assert RunConfig.from_dict(rc.to_dict()) == rc
+
+    @given(k0=st.tuples(_NUMBER, _NUMBER), a=_NUMBER, eta=st.tuples(_NUMBER, _NUMBER),
+           theta=_NUMBER, N=_NUMBER, tail_tol=_NUMBER)
+    def test_from_dict_valid_or_config_error(self, k0, a, eta, theta, N, tail_tol):
+        from stripscat.cli import CONFIG_ERRORS
+        from stripscat.verify import RunConfig
+        d = {"k0": {"re": k0[0], "im": k0[1]}, "a": a,
+             "eta": {"re": eta[0], "im": eta[1]}, "theta_in_deg": theta,
+             "numerics": {"N": N, "tail_tol": tail_tol}}
+        try:
+            rc = RunConfig.from_dict(d)
+        except CONFIG_ERRORS:
+            return
+        cfg = rc.problem()
+        values = [cfg.k0.real, cfg.k0.imag, cfg.a, cfg.eta.real, cfg.eta.imag, cfg.theta_in]
+        assert all(math.isfinite(v) for v in values)
+        assert cfg.k0.real > 0 and cfg.k0.imag >= 0 and cfg.a > 0 and cfg.eta.imag <= 0
+        assert 0 <= cfg.theta_in <= np.pi / 2 + 1e-14
+        assert rc.N >= 4 and 0 < rc.tail_tol < 1

@@ -19,8 +19,6 @@ from stripscat.spectral import (
     functional_residual,
     growth_scan,
     reciprocity_check,
-    u0_tilde,
-    v0_tilde,
 )
 
 K0, A, ETA, THETA = 2 + 0.05j, 1.0, 1 - 1j, np.pi / 3
@@ -41,7 +39,7 @@ class TestStripTransforms:
         f = lambda t: da(np.array([t]))[0]
         re = si.quad(lambda t: f(t).real, -A, A, limit=200, epsabs=1e-13)[0]
         im = si.quad(lambda t: f(t).imag, -A, A, limit=200, epsabs=1e-13)[0]
-        assert u0_tilde(ba, 0.0) == pytest.approx((re + 1j * im) / 2, rel=1e-9)
+        assert ba.f0_tilde(0.0) == pytest.approx((re + 1j * im) / 2, rel=1e-9)
 
     def test_v0_tilde_against_direct_quadrature(self, ref_cfg, ref_bundles):
         _, bs = ref_bundles
@@ -51,13 +49,16 @@ class TestStripTransforms:
         f = lambda t: ds(np.array([t]))[0] * np.exp(1j * k * t)
         re = si.quad(lambda t: f(t).real, -A, A, limit=300, epsabs=1e-13)[0]
         im = si.quad(lambda t: f(t).imag, -A, A, limit=300, epsabs=1e-13)[0]
-        assert v0_tilde(bs, k) == pytest.approx(-(re + 1j * im) / 2, rel=1e-7)
+        assert bs.f0_tilde(k) == pytest.approx(-(re + 1j * im) / 2, rel=1e-7)
 
     def test_entire_under_branch_modes(self, ref_bundles):
-        # the strip transforms never involve xi: identical values on any sheet
+        # the strip transform never involves xi: a loop around the branch
+        # point +k0 that crosses its cut sees no singularity in F0~, while
+        # F0 = (eta - i xi) F0~ jumps across the cut
         ba, _ = ref_bundles
-        k = 1.3 + 0.4j
-        assert ba.f0_tilde(k) == ba.f0_tilde(k)
+        rect = (1.5, 2.5, -0.45, 0.55)
+        assert cauchy_analyticity_test(lambda z: np.atleast_1d(ba.f0_tilde(z)), rect) < 1e-12
+        assert cauchy_analyticity_test(lambda z: np.atleast_1d(ba.f0(z)), rect) > 1e-3
 
     def test_f0_prefactors(self, ref_cfg, ref_bundles):
         ba, bs = ref_bundles
@@ -144,7 +145,7 @@ class TestDirectivity:
         ba, bs = ref_bundles
         tab = directivity(ba, bs, np.array([np.pi / 2]))
         assert tab.S_a[0] == pytest.approx(
-            np.exp(-1j * np.pi / 4) * K0 * complex(u0_tilde(ba, 0.0)), rel=1e-13)
+            np.exp(-1j * np.pi / 4) * K0 * complex(ba.f0_tilde(0.0)), rel=1e-13)
 
     def test_antisym_endpoint_zeros(self, ref_bundles):
         ba, bs = ref_bundles
