@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BranchMode, ProblemConfig, xi
+from .core import BranchMode, Parity, ProblemConfig, xi
+from .spectral import xi_prefactor
 
 
 class SingularJumpError(ValueError):
@@ -159,36 +160,26 @@ def continuation_identity_check(bundle, k_on_g2: complex, *, wrong_shore: bool =
     """Residual of the shore relation generating the second-column jump.
 
     From the functional equation, on G2 the minus function continues as
-    F-_L = -F+ - P(xi_L) F0~ and F-_R = -F+ - P(-xi_L) F0~ where P is the
-    parity's xi prefactor; the relation F-_R = J[0,0] F-_L + J[1,0] F+ with
-    J = M2 (antisymmetric) or N2 (symmetric) is then an identity.  The
-    returned residual certifies the shore bookkeeping; `wrong_shore`
-    deliberately swaps the shores (negative control).
+    F-_L = -F+ - P(xi_L) F0~ and F-_R = -F+ - P(xi_R) F0~ with xi_R = -xi_L,
+    where P is the parity's xi prefactor.  The relation
+    F-_R = J[0,0] F-_L + J[1,0] F+ with J = M2 (antisymmetric) or N2
+    (symmetric) leaves the residual (J[0,0] - J[1,0] - 1) F+ +
+    (J[0,0] P(xi_L) - P(xi_R)) F0~, which vanishes for every F+ and F0~
+    exactly when both coefficients do.  Returns the larger of the first
+    coefficient and the second relative to |P|; `wrong_shore` deliberately
+    breaks xi_R = -xi_L (negative control).
     """
-    from .core import Parity
-
     cfg = bundle.cfg
-    eta = cfg.eta
+    J = jump_matrix("M2" if bundle.parity is Parity.ANTISYMMETRIC else "N2", k_on_g2, cfg)
     xl = xi_left_shore(k_on_g2, cfg)
-    # negative control: breaking the shore relation xr = -xl must produce an
-    # O(1) residual (flipping both shores together would cancel)
+    # flipping both shores together would cancel, so the control breaks only one
     xr = xl if wrong_shore else -xl
-    f0t = bundle.f0_tilde(k_on_g2)
-    fp = bundle.f_plus(k_on_g2)
-    if bundle.parity is Parity.ANTISYMMETRIC:
-        pref_l, pref_r = eta - 1j * xl, eta - 1j * xr
-        J = np.array([[(eta + 1j * xl) / (eta - 1j * xl), 0.0],
-                      [2j * xl / (eta - 1j * xl), 1.0]], dtype=complex)
-    else:
-        pref_l = 1j * (eta - 1j * xl) / (eta * xl)
-        pref_r = 1j * (eta - 1j * xr) / (eta * xr)
-        J = np.array([[(eta + 1j * xl) / (1j * xl - eta), 0.0],
-                      [-2 * eta / (eta - 1j * xl), 1.0]], dtype=complex)
-    fm_l = -fp - pref_l * f0t
-    fm_r = -fp - pref_r * f0t
-    resid = fm_r - (J[0, 0] * fm_l + J[1, 0] * fp)
-    scale = max(abs(fm_l), abs(fm_r), abs(fp), 1e-300)
-    return abs(resid) / scale
+    pref_l = xi_prefactor(bundle.parity, cfg.eta, xl)
+    pref_r = xi_prefactor(bundle.parity, cfg.eta, xr)
+    coeff_fp = J[0, 0] - J[1, 0] - 1.0
+    coeff_f0t = J[0, 0] * pref_l - pref_r
+    return float(max(abs(coeff_fp),
+                     abs(coeff_f0t) / max(abs(pref_l), abs(pref_r), 1e-300)))
 
 
 def k_prime(cfg: ProblemConfig) -> SheetPoint:

@@ -48,6 +48,15 @@ def _xi(k, k0):
     return xi(k, k0=k0)
 
 
+def xi_prefactor(parity: Parity, eta: complex, x):
+    """P(xi) of F0 = P(xi) F0~: eta - i xi (U family) or i (eta - i xi)/(eta xi) (V)."""
+    if parity is Parity.ANTISYMMETRIC:
+        return eta - 1j * x
+    if eta == 0:
+        raise ZeroDivisionError("V0 prefactor degenerate at eta = 0")
+    return 1j * (eta - 1j * x) / (eta * x)
+
+
 # ---------------------------------------------------------------------------
 # spectral bundle
 # ---------------------------------------------------------------------------
@@ -92,14 +101,7 @@ class SpectralBundle:
     def f0(self, k):
         """U0(k) or V0(k): the strip transform with its xi prefactor."""
         karr = np.atleast_1d(np.asarray(k, dtype=complex))
-        x = _xi(karr, self.cfg.k0)
-        eta = self.cfg.eta
-        if self.parity is Parity.ANTISYMMETRIC:
-            pref = eta - 1j * x
-        else:
-            if eta == 0:
-                raise ZeroDivisionError("V0 prefactor degenerate at eta = 0")
-            pref = 1j * (eta - 1j * x) / (eta * x)
+        pref = xi_prefactor(self.parity, self.cfg.eta, _xi(karr, self.cfg.k0))
         out = pref * np.atleast_1d(self.f0_tilde(karr))
         return out if np.ndim(k) else complex(out[0])
 
@@ -230,16 +232,24 @@ class DirectivityTable:
         return self.S_a + self.S_s
 
 
+def directivity_part(bundle: SpectralBundle, theta) -> np.ndarray:
+    """S_a or S_s (by the bundle's parity) on theta in [0, pi]: the one place
+    the far-field normalisation is written."""
+    th = np.asarray(theta, dtype=float)
+    k0 = bundle.cfg.k0
+    f0t = np.atleast_1d(bundle.f0_tilde(-k0 * np.cos(th)))
+    if bundle.parity is Parity.ANTISYMMETRIC:
+        return np.exp(-1j * np.pi / 4) * k0 * np.sin(th) * f0t
+    return -1j * np.exp(-1j * np.pi / 4) * f0t
+
+
 def directivity(bundle_a: SpectralBundle, bundle_s: SpectralBundle, theta_grid) -> DirectivityTable:
     """Directivity table on theta in (0, pi) from the entire transforms."""
     if bundle_a.cfg != bundle_s.cfg:
         raise ValueError("bundles must share one ProblemConfig")
     th = np.asarray(theta_grid, dtype=float)
-    cfg = bundle_a.cfg
-    kc = -cfg.k0 * np.cos(th)
-    Sa = np.exp(-1j * np.pi / 4) * cfg.k0 * np.sin(th) * np.atleast_1d(bundle_a.f0_tilde(kc))
-    Ss = -1j * np.exp(-1j * np.pi / 4) * np.atleast_1d(bundle_s.f0_tilde(kc))
-    return DirectivityTable(th, Sa, Ss, cfg)
+    return DirectivityTable(th, directivity_part(bundle_a, th), directivity_part(bundle_s, th),
+                            bundle_a.cfg)
 
 
 class Scattering:
@@ -277,15 +287,10 @@ def directivity_point(cfg: ProblemConfig, theta: float, theta_in: float, N: int 
 def directivity_full_circle(bundle_a: SpectralBundle, bundle_s: SpectralBundle, m: int = 720):
     """S on a uniform grid over (0, 2pi), using the parity reflections
     S_a(2pi - t) = -S_a(t), S_s(2pi - t) = S_s(t)."""
-    cfg = bundle_a.cfg
     th = 2 * np.pi * (np.arange(m) + 0.5) / m
     upper = th <= np.pi
-    th_ref = np.where(upper, th, 2 * np.pi - th)
-    kc = -cfg.k0 * np.cos(th_ref)
-    Sa = np.exp(-1j * np.pi / 4) * cfg.k0 * np.sin(th_ref) * np.atleast_1d(bundle_a.f0_tilde(kc))
-    Ss = -1j * np.exp(-1j * np.pi / 4) * np.atleast_1d(bundle_s.f0_tilde(kc))
-    Sa = np.where(upper, Sa, -Sa)
-    return th, Sa + Ss
+    tab = directivity(bundle_a, bundle_s, np.where(upper, th, 2 * np.pi - th))
+    return th, np.where(upper, tab.S_a, -tab.S_a) + tab.S_s
 
 
 def farfield_oracle(dens: Density, cfg: ProblemConfig, theta) -> np.ndarray | complex:
@@ -513,12 +518,9 @@ def energy_balance(cfg: ProblemConfig, N: int = 64, m_theta: int = 720):
     th, S = directivity_full_circle(ba, bs, m_theta)
     p_scat = float(np.mean(np.abs(S) ** 2))
 
-    tf = cfg.theta_in + np.pi
-    tref = 2 * np.pi - tf
-    kc = -cfg.k0 * np.cos(tref)
-    Sa = np.exp(-1j * np.pi / 4) * cfg.k0 * np.sin(tref) * complex(ba.f0_tilde(kc))
-    Ss = -1j * np.exp(-1j * np.pi / 4) * complex(bs.f0_tilde(kc))
-    s_fwd = -Sa + Ss
+    # the forward direction theta_in + pi, reflected into (0, pi) as above
+    fwd = directivity(ba, bs, [2 * np.pi - (cfg.theta_in + np.pi)])
+    s_fwd = complex(-fwd.S_a[0] + fwd.S_s[0])
     extinction = float(-2 * np.real(np.exp(1j * np.pi / 4) * s_fwd))
     return {
         "p_scat": p_scat,

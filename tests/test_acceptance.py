@@ -133,7 +133,9 @@ def test_criterion_10_physics(full_report):
     c = checks["reciprocity"]
     _line(10, "reciprocity mismatch", c.value, 1e-6, c.value < 1e-6)
     c = checks["energy-balance-lossless"]
-    _line(10, "energy balance at Im(eta) = 0", c.value, 1e-4, c.value < 1e-4)
+    _line(10, "energy balance at Im(eta) = 0", c.value, 1e-10, c.value < 1e-10)
+    c = checks["energy-balance-hard-strip"]
+    _line(10, "energy balance of the hard strip", c.value, 1e-10, c.value < 1e-10)
     c = checks["energy-absorbed-positive"]
     _line(10, "absorbed power > 0 for eta = 1 - i", c.value, 0.0, c.passed)
     c = checks["eta-zero-symmetric-vanishes"]

@@ -26,11 +26,10 @@ class TestAntisymmetricSolve:
         assert diff / np.max(np.abs(d48.coeffs)) < 1e-10
 
     def test_bc_residual(self, ref_solves):
-        _, _, dga, _ = ref_solves
-        assert dga.bc_residual < 5e-4          # edge-floor of the pointwise check
-        # interior residual is far tighter than the near-edge maximum
         da, _, _, _ = ref_solves
         cfg = ProblemConfig(K0, A, ETA, THETA)
+        assert boundary_residual(da, cfg) < 5e-4   # edge-floor of the pointwise check
+        # interior residual is far tighter than the near-edge maximum
         x = np.linspace(-0.8, 0.8, 9)
         lhs = hypersingular_action(da, cfg, x) - (ETA / 2) * da(x)
         rhs = 1j * K0 * np.sin(THETA) * np.exp(-1j * cfg.k_star * x)
@@ -54,12 +53,12 @@ class TestAntisymmetricSolve:
         assert np.allclose(d(x), d(-x), rtol=1e-10, atol=1e-12)
 
     def test_perturbed_coefficients_raise_residual(self, ref_cfg, ref_solves):
-        da, _, dga, _ = ref_solves
+        da, _, _, _ = ref_solves
         rng = np.random.default_rng(0)
         bad = da.coeffs * (1 + 0.01 * rng.standard_normal(len(da.coeffs)))
         from stripscat.bie import Density
         d_bad = Density(Parity.ANTISYMMETRIC, A, bad, da.n_solve)
-        assert boundary_residual(d_bad, ref_cfg) > 10 * dga.bc_residual
+        assert boundary_residual(d_bad, ref_cfg) > 10 * boundary_residual(da, ref_cfg)
 
 
 class TestSymmetricSolve:
@@ -69,15 +68,15 @@ class TestSymmetricSolve:
         diff = np.max(np.abs(d96.coeffs[:48] - d48.coeffs[:48]))
         assert diff / np.max(np.abs(d48.coeffs)) < 1e-9
 
-    def test_bc_residual(self, ref_solves):
-        _, _, _, dgs = ref_solves
-        assert dgs.bc_residual < 1e-5
+    def test_bc_residual(self, ref_cfg, ref_solves):
+        _, ds, _, _ = ref_solves
+        assert boundary_residual(ds, ref_cfg) < 1e-5
 
     def test_eta_zero_returns_exact_zero(self):
         cfg = ProblemConfig(K0, A, 0.0, THETA)
-        d, dg = solve_symmetric(cfg, 32)
+        d, _ = solve_symmetric(cfg, 32)
         assert np.all(d.coeffs == 0)
-        assert dg.bc_residual == 0
+        assert boundary_residual(d, cfg) == 0
 
     def test_normal_incidence_even_density(self):
         cfg = ProblemConfig(K0, A, ETA, np.pi / 2)
@@ -238,3 +237,86 @@ class TestOperatorReuse:
                 solve_antisymmetric(cfg, 24)
         assert len(calls) == 2
         assert not bie._OPERATOR_CACHE
+
+
+def _hypersingular_action_loop(dens, cfg, x):
+    """Reference: hypersingular_action with its log part summed per (q, n)."""
+    from stripscat import chebkit as ck
+    from stripscat.bie import _kernel_columns
+    from stripscat.kernels import kernel_expansion, kernel_order
+    a, b = cfg.a, dens.coeffs
+    N = len(b)
+    s = np.asarray(x, dtype=float) / a
+    ker = kernel_expansion(cfg.k0, a, True, kernel_order(cfg.k0, a))
+    Np = ker.order
+    nn = np.arange(N)
+    Us = np.empty((len(s), N))
+    Us[:, 0] = 1.0
+    Us[:, 1] = 2.0 * s
+    for n in range(2, N):
+        Us[:, n] = 2.0 * s * Us[:, n - 1] - Us[:, n - 2]
+    static = Us @ (-(nn + 1) / 2.0 * b)
+    pic, qc = _kernel_columns(ker, s)
+    smooth = (pic * np.log(a) + qc) @ (ck.w_matrix(N, Np).T @ b)
+    ell = ck.log_point_u(N + Np + 2, s)
+    logpart = np.zeros(len(s), dtype=complex)
+    for q in range(Np):
+        col = np.zeros(len(s), dtype=complex)
+        for n in range(N):
+            c = 0.5 * b[n]
+            col += c * ell[:, n + q]
+            d = n - q
+            if d >= 0:
+                col += c * ell[:, d]
+            elif d <= -2:
+                col -= c * ell[:, -d - 2]
+        logpart += pic[:, q] * col
+    return static + a * a * (smooth + logpart)
+
+
+def _sym_trace_loop(dens, cfg, x):
+    """Reference: sym_trace_on_strip with its log part summed per (q, n)."""
+    from stripscat import chebkit as ck
+    from stripscat.bie import _kernel_columns
+    from stripscat.kernels import kernel_expansion, kernel_order
+    a, c = cfg.a, dens.coeffs
+    N = len(c)
+    s = np.asarray(x, dtype=float) / a
+    ker = kernel_expansion(cfg.k0, a, False, kernel_order(cfg.k0, a))
+    Np = ker.order
+    pic, qc = _kernel_columns(ker, s)
+    smooth = (pic * np.log(a) + qc) @ (ck.c3_matrix(Np, N) @ c)
+    Lam = ck.log_point_plain_t(N + Np + 2, s)
+    logpart = np.zeros(len(s), dtype=complex)
+    for q in range(Np):
+        col = np.zeros(len(s), dtype=complex)
+        for n in range(N):
+            col += 0.5 * c[n] * (Lam[:, q + n] + Lam[:, abs(q - n)])
+        logpart += pic[:, q] * col
+    return a * (smooth + logpart)
+
+
+class TestVectorisedLogParts:
+    """The indexed-product log parts equal the per-(q, n) loop sums."""
+
+    @staticmethod
+    def _points(cfg):
+        from stripscat import chebkit as ck
+        s, _ = ck.gauss_cheb1(48)                  # boundary_residual's grid
+        rho = cfg.a * np.array([1e-3, 5e-4, 2.5e-4])   # extract_d's samples
+        return [cfg.a * s, cfg.a - rho, -cfg.a + rho]
+
+    def test_hypersingular_action(self, ref_cfg, ref_solves):
+        da, _, _, _ = ref_solves
+        for x in self._points(ref_cfg):
+            got = hypersingular_action(da, ref_cfg, x)
+            ref = _hypersingular_action_loop(da, ref_cfg, x)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_sym_trace_on_strip(self, ref_cfg, ref_solves):
+        from stripscat.bie import sym_trace_on_strip
+        _, ds, _, _ = ref_solves
+        for x in self._points(ref_cfg):
+            got = sym_trace_on_strip(ds, ref_cfg, x)
+            ref = _sym_trace_loop(ds, ref_cfg, x)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))

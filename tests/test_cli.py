@@ -79,14 +79,26 @@ class TestSolve:
         r = run_cli("solve", "--config", str(p), cwd=tmp_path)
         assert r.returncode == 2
 
+    # section None replaces the whole config, key None the whole section
     @pytest.mark.parametrize("section,key,value", [
         ("numerics", "N", 2),
         ("eta", "re", float("nan")),
         ("eta", "im", float("-inf")),
+        (None, None, [1, 2]),
+        ("grids", None, [1]),
+        ("grids", "k_grid_factor", 1e400),
+        ("grids", "k_grid_factor", 0.0),
+        ("numerics", "cut_radius_factor", float("nan")),
+        ("numerics", "cut_radius_factor", 0.5),
     ])
     def test_invalid_values_exit_2(self, tmp_path, run_cli, section, key, value):
         cfg = json.loads(json.dumps(SMALL_CFG))
-        cfg[section][key] = value
+        if section is None:
+            cfg = value
+        elif key is None:
+            cfg[section] = value
+        else:
+            cfg[section][key] = value
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
         r = run_cli("solve", "--config", str(p), cwd=tmp_path)
@@ -101,6 +113,34 @@ class TestSolve:
         r = run_cli("solve", "--config", str(p), cwd=tmp_path)
         assert r.returncode == 2
         assert "eta" in r.stderr.lower() or "dissipation" in r.stderr.lower()
+
+
+class TestResidualOnlyInSolve:
+    """The pointwise residual is a `solve` diagnostic, not part of a solve."""
+
+    def test_counted_residual_calls(self, tmp_path, monkeypatch, ref_cfg, cfg_file):
+        from stripscat import bie, cli
+        from stripscat.spectral import Scattering
+        from stripscat.verify import RunConfig
+        residual = bie.boundary_residual
+        calls = []
+
+        def counted(dens, cfg, *args):
+            calls.append(dens.parity)
+            return residual(dens, cfg, *args)
+
+        monkeypatch.setattr(bie, "boundary_residual", counted)
+        monkeypatch.setattr(cli, "boundary_residual", counted)
+        Scattering(ref_cfg, 64)
+        assert calls == []
+
+        assert cli.main(["solve", "--config", str(cfg_file)]) == 0
+        assert sorted(p.value for p in calls) == ["antisymmetric", "symmetric"]
+        diags = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        rc = RunConfig.from_json_file(cfg_file)
+        sc = Scattering(rc.problem(), rc.N, rc.tail_tol)
+        assert diags["antisymmetric"]["bc_residual"] == residual(sc.da, sc.cfg, 48)
+        assert diags["symmetric"]["bc_residual"] == residual(sc.ds, sc.cfg, 48)
 
 
 class TestSpectra:
@@ -182,13 +222,14 @@ class TestConfigRoundtrip:
         assert RunConfig.from_dict(rc.to_dict()) == rc
 
     @given(k0=st.tuples(_NUMBER, _NUMBER), a=_NUMBER, eta=st.tuples(_NUMBER, _NUMBER),
-           theta=_NUMBER, N=_NUMBER, tail_tol=_NUMBER)
-    def test_from_dict_valid_or_config_error(self, k0, a, eta, theta, N, tail_tol):
+           theta=_NUMBER, N=_NUMBER, tail_tol=_NUMBER, factors=st.tuples(_NUMBER, _NUMBER))
+    def test_from_dict_valid_or_config_error(self, k0, a, eta, theta, N, tail_tol, factors):
         from stripscat.cli import CONFIG_ERRORS
         from stripscat.verify import RunConfig
         d = {"k0": {"re": k0[0], "im": k0[1]}, "a": a,
              "eta": {"re": eta[0], "im": eta[1]}, "theta_in_deg": theta,
-             "numerics": {"N": N, "tail_tol": tail_tol}}
+             "numerics": {"N": N, "tail_tol": tail_tol, "cut_radius_factor": factors[0]},
+             "grids": {"k_grid_factor": factors[1]}}
         try:
             rc = RunConfig.from_dict(d)
         except CONFIG_ERRORS:
@@ -199,3 +240,5 @@ class TestConfigRoundtrip:
         assert cfg.k0.real > 0 and cfg.k0.imag >= 0 and cfg.a > 0 and cfg.eta.imag <= 0
         assert 0 <= cfg.theta_in <= np.pi / 2 + 1e-14
         assert rc.N >= 4 and 0 < rc.tail_tol < 1
+        assert math.isfinite(rc.cut_radius_factor) and rc.cut_radius_factor > 1
+        assert math.isfinite(rc.k_grid_factor) and rc.k_grid_factor > 0

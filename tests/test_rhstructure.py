@@ -123,6 +123,23 @@ class TestContinuation:
         k = rh.build_cut(CFG, "G2", 10 * abs(K0)).nodes[60]
         assert rh.continuation_identity_check(ba, k, wrong_shore=True) > 1e-3
 
+    def test_wrong_jump_entry_detected(self, monkeypatch, ref_bundles):
+        # the check must read the shipped jump matrices: a sign slip in the
+        # lower-left entry of M2 has to show
+        ba, _ = ref_bundles
+        jump = rh.jump_matrix
+
+        def wrong(label, k, cfg):
+            J = jump(label, k, cfg)
+            if label == "M2":
+                J[1, 0] = -J[1, 0]
+            return J
+
+        monkeypatch.setattr(rh, "jump_matrix", wrong)
+        g2 = rh.build_cut(CFG, "G2", 10 * abs(K0))
+        for k in (g2.nodes[60], g2.nodes[150]):
+            assert rh.continuation_identity_check(ba, k) > 1e-3
+
 
 class TestSheetLogic:
     def test_kprime_defining_equation(self):

@@ -253,17 +253,18 @@ class TestPhysics:
         s2 = directivity_point(ref_cfg, np.deg2rad(120), np.deg2rad(40), N=48)
         assert s1 == pytest.approx(s2, rel=1e-7)
 
+    # lossless medium (Im k0 = 0), so the balance measures numerical error
     def test_energy_lossless(self):
-        cfg = ProblemConfig(2 + 1e-4j, A, 1.0, THETA)
+        cfg = ProblemConfig(2 + 0j, A, 1.0, THETA)
         eb = energy_balance(cfg, N=48)
-        assert eb["balance_rel"] < 1e-4
+        assert eb["balance_rel"] < 1e-10
 
     def test_energy_absorbing(self):
-        cfg = ProblemConfig(2 + 1e-4j, A, 1 - 1j, THETA)
+        cfg = ProblemConfig(2 + 0j, A, 1 - 1j, THETA)
         eb = energy_balance(cfg, N=48)
         assert eb["absorbed"] > 0
 
     def test_energy_hard_strip(self):
-        cfg = ProblemConfig(2 + 1e-4j, A, 0.0, THETA)
+        cfg = ProblemConfig(2 + 0j, A, 0.0, THETA)
         eb = energy_balance(cfg, N=48)
-        assert eb["balance_rel"] < 1e-4
+        assert eb["balance_rel"] < 1e-10
