@@ -492,9 +492,82 @@ def strip_trace(dens: Density, cfg: ProblemConfig, x):
     return out if np.ndim(x) else complex(out[0])
 
 
+def density_quadrature(dens: Density, k0: complex):
+    """Nodes t and weights w with sum_i w_i f(t_i) = int_{-a}^{a} rho(t) f(t) dt.
+
+    Exact up to roundoff for f entire of exponential type |k0| (plane waves,
+    J_m(k0 t)): the density is a polynomial of degree len(coeffs) - 1 (times
+    sqrt(a^2 - t^2) for the antisymmetric part, which Gauss-Chebyshev of the
+    second kind carries), and f adds about |k0| a to the degree.
+    """
+    n = max(256, len(dens.coeffs) + int(np.ceil(abs(k0) * dens.a)))
+    if dens.parity is Parity.ANTISYMMETRIC:
+        s, w = ck.gauss_cheb2(n)
+        return dens.a * s, dens.a ** 2 * w * dens.poly(s)
+    s, w = np.polynomial.legendre.leggauss(n)
+    return dens.a * s, dens.a * w * dens.poly(s)
+
+
+# orders kept beyond |k0| a: the series converges like (a/|x|)^m, and
+# (1/1.5)^100 < 3e-18 at the nearest far-field target |x| = 1.5a
+_GRAF_EXTRA_ORDERS = 100
+
+
+def _graf_coeffs(dens: Density, cfg: ProblemConfig, antisym: bool) -> np.ndarray:
+    """Coefficients d_m of the boundary data g(x) = sum_{m>=0} d_m H_m(k0 x), x > a.
+
+    Graf's addition theorem for collinear points (DLMF 10.23.7),
+    H_n(k0(x - t)) = sum_k H_{n+k}(k0 x) J_k(k0 t) for |t| < x, turns the
+    kernels (i/4) H0 (symmetric) and (i k0^2/8)(H0 + H2) (antisymmetric)
+    into sums over the density moments c_k = int rho J_k(k0 t) dt.  Negative
+    orders fold onto m >= 0 through c_{-k} = (-1)^k c_k and
+    H_{-m} = (-1)^m H_m.  The terms decay like (a/x)^m beyond m ~ |k0| a.
+    """
+    k0 = cfg.k0
+    t, w = density_quadrature(dens, k0)
+    k = np.arange(int(np.ceil(abs(k0) * cfg.a)) + _GRAF_EXTRA_ORDERS)
+    c = jv(k[:, None], k0 * t[None, :]) @ w
+    if antisym:
+        c_below = np.concatenate([[c[2], -c[1]], c[:-4]])      # c_{m-2}
+        d = (1j * k0 * k0 / 8) * (2 * c[:-2] + c_below + c[2:])
+    else:
+        d = 0.5j * c
+    d[0] /= 2
+    return d
+
+
+def _graf_eval(dens: Density, cfg: ProblemConfig, xs: np.ndarray, antisym: bool) -> np.ndarray:
+    """Boundary data at |x| > a from the multipole series of `_graf_coeffs`.
+
+    The order count is where the terms |d_m H_m(k0 min|x|)| fall below
+    roundoff of the largest one, and never past the order at which H_m
+    nears overflow.  H_m comes from H_0, H_1 and the forward recurrence,
+    which is stable for the Hankel function; for x < -a the moments change
+    by (-1)^m.
+    """
+    d = _graf_coeffs(dens, cfg, antisym)
+    r = np.abs(xs)
+    h_min = np.abs(hankel1(np.arange(len(d)), cfg.k0 * np.min(r)))
+    finite = h_min < 1e250                                  # NaN past overflow
+    n = len(d) if finite.all() else int(np.argmin(finite))
+    terms = np.abs(d[:n]) * h_min[:n]
+    n = int(np.flatnonzero(terms >= 1e-17 * np.max(terms))[-1]) + 1
+
+    z = cfg.k0 * r
+    h_prev, h = hankel1(0, z), hankel1(1, z)
+    sign = np.sign(xs)
+    par = sign.copy()
+    out = d[0] * h_prev
+    for m in range(1, n):
+        out += d[m] * par * h
+        h_prev, h = h, (2 * m / z) * h - h_prev
+        par *= sign
+    return out
+
+
 def _off_strip_eval(dens: Density, cfg: ProblemConfig, x, antisym: bool):
     """Bulk off-strip evaluation: edge-graded quadrature near the edges,
-    one vectorized fixed rule for targets farther than half a strip-length."""
+    the Graf multipole series for targets farther than half a strip-length."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(np.abs(xs) <= cfg.a):
         raise ValueError("off-strip evaluation requires |x| > a")
@@ -502,26 +575,8 @@ def _off_strip_eval(dens: Density, cfg: ProblemConfig, x, antisym: bool):
     out = np.empty(xs.shape, dtype=complex)
     dist = np.abs(xs) / a - 1.0
     far = dist > 0.5
-
     if np.any(far):
-        # fixed panels on [0, pi], geometrically refined toward both ends
-        # (resolves the rho log rho edge structure of the densities)
-        ladder = [0.0]
-        t = 1e-5
-        while t < np.pi / 2:
-            ladder.append(t)
-            t *= 2.0
-        ladder = np.array(ladder + [np.pi / 2])
-        th, w = ck.panels(np.unique(np.concatenate([ladder, np.pi - ladder])), 16)
-        tau = np.cos(th)
-        P = dens.poly(tau)
-        R = np.abs(xs[far, None] - a * tau[None, :])
-        if antisym:
-            kern = hyper_kernel(k0, R)
-            out[far] = a * a * (kern * (w * np.sin(th) ** 2 * P)[None, :]).sum(axis=1)
-        else:
-            kern = single_kernel(k0, R)
-            out[far] = a * (kern * (w * np.sin(th) * P)[None, :]).sum(axis=1)
+        out[far] = _graf_eval(dens, cfg, xs[far], antisym)
 
     near_idx = np.nonzero(~far)[0]
     if len(near_idx):

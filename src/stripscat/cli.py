@@ -165,7 +165,11 @@ def cmd_verify(args) -> int:
     rc = _load_config(args.config)
     out = Path(args.out or rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report, timings = run_suite(rc, args.suite)
+    try:
+        report, timings = run_suite(rc, args.suite)
+    except SingularSystemError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     (out / "timings.json").write_text(
         json.dumps({k: round(v, 3) for k, v in timings.items()},

@@ -32,6 +32,7 @@ import numpy as np
 from . import chebkit as ck
 from .bie import (
     Density,
+    density_quadrature,
     off_strip_normal_derivative,
     off_strip_trace,
     solve_antisymmetric,
@@ -301,33 +302,14 @@ def farfield_oracle(dens: Density, cfg: ProblemConfig, theta) -> np.ndarray | co
     the Bessel-image route in `directivity`.
     """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    a, k0 = cfg.a, cfg.k0
-    kc = k0 * np.cos(th)
+    k0 = cfg.k0
+    t, w = density_quadrature(dens, k0)
+    I = np.exp(-1j * np.outer(k0 * np.cos(th), t)) @ w
     if dens.parity is Parity.ANTISYMMETRIC:
-        tq, wq = ck.gauss_cheb2(4 * max(len(dens.coeffs), 64))
-        P = dens.poly(tq)
-        I = np.exp(-1j * np.outer(kc, a * tq)) @ (wq * P) * a * a
         out = np.exp(-1j * np.pi / 4) * k0 * np.sin(th) * 0.5 * I
     else:
-        # sigma is bounded with edge-log corrections: edge-graded panels
-        xs, ws = _edge_graded_unit(10, 24)
-        P = dens.poly(xs)
-        I = np.exp(-1j * np.outer(kc, a * xs)) @ (ws * P) * a
         out = -1j * np.exp(-1j * np.pi / 4) * (-0.5) * I
     return out if np.ndim(theta) else complex(out[0])
-
-
-def _edge_graded_unit(nlev: int, nper: int):
-    """Panels on [-1, 1] geometrically refined toward both endpoints."""
-    edges = [0.0]
-    t = 2.0 ** (-nlev)
-    while t < 1.0:
-        edges.append(t)
-        t *= 2
-    edges.append(1.0)
-    be = np.array(edges)
-    segs = np.sort(np.unique(np.concatenate([-1 + be, 1 - be])))
-    return ck.panels(segs, nper)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +433,6 @@ def contour_integral_rect(f, rect, n_per_side: int = 32, refine_near=None) -> co
     poles are integrated to full accuracy.
     """
     re0, re1, im0, im1 = rect
-    xg, wg = np.polynomial.legendre.leggauss(n_per_side)
     total = 0j
     corners = [re0 + 1j * im0, re1 + 1j * im0, re1 + 1j * im1, re0 + 1j * im1]
     for z0, z1 in zip(corners, corners[1:] + corners[:1]):
@@ -468,12 +449,9 @@ def contour_integral_rect(f, rect, n_per_side: int = 32, refine_near=None) -> co
             lad = np.array(lad)
             breaks = np.unique(np.clip(np.concatenate(
                 [[0.0, 1.0, tstar], tstar + lad, tstar - lad]), 0.0, 1.0))
-        for t0, t1 in zip(breaks[:-1], breaks[1:]):
-            if t1 - t0 < 1e-15:
-                continue
-            tq = t0 + (xg + 1) / 2 * (t1 - t0)
-            fv = np.atleast_1d(f(z0 + tq * d))
-            total += d * (t1 - t0) / 2 * np.sum(wg * fv)
+            breaks = breaks[np.concatenate([[True], np.diff(breaks) >= 1e-15])]
+        tq, wq = ck.panels(breaks, n_per_side)
+        total += d * np.sum(wq * np.atleast_1d(f(z0 + tq * d)))
     return complex(total)
 
 

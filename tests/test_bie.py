@@ -320,3 +320,61 @@ class TestVectorisedLogParts:
             got = sym_trace_on_strip(ds, ref_cfg, x)
             ref = _sym_trace_loop(ds, ref_cfg, x)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _off_strip_quad(dens, cfg, x):
+    """Reference: int rho(t) K(|x - t|) dt by adaptive Gauss-Kronrod
+    quadrature in t = a cos(theta), where the integrand is smooth.
+
+    (Scalar `quad` on the real and imaginary parts separately stalls on its
+    roundoff detection at 1e-10 relative for these oscillatory densities.)
+    """
+    from scipy.integrate import quad_vec
+    from scipy.special import hankel1
+    a, k0 = cfg.a, cfg.k0
+    n = np.arange(len(dens.coeffs))
+
+    if dens.parity is Parity.ANTISYMMETRIC:
+        def f(th):          # a^2 sin^2(theta) P(cos theta) = a^2 sin(theta) sum b_n sin((n+1) theta)
+            r = abs(x - a * np.cos(th))
+            return (a * a * np.sin(th) * (np.sin((n + 1) * th) @ dens.coeffs)
+                    * 0.25j * k0 * hankel1(1, k0 * r) / r)
+    else:
+        def f(th):
+            r = abs(x - a * np.cos(th))
+            return a * np.sin(th) * (np.cos(n * th) @ dens.coeffs) * 0.25j * hankel1(0, k0 * r)
+    val, _ = quad_vec(f, 0.0, np.pi, epsabs=0, epsrel=1e-13, limit=2000)
+    return val
+
+
+class TestGrafEvaluator:
+    """The multipole series for |x| > 1.5a against adaptive quadrature."""
+
+    X = np.array([1.5 + 1e-9, 3.0, 50.0])
+
+    @pytest.mark.parametrize("k0a", [0.05, 2.0, 16.0])
+    @pytest.mark.parametrize("im_k0", [0.0, 0.05, 0.4])
+    def test_against_adaptive_quadrature(self, k0a, im_k0):
+        cfg = ProblemConfig(k0a + 1j * im_k0, A, ETA, THETA)
+        xs = np.concatenate([self.X, -self.X]) * A
+        for dens, evaluate in ((solve_antisymmetric(cfg, 64)[0], off_strip_normal_derivative),
+                               (solve_symmetric(cfg, 64)[0], off_strip_trace)):
+            got = evaluate(dens, cfg, xs)
+            assert np.all(np.isfinite(got))
+            ref = np.array([_off_strip_quad(dens, cfg, x) for x in xs])
+            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
+
+    def test_bank_memory(self, ref_bundles):
+        # the dense far-field rule held a (nodes x ~600) complex matrix:
+        # several hundred MiB for this bank
+        import tracemalloc
+        from stripscat.spectral import SpectralBundle
+        for b in ref_bundles:
+            bundle = SpectralBundle(b.cfg, b.density)
+            tracemalloc.start()
+            try:
+                bundle._bank(3 * abs(K0), 0.0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * 2 ** 20

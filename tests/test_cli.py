@@ -143,6 +143,23 @@ class TestResidualOnlyInSolve:
         assert diags["symmetric"]["bc_residual"] == residual(sc.ds, sc.cfg, 48)
 
 
+class TestVerify:
+    def test_singular_medium_exit_3(self, tmp_path, monkeypatch, cfg_file, capsys):
+        from stripscat import bie, cli
+        assemble = bie._assemble_antisym_operator
+
+        def degenerate(*args):
+            O, ker = assemble(*args)
+            return np.zeros_like(O), ker
+
+        monkeypatch.setattr(bie, "_assemble_antisym_operator", degenerate)
+        bie._OPERATOR_CACHE.clear()
+        assert cli.main(["verify", "--config", str(cfg_file)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("numerical failure:")
+        assert not (tmp_path / "out" / "report.json").exists()
+
+
 class TestSpectra:
     def test_schema_and_residual_column(self, tmp_path, cfg_file, run_cli):
         r = run_cli("spectra", "--config", str(cfg_file), cwd=tmp_path)
