@@ -508,8 +508,11 @@ def density_quadrature(dens: Density, k0: complex):
     return dens.a * s, dens.a * w * dens.poly(s)
 
 
-# orders kept beyond |k0| a: the series converges like (a/|x|)^m, and
-# (1/1.5)^100 < 3e-18 at the nearest far-field target |x| = 1.5a
+# orders computed beyond |k0| a: the series converges like (a/|x|)^m, and
+# (1/1.5)^100 < 3e-18 at the nearest far-field target |x| = 1.5a.  Where
+# that is not enough (|k0| a in the hundreds, where J_m(k0 t) decays over a
+# width of (|k0| a)^(1/3) orders past |k0| a), `_graf_eval` finds no order
+# count and hands the targets to `_direct_eval`.
 _GRAF_EXTRA_ORDERS = 100
 
 
@@ -536,32 +539,83 @@ def _graf_coeffs(dens: Density, cfg: ProblemConfig, antisym: bool) -> np.ndarray
     return d
 
 
-def _graf_eval(dens: Density, cfg: ProblemConfig, xs: np.ndarray, antisym: bool) -> np.ndarray:
-    """Boundary data at |x| > a from the multipole series of `_graf_coeffs`.
+def _graf_order_count(d: np.ndarray, k0: complex, r: float) -> int | None:
+    """Orders of the series sum d_m H_m(k0 r) that reach roundoff at radius r.
 
-    The order count is where the terms |d_m H_m(k0 min|x|)| fall below
-    roundoff of the largest one, and never past the order at which H_m
-    nears overflow.  H_m comes from H_0, H_1 and the forward recurrence,
-    which is stable for the Hankel function; for x < -a the moments change
-    by (-1)^m.
+    The count ends at the last term |d_m H_m(k0 r)| of at least 1e-17 of the
+    largest one.  None when the computed orders do not show that: fewer than
+    two computed orders follow it, or H_m nears overflow first (at small
+    |k0| r, where H_m grows like (m - 1)! (2 / k0 r)^m).
+    """
+    h = np.abs(hankel1(np.arange(len(d)), k0 * r))
+    finite = h < 1e250                                      # NaN past overflow
+    avail = len(d) if finite.all() else int(np.argmin(finite))
+    terms = np.abs(d[:avail]) * h[:avail]
+    if not np.any(terms):
+        return 1
+    n = int(np.flatnonzero(terms >= 1e-17 * np.max(terms))[-1]) + 1
+    return n if n + 2 <= avail else None
+
+
+def _graf_eval(dens: Density, cfg: ProblemConfig, xs: np.ndarray, antisym: bool) -> np.ndarray:
+    """Boundary data at |x| >= 1.5a from the multipole series of `_graf_coeffs`.
+
+    The series is summed from the smallest target radius at which
+    `_graf_order_count` finds an order count on (a bisection over the sorted
+    radii; the terms decay faster as |x| grows).  Targets nearer than that
+    go to `_direct_eval`.  H_m comes from H_0, H_1 and the forward
+    recurrence, which is stable for the Hankel function; for x < -a the
+    moments change by (-1)^m.
     """
     d = _graf_coeffs(dens, cfg, antisym)
     r = np.abs(xs)
-    h_min = np.abs(hankel1(np.arange(len(d)), cfg.k0 * np.min(r)))
-    finite = h_min < 1e250                                  # NaN past overflow
-    n = len(d) if finite.all() else int(np.argmin(finite))
-    terms = np.abs(d[:n]) * h_min[:n]
-    n = int(np.flatnonzero(terms >= 1e-17 * np.max(terms))[-1]) + 1
+    rs = np.sort(r)
+    n = _graf_order_count(d, cfg.k0, rs[0])
+    hi = 0                                  # the series serves the radii from rs[hi] on
+    if n is None:
+        lo, hi = 0, len(rs)                 # no count at rs[lo], a count at rs[hi]
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _graf_order_count(d, cfg.k0, rs[mid]) is None:
+                lo = mid
+            else:
+                hi = mid
+        if hi < len(rs):
+            n = _graf_order_count(d, cfg.k0, rs[hi])
+    ok = r >= (rs[hi] if hi < len(rs) else np.inf)
+    out = np.empty(len(xs), dtype=complex)
+    if not ok.all():
+        out[~ok] = _direct_eval(dens, cfg, xs[~ok], antisym)
+    if not ok.any():
+        return out
 
-    z = cfg.k0 * r
+    z = cfg.k0 * r[ok]
     h_prev, h = hankel1(0, z), hankel1(1, z)
-    sign = np.sign(xs)
+    sign = np.sign(xs[ok])
     par = sign.copy()
-    out = d[0] * h_prev
+    acc = d[0] * h_prev
     for m in range(1, n):
-        out += d[m] * par * h
+        acc += d[m] * par * h
         h_prev, h = h, (2 * m / z) * h - h_prev
         par *= sign
+    out[ok] = acc
+    return out
+
+
+def _direct_eval(dens: Density, cfg: ProblemConfig, xs: np.ndarray, antisym: bool) -> np.ndarray:
+    """Boundary data at |x| >= 1.5a by `density_quadrature` of the kernel.
+
+    For these targets the kernel is analytic in t inside the Bernstein
+    ellipse of parameter 1.5 + sqrt(1.25) around the strip, so the rule
+    converges geometrically and is at roundoff with its >= 256 nodes.
+    Targets go in blocks of about 2^20 kernel values.
+    """
+    t, w = density_quadrature(dens, cfg.k0)
+    kernel = hyper_kernel if antisym else single_kernel
+    out = np.empty(len(xs), dtype=complex)
+    step = max(1, 2 ** 20 // len(t))
+    for s in range(0, len(xs), step):
+        out[s:s + step] = kernel(cfg.k0, np.abs(xs[s:s + step, None] - t[None, :])) @ w
     return out
 
 

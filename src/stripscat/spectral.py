@@ -32,7 +32,6 @@ import numpy as np
 from . import chebkit as ck
 from .bie import (
     Density,
-    density_quadrature,
     off_strip_normal_derivative,
     off_strip_trace,
     solve_antisymmetric,
@@ -302,14 +301,33 @@ def farfield_oracle(dens: Density, cfg: ProblemConfig, theta) -> np.ndarray | co
     the Bessel-image route in `directivity`.
     """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    k0 = cfg.k0
-    t, w = density_quadrature(dens, k0)
-    I = np.exp(-1j * np.outer(k0 * np.cos(th), t)) @ w
+    a, k0 = cfg.a, cfg.k0
+    kc = k0 * np.cos(th)
     if dens.parity is Parity.ANTISYMMETRIC:
+        tq, wq = ck.gauss_cheb2(4 * max(len(dens.coeffs), 64))
+        P = dens.poly(tq)
+        I = np.exp(-1j * np.outer(kc, a * tq)) @ (wq * P) * a * a
         out = np.exp(-1j * np.pi / 4) * k0 * np.sin(th) * 0.5 * I
     else:
+        # sigma is bounded with edge-log corrections: edge-graded panels
+        xs, ws = _edge_graded_unit(10, 24)
+        P = dens.poly(xs)
+        I = np.exp(-1j * np.outer(kc, a * xs)) @ (ws * P) * a
         out = -1j * np.exp(-1j * np.pi / 4) * (-0.5) * I
     return out if np.ndim(theta) else complex(out[0])
+
+
+def _edge_graded_unit(nlev: int, nper: int):
+    """Panels on [-1, 1] geometrically refined toward both endpoints."""
+    edges = [0.0]
+    t = 2.0 ** (-nlev)
+    while t < 1.0:
+        edges.append(t)
+        t *= 2
+    edges.append(1.0)
+    be = np.array(edges)
+    segs = np.sort(np.unique(np.concatenate([-1 + be, 1 - be])))
+    return ck.panels(segs, nper)
 
 
 # ---------------------------------------------------------------------------

