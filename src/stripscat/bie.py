@@ -35,7 +35,7 @@ edge floor.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import hankel1, jv
@@ -46,7 +46,9 @@ from .kernels import hyper_kernel, kernel_expansion, kernel_order, single_kernel
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_TAIL_TOL = 1e-10
+# the coefficient-tail target of a solve and the truncation tolerance of the
+# half-line banks
+DEFAULT_TAIL_TOL = 1e-9
 
 
 class SingularSystemError(RuntimeError):
@@ -61,16 +63,11 @@ class Density:
     symmetric:     sigma(x) = sum_n coeffs[n] T_n(x/a)
                    (bounded edges; the rho log rho edge behaviour is folded
                    into the trailing coefficients)
-
-    `n_solve` records the polynomial resolution knob the solve ran at; the
-    symmetric coefficient vector is longer because the edge-log columns are
-    folded in.
     """
 
     parity: Parity
     a: float
     coeffs: np.ndarray
-    n_solve: int
     # amplitudes of the two edge-log tail series folded into coeffs
     # (in the raw (1 -+ s)ln(1 -+ s) coefficient scale); lets edge limits
     # correct for the truncation of those slowly-decaying tails
@@ -273,25 +270,43 @@ def _operator(cfg: ProblemConfig, parity: Parity, N: int):
     return entry
 
 
-def _solve(cfg: ProblemConfig, parity: Parity, N: int, tail_tol: float):
-    """The one solve path of both parities; returns (Density, SolveDiagnostics).
+def solve_block(cfg: ProblemConfig, parity: Parity, theta_in, N: int):
+    """Solve one parity for every incidence theta_in on the medium of cfg.
 
-    The solution's last two entries are the amplitudes of the unit-normalized
-    edge-log tails; they are folded into one long coefficient vector.
+    Returns (coeffs, aug_amp, condition, kernel_tail): column j of coeffs
+    and of aug_amp belongs to theta_in[j].  The operator does not depend on
+    the incidence, so the right-hand sides are the columns of one block and
+    the system is solved once.  The solution's last two rows are the
+    amplitudes of the unit-normalized edge-log tails; they are folded into
+    one long coefficient vector per column.
     """
     if N < 4:
         raise ValueError("N must be >= 4")
+    m = len(theta_in)
     if parity is Parity.SYMMETRIC and cfg.eta == 0:
         # the equation degenerates to -sigma/2 = 0
-        dens = Density(parity, cfg.a, np.zeros(N, dtype=complex), N)
-        return dens, SolveDiagnostics(N, 0.0, 1.0, True, 0.0)
+        return np.zeros((N, m), dtype=complex), np.zeros((2, m), dtype=complex), 1.0, 0.0
     A, cond, (vp, vm, norm_p, norm_m), ker_tail = _operator(cfg, parity, N)
-    sol = np.linalg.solve(A, _RHS[parity](cfg, N + 2))
-    coeffs = np.zeros(len(vp), dtype=complex)
+    B = np.column_stack([_RHS[parity](replace(cfg, theta_in=t), N + 2) for t in theta_in])
+    sol = np.linalg.solve(A, B)
+    coeffs = np.zeros((len(vp), m), dtype=complex)
     coeffs[:N] = sol[:N]
-    coeffs += sol[N] * vp + sol[N + 1] * vm
-    dens = Density(parity, cfg.a, coeffs, N,
-                   aug_amp=(complex(sol[N]) / norm_p, complex(sol[N + 1]) / norm_m))
+    coeffs += sol[N] * vp[:, None] + sol[N + 1] * vm[:, None]
+    # the tail amplitudes in the raw edge-log scale.  Real and imaginary parts
+    # are divided apart, as Python divides a complex by a float; NumPy's
+    # complex division multiplies by the reciprocal and can differ in the
+    # last bit, which edge.extract_c would carry into its output
+    norms = np.array([[norm_p], [norm_m]])
+    amp = sol[N:].real / norms + 1j * (sol[N:].imag / norms)
+    return coeffs, amp, cond, ker_tail
+
+
+def _solve(cfg: ProblemConfig, parity: Parity, N: int, tail_tol: float):
+    """One incidence, the one-column case of `solve_block`; returns
+    (Density, SolveDiagnostics)."""
+    coeffs, amp, cond, ker_tail = solve_block(cfg, parity, [cfg.theta_in], N)
+    coeffs = coeffs[:, 0]
+    dens = Density(parity, cfg.a, coeffs, aug_amp=(complex(amp[0, 0]), complex(amp[1, 0])))
 
     # the folded edge-log tail is an exact feature of the density; the
     # convergence-relevant decay is that of the solved polynomial block
@@ -442,12 +457,12 @@ def _strip_theta_quad(s0: float, dist: float, nper: int = 20):
     return ck.panels(edges[keep], nper)
 
 
-def scattered_field(dens: Density, cfg: ProblemConfig, x, y, *, on_strip_trace: bool = False):
+def scattered_field(dens: Density, cfg: ProblemConfig, x, y):
     """Layer-potential field of the solved density at (x, y), y >= 0.
 
-    For y = 0 and |x| < a the one-sided (+0) trace is returned only when
-    `on_strip_trace` is set; otherwise evaluation on the open strip is an
-    error.  The antisymmetric field vanishes identically on y = 0, |x| > a.
+    Evaluation on the open strip (y = 0, |x| < a) is an error: its one-sided
+    trace is `strip_trace`.  The antisymmetric field vanishes identically on
+    y = 0, |x| > a.
     """
     scalar = np.ndim(x) == 0 and np.ndim(y) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -458,10 +473,7 @@ def scattered_field(dens: Density, cfg: ProblemConfig, x, y, *, on_strip_trace: 
     for idx in np.ndindex(xs.shape):
         xv, yv = float(xs[idx]), float(ys[idx])
         if yv == 0.0 and abs(xv) < a:
-            if not on_strip_trace:
-                raise ValueError("evaluation on the open strip needs on_strip_trace=True")
-            out[idx] = strip_trace(dens, cfg, xv)
-            continue
+            raise ValueError("scattered_field is not defined on the open strip; use strip_trace")
         if yv == 0.0 and dens.parity is Parity.ANTISYMMETRIC:
             out[idx] = 0.0
             continue

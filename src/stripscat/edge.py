@@ -22,24 +22,13 @@ coefficient ratio (-2 eta/(3 pi k0) in the antisymmetric case).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .bie import Density, scattered_field, sym_trace_on_strip
+from .bie import Density, scattered_field, strip_trace
 from .core import Parity, ProblemConfig, incident_field
 
 DEFAULT_RADII_FACTORS = tuple(np.geomspace(1e-3, 3e-2, 8))
 DEFAULT_N_ANGLES = 16
-
-
-@dataclass(frozen=True)
-class EdgeCoefficients:
-    c_plus: complex
-    c_minus: complex
-    d_plus: complex
-    d_minus: complex
-    fit_residuals: dict = field(default_factory=dict)
 
 
 def extract_c(dens_a: Density, cfg: ProblemConfig, side: str) -> complex:
@@ -80,7 +69,7 @@ def extract_d(dens_s: Density, cfg: ProblemConfig, side: str,
     a = cfg.a
     rho = np.asarray(rho_factors, dtype=float) * a
     x = (a - rho) if side == "+" else (-a + rho)
-    tot = sym_trace_on_strip(dens_s, cfg, x) + incident_field(cfg, Parity.SYMMETRIC, x, 0.0)
+    tot = strip_trace(dens_s, cfg, x) + incident_field(cfg, Parity.SYMMETRIC, x, 0.0)
     M = np.column_stack([np.ones(3), rho * np.log(np.abs(cfg.k0) * rho), rho])
     sol = np.linalg.solve(M, tot)
     return complex(sol[0])
@@ -106,7 +95,7 @@ def local_expansion_fit(dens: Density, cfg: ProblemConfig, side: str = "+",
     to phi in (pi, 2 pi) by the parity reflection.  Reports the fitted
     leading exponent, the angular correlation with the leading profile, the
     second-order coefficient ratio (antisymmetric), or the constant-term
-    consistency (symmetric), plus the raw samples for export.
+    consistency (symmetric).
     """
     a, k0, eta = cfg.a, cfg.k0, cfg.eta
     radii = np.asarray(radii_factors, dtype=float) * a
@@ -173,7 +162,6 @@ def local_expansion_fit(dens: Density, cfg: ProblemConfig, side: str = "+",
         "angular_correlation_min": float(min(corrs)),
         "fit_residual": float(resid),
         "leading_coefficient": complex(coef[0]),
-        "samples": samples,
     }
     if dens.parity is Parity.ANTISYMMETRIC:
         target = -2 * eta / (3 * np.pi * k0)
@@ -187,29 +175,3 @@ def local_expansion_fit(dens: Density, cfg: ProblemConfig, side: str = "+",
         out["rholog_coefficient"] = complex(coef[1])
         out["rholog_reference"] = complex(-eta * d_ref / np.pi)
     return out
-
-
-def edge_coefficients(dens_a: Density, dens_s: Density, cfg: ProblemConfig) -> EdgeCoefficients:
-    """All four leading edge constants with fit cross-residuals."""
-    fits = {}
-    for side in ("+", "-"):
-        fa = local_expansion_fit(dens_a, cfg, side)
-        fits[f"antisym{side}"] = {k: v for k, v in fa.items() if k != "samples"}
-        fs = local_expansion_fit(dens_s, cfg, side)
-        fits[f"sym{side}"] = {k: v for k, v in fs.items() if k != "samples"}
-    return EdgeCoefficients(
-        c_plus=extract_c(dens_a, cfg, "+"),
-        c_minus=extract_c(dens_a, cfg, "-"),
-        d_plus=extract_d(dens_s, cfg, "+"),
-        d_minus=extract_d(dens_s, cfg, "-"),
-        fit_residuals=fits,
-    )
-
-
-def fit_samples_to_csv(fit: dict, path) -> None:
-    """Export (rho, phi, Re u, Im u) rows of a local fit for inspection."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("rho,phi,re_u,im_u\n")
-        for rho, phis, u in fit["samples"]:
-            for p, v in zip(phis, u):
-                fh.write(f"{rho:.17g},{p:.17g},{v.real:.17g},{v.imag:.17g}\n")

@@ -60,12 +60,6 @@ class Contour:
     label: str
     nodes: np.ndarray
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("node_index,re_k,im_k\n")
-            for i, z in enumerate(self.nodes):
-                fh.write(f"{i},{z.real:.17g},{z.imag:.17g}\n")
-
 
 def _cut_param(cfg: ProblemConfig, s: np.ndarray) -> np.ndarray:
     """G2 parametrization k(s) = i sqrt(s^2 - k0^2); k(0) = k0, k -> +i inf."""
@@ -125,35 +119,6 @@ def jump_matrix(label: str, k: complex, cfg: ProblemConfig) -> np.ndarray:
                         dtype=complex)
     return np.array([[(eta + 1j * x) / (1j * x - eta), 0.0], [-2 * eta / den, 1.0]],
                     dtype=complex)
-
-
-@dataclass(frozen=True)
-class JumpMatrix:
-    """Callable wrapper k -> 2x2 matrix for a fixed label and configuration."""
-
-    label: str
-    cfg: ProblemConfig
-
-    def __call__(self, k: complex) -> np.ndarray:
-        return jump_matrix(self.label, k, self.cfg)
-
-    def det(self, k: complex) -> complex:
-        return complex(np.linalg.det(self(k)))
-
-    def samples_to_csv(self, ks, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            cols = ["node_index", "re_k", "im_k"]
-            for i in range(2):
-                for j in range(2):
-                    cols += [f"re_m{i + 1}{j + 1}", f"im_m{i + 1}{j + 1}"]
-            fh.write(",".join(cols) + "\n")
-            for idx, k in enumerate(ks):
-                m = self(k)
-                row = [str(idx), f"{k.real:.17g}", f"{k.imag:.17g}"]
-                for i in range(2):
-                    for j in range(2):
-                        row += [f"{m[i, j].real:.17g}", f"{m[i, j].imag:.17g}"]
-                fh.write(",".join(row) + "\n")
 
 
 def continuation_identity_check(bundle, k_on_g2: complex, *, wrong_shore: bool = False) -> float:
@@ -255,26 +220,6 @@ def _deformed_g2(cfg: ProblemConfig, radius: float, n_nodes: int):
         if _point_in_polygon(kp, lens):
             return nodes, deformed, lens
     raise DeformationError("no detour arc encloses k'")
-
-
-def deform_cuts(cfg: ProblemConfig, radius: float, n_nodes: int = 400):
-    """Deformed contour pair (G1', G2') with unchanged endpoints.
-
-    A smooth lateral bump carries the part of G2 nearest to k' past it;
-    G1' is the point reflection through 0.  Verifies that the lens between
-    G2 and G2' captures k' so the zeros of eta - i xi leave the physical
-    sheet; raises DeformationError otherwise.  Without the third-quadrant
-    condition the undeformed contours are returned unchanged.
-    """
-    if not deformation_needed(cfg):
-        g2 = build_cut(cfg, "G2", radius, n_nodes)
-        return Contour("G1-deformed", -g2.nodes), Contour("G2-deformed", g2.nodes)
-    if k_prime(cfg).sheet is not Sheet.PHYSICAL:
-        raise DeformationError("deformation requested but k' is already off-sheet")
-    nodes, deformed, lens = _deformed_g2(cfg, radius, n_nodes)
-    if not _point_in_polygon(k_prime(cfg).k, lens):
-        raise DeformationError("k' not enclosed by the deformation lens")
-    return Contour("G1-deformed", -deformed), Contour("G2-deformed", deformed)
 
 
 def k_prime_reclassified(cfg: ProblemConfig, radius: float = None) -> SheetPoint:

@@ -31,10 +31,12 @@ import numpy as np
 
 from . import chebkit as ck
 from .bie import (
+    DEFAULT_TAIL_TOL,
     Density,
     off_strip_normal_derivative,
     off_strip_trace,
     solve_antisymmetric,
+    solve_block,
     solve_symmetric,
 )
 from .core import Parity, ProblemConfig, xi
@@ -57,6 +59,14 @@ def xi_prefactor(parity: Parity, eta: complex, x):
     return 1j * (eta - 1j * x) / (eta * x)
 
 
+def strip_transform(parity: Parity, a: float, coeffs: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """U0~(k) (antisymmetric) or V0~(k) (symmetric) of a coefficient vector,
+    or of a block with one density per column; entire in k."""
+    if parity is Parity.ANTISYMMETRIC:
+        return 0.5 * a * a * (ck.u_transform_matrix(len(coeffs), k * a) @ coeffs)
+    return -0.5 * a * (ck.plain_t_transform_matrix(len(coeffs), k * a) @ coeffs)
+
+
 # ---------------------------------------------------------------------------
 # spectral bundle
 # ---------------------------------------------------------------------------
@@ -71,9 +81,8 @@ class SpectralBundle:
 
     cfg: ProblemConfig
     density: Density
-    tail_tol: float = 1e-9
+    tail_tol: float = DEFAULT_TAIL_TOL
     _banks: dict = field(default_factory=dict, repr=False)
-
 
     @property
     def parity(self) -> Parity:
@@ -89,13 +98,7 @@ class SpectralBundle:
     def f0_tilde(self, k):
         """U0~(k) (antisymmetric) or V0~(k) (symmetric); entire in k."""
         karr = np.atleast_1d(np.asarray(k, dtype=complex))
-        a = self.cfg.a
-        if self.parity is Parity.ANTISYMMETRIC:
-            F = ck.u_transform_matrix(len(self.density.coeffs), karr * a)
-            out = 0.5 * a * a * (F @ self.density.coeffs)
-        else:
-            E = ck.plain_t_transform_matrix(len(self.density.coeffs), karr * a)
-            out = -0.5 * a * (E @ self.density.coeffs)
+        out = strip_transform(self.parity, self.cfg.a, self.density.coeffs, karr)
         return out if np.ndim(k) else complex(out[0])
 
     def f0(self, k):
@@ -232,13 +235,17 @@ class DirectivityTable:
         return self.S_a + self.S_s
 
 
-def directivity_part(bundle: SpectralBundle, theta) -> np.ndarray:
-    """S_a or S_s (by the bundle's parity) on theta in [0, pi]: the one place
-    the far-field normalisation is written."""
+def directivity_part(parity: Parity, cfg: ProblemConfig, coeffs: np.ndarray, theta) -> np.ndarray:
+    """S_a or S_s on theta in [0, pi] of a coefficient vector, or of a block
+    with one incidence per column (rows theta): the one place the far-field
+    normalisation is written."""
     th = np.asarray(theta, dtype=float)
-    k0 = bundle.cfg.k0
-    f0t = np.atleast_1d(bundle.f0_tilde(-k0 * np.cos(th)))
-    if bundle.parity is Parity.ANTISYMMETRIC:
+    k0 = cfg.k0
+    k = np.atleast_1d(np.asarray(-k0 * np.cos(th), dtype=complex))
+    f0t = strip_transform(parity, cfg.a, coeffs, k)
+    if np.ndim(coeffs) == 2:
+        th = th[:, None]
+    if parity is Parity.ANTISYMMETRIC:
         return np.exp(-1j * np.pi / 4) * k0 * np.sin(th) * f0t
     return -1j * np.exp(-1j * np.pi / 4) * f0t
 
@@ -248,8 +255,19 @@ def directivity(bundle_a: SpectralBundle, bundle_s: SpectralBundle, theta_grid) 
     if bundle_a.cfg != bundle_s.cfg:
         raise ValueError("bundles must share one ProblemConfig")
     th = np.asarray(theta_grid, dtype=float)
-    return DirectivityTable(th, directivity_part(bundle_a, th), directivity_part(bundle_s, th),
-                            bundle_a.cfg)
+    cfg = bundle_a.cfg
+    S_a, S_s = (directivity_part(b.parity, cfg, b.density.coeffs, th) for b in (bundle_a, bundle_s))
+    return DirectivityTable(th, S_a, S_s, cfg)
+
+
+def bistatic_map(cfg: ProblemConfig, theta, theta_in, N: int = 64) -> np.ndarray:
+    """M[i, j] = S(theta[i]; theta_in[j]) on the medium of cfg.
+
+    Every incidence is a right-hand-side column of one block solve per
+    parity (`bie.solve_block`); cfg.theta_in is not used.
+    """
+    return sum(directivity_part(parity, cfg, solve_block(cfg, parity, theta_in, N)[0], theta)
+               for parity in Parity)
 
 
 class Scattering:
@@ -257,11 +275,11 @@ class Scattering:
     diagnostics and their spectral bundles (whose banks are built on first use).
 
     This is the one place where the antisymmetric and symmetric solutions
-    are paired.  `tail_tol` is both the solves' coefficient-tail target and
-    the bundles' truncation tolerance.
+    of one incidence are paired.  `tail_tol` is both the solves'
+    coefficient-tail target and the bundles' truncation tolerance.
     """
 
-    def __init__(self, cfg: ProblemConfig, N: int = 64, tail_tol: float = 1e-9):
+    def __init__(self, cfg: ProblemConfig, N: int = 64, tail_tol: float = DEFAULT_TAIL_TOL):
         self.cfg = cfg
         self.da, self.diag_a = solve_antisymmetric(cfg, N, tail_tol=tail_tol)
         self.ds, self.diag_s = solve_symmetric(cfg, N, tail_tol=tail_tol)
@@ -270,18 +288,6 @@ class Scattering:
 
     def directivity(self, theta_grid) -> DirectivityTable:
         return directivity(*self.bundles, theta_grid)
-
-
-def directivity_point(cfg: ProblemConfig, theta: float, theta_in: float, N: int = 64) -> complex:
-    """S(theta; theta_in) for theta, theta_in in (0, pi).
-
-    Incidence beyond pi/2 uses the x-mirror map S(theta; pi - t) =
-    S(pi - theta; t).
-    """
-    if theta_in > np.pi / 2:
-        return directivity_point(cfg, np.pi - theta, np.pi - theta_in, N)
-    sc = Scattering(ProblemConfig(cfg.k0, cfg.a, cfg.eta, theta_in), N)
-    return complex(sc.directivity(np.array([theta])).S[0])
 
 
 def directivity_full_circle(bundle_a: SpectralBundle, bundle_s: SpectralBundle, m: int = 720):
@@ -333,60 +339,33 @@ def _edge_graded_unit(nlev: int, nper: int):
 # ---------------------------------------------------------------------------
 # embedding checks
 # ---------------------------------------------------------------------------
-def embedding_kernel(bundle: SpectralBundle, k) -> np.ndarray | complex:
-    """W(k, kappa) = (k - kappa) F0~(k; kappa) / C with kappa the bundle's k_*.
-
-    C = xi(kappa) for the antisymmetric family and i*eta for the symmetric
-    one; with these normalizations W is antisymmetric under exchanging k
-    with another solved incidence parameter and has separable rank 2.
-    """
-    cfg = bundle.cfg
-    kap = cfg.k_star
-    karr = np.atleast_1d(np.asarray(k, dtype=complex))
-    if bundle.parity is Parity.ANTISYMMETRIC:
-        fac = _xi(kap, cfg.k0)
-    else:
-        if cfg.eta == 0:
-            raise ZeroDivisionError("symmetric embedding kernel degenerate at eta = 0")
-        fac = 1j * cfg.eta
-    out = (karr - kap) * np.atleast_1d(bundle.f0_tilde(karr)) / fac
-    return out if np.ndim(k) else complex(out[0])
-
-
 def embedding_rank_test(cfg: ProblemConfig, parity: Parity, incidences, k_points, N: int = 64):
-    """Solve per incidence; report pair antisymmetry and sigma3/sigma1 of W.
+    """Pair antisymmetry and sigma3/sigma1 of the embedding kernels of one medium.
 
-    The incidences share one medium, so their solves share one operator.
+    W(k; kappa) = (k - kappa) F0~(k; kappa) / C for the incidence with
+    k_* = kappa, where C = xi(kappa) for the antisymmetric family and i*eta
+    for the symmetric one.  With these normalizations P[i, j] = W(kappa_i;
+    kappa_j) is antisymmetric and W on a k grid has separable rank 2.  All
+    incidences come from one block solve.
     """
-    incidences = list(incidences)
-    if len(incidences) < 3:
-        return {"status": "insufficient data", "n_incidences": len(incidences)}
-    k_points = np.asarray(k_points, dtype=complex)
-    solve = solve_antisymmetric if parity is Parity.ANTISYMMETRIC else solve_symmetric
-    bundles = []
-    for t in incidences:
-        c = ProblemConfig(cfg.k0, cfg.a, cfg.eta, t)
-        bundles.append(SpectralBundle(c, solve(c, N)[0]))
-    kappas = [b.cfg.k_star for b in bundles]
+    theta_in = np.asarray(list(incidences), dtype=float)
+    if len(theta_in) < 3:
+        return {"status": "insufficient data", "n_incidences": len(theta_in)}
+    if parity is Parity.SYMMETRIC and cfg.eta == 0:
+        raise ZeroDivisionError("symmetric embedding kernel degenerate at eta = 0")
+    kap = cfg.k0 * np.cos(theta_in)
+    fac = _xi(kap, cfg.k0) if parity is Parity.ANTISYMMETRIC else 1j * cfg.eta
+    k = np.concatenate([np.asarray(k_points, dtype=complex), kap])
+    coeffs = solve_block(cfg, parity, theta_in, N)[0]
+    W = (k[:, None] - kap) * strip_transform(parity, cfg.a, coeffs, k) / fac
+    W, P = W[:-len(kap)], W[-len(kap):]
 
-    W = np.column_stack([np.atleast_1d(embedding_kernel(b, k_points)) for b in bundles])
     sv = np.linalg.svd(W, compute_uv=False)
-    s3_over_s1 = float(sv[2] / sv[0])
-
-    anti = 0.0
-    mx = 0.0
-    for i in range(len(bundles)):
-        for j in range(len(bundles)):
-            if i == j:
-                continue
-            wij = complex(embedding_kernel(bundles[j], kappas[i]))
-            wji = complex(embedding_kernel(bundles[i], kappas[j]))
-            anti = max(anti, abs(wij + wji))
-            mx = max(mx, abs(wij))
+    off = ~np.eye(len(kap), dtype=bool)
     return {
         "status": "ok",
-        "antisymmetry": anti / mx,
-        "s3_over_s1": s3_over_s1,
+        "antisymmetry": float(np.max(np.abs(P + P.T)[off]) / np.max(np.abs(P)[off])),
+        "s3_over_s1": float(sv[2] / sv[0]),
         "singular_values": sv[:4].tolist(),
     }
 
@@ -490,17 +469,10 @@ def cauchy_analyticity_test(f, rect, n_per_side: int = 32, refine_near=None) -> 
 # ---------------------------------------------------------------------------
 # physics cross-checks
 # ---------------------------------------------------------------------------
-def reciprocity_check(cfg: ProblemConfig, theta_pairs, N: int = 64):
-    """max over pairs of |S(t1; t2) - S(t2; t1)| / |S(t1; t2)|."""
-    worst = 0.0
-    rows = []
-    for (t1, t2) in theta_pairs:
-        s12 = directivity_point(cfg, t1, t2, N)
-        s21 = directivity_point(cfg, t2, t1, N)
-        rel = abs(s12 - s21) / max(abs(s12), 1e-300)
-        rows.append((t1, t2, s12, s21, rel))
-        worst = max(worst, rel)
-    return {"mismatch": worst, "pairs": rows}
+def reciprocity_check(cfg: ProblemConfig, theta, N: int = 64) -> float:
+    """max |M - M^T| / max |M| of the square bistatic map M[i, j] = S(theta_i; theta_j)."""
+    M = bistatic_map(cfg, theta, theta, N)
+    return float(np.max(np.abs(M - M.T)) / max(np.max(np.abs(M)), 1e-300))
 
 
 def energy_balance(cfg: ProblemConfig, N: int = 64, m_theta: int = 720):

@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rhstructure as rh
-from .bie import solve_symmetric
+from .bie import DEFAULT_TAIL_TOL, solve_symmetric
 from .core import Parity, ProblemConfig
 from .edge import local_expansion_fit
 from .spectral import (
     Scattering,
-    SpectralBundle,
     cauchy_analyticity_test,
     contour_integral_rect,
     directivity_part,
@@ -63,7 +62,7 @@ class RunConfig:
     eta: complex
     theta_in_deg: float
     N: int = 64
-    tail_tol: float = 1e-9
+    tail_tol: float = DEFAULT_TAIL_TOL
     cut_radius_factor: float = 50.0
     n_theta: int = 73
     k_grid_factor: float = 3.0
@@ -122,7 +121,7 @@ class RunConfig:
             eta=complex(d["eta"]["re"], d["eta"]["im"]),
             theta_in_deg=float(d["theta_in_deg"]),
             N=int(num.get("N", 64)),
-            tail_tol=float(num.get("tail_tol", 1e-9)),
+            tail_tol=float(num.get("tail_tol", DEFAULT_TAIL_TOL)),
             cut_radius_factor=float(num.get("cut_radius_factor", 50.0)),
             n_theta=int(grids.get("n_theta", 73)),
             k_grid_factor=float(grids.get("k_grid_factor", 3.0)),
@@ -301,11 +300,10 @@ def check_jump_algebra(ctx: _Ctx):
     det_err = 0.0
     rt_err = 0.0
     for label in ("M1", "M2", "N1", "N2"):
-        J = rh.JumpMatrix(label, cfg)
         for i in idx[:25]:
             k = g2.nodes[i] if label in ("M2", "N2") else -g2.nodes[i]
             x = rh.xi_left_shore(k, cfg)
-            m = J(k)
+            m = rh.jump_matrix(label, k, cfg)
             ref = (cfg.eta + 1j * x) / (cfg.eta - 1j * x)
             if label in ("N1", "N2"):
                 ref = (cfg.eta + 1j * x) / (1j * x - cfg.eta)
@@ -353,9 +351,10 @@ def check_sheet_logic(ctx: _Ctx):
 
 
 def check_reciprocity(ctx: _Ctx) -> CheckResult:
-    pairs = [(np.deg2rad(60), np.deg2rad(40))]
-    r = reciprocity_check(ctx.cfg, pairs, N=ctx.rc.N)
-    return _chk("reciprocity", r["mismatch"], 1e-6)
+    # the square bistatic map over the suite's angles up to 90 degrees
+    th = ctx.theta_grid()
+    return _chk("reciprocity", reciprocity_check(ctx.cfg, th[:(len(th) + 1) // 2], N=ctx.rc.N),
+                1e-10)
 
 
 def check_energy(ctx: _Ctx):
@@ -380,19 +379,13 @@ def check_energy(ctx: _Ctx):
 def check_eta_zero_sym(ctx: _Ctx) -> CheckResult:
     cfg0 = ProblemConfig(ctx.cfg.k0, ctx.cfg.a, 0.0, ctx.cfg.theta_in)
     ds, _ = solve_symmetric(cfg0, ctx.rc.N)
-    Ss = directivity_part(SpectralBundle(cfg0, ds), ctx.theta_grid())
+    Ss = directivity_part(Parity.SYMMETRIC, cfg0, ds.coeffs, ctx.theta_grid())
     return _chk("eta-zero-symmetric-vanishes", float(np.max(np.abs(Ss))), 1e-12)
 
 
 # ---------------------------------------------------------------------------
 # suite driver
 # ---------------------------------------------------------------------------
-FAST_SKIP = {
-    "pole-residue-antisymmetric", "pole-residue-symmetric",
-    "cauchy-rectangle-minus", "reciprocity",
-}
-
-
 def run_suite(rc: RunConfig, suite: str = "full"):
     """Run the verification suite; returns (VerificationReport, timings dict)."""
     if suite not in ("fast", "full"):

@@ -57,7 +57,7 @@ class TestAntisymmetricSolve:
         rng = np.random.default_rng(0)
         bad = da.coeffs * (1 + 0.01 * rng.standard_normal(len(da.coeffs)))
         from stripscat.bie import Density
-        d_bad = Density(Parity.ANTISYMMETRIC, A, bad, da.n_solve)
+        d_bad = Density(Parity.ANTISYMMETRIC, A, bad)
         assert boundary_residual(d_bad, ref_cfg) > 10 * boundary_residual(da, ref_cfg)
 
 
@@ -100,7 +100,7 @@ class TestFieldEvaluation:
 
     def test_zero_density_zero_field(self, ref_cfg):
         from stripscat.bie import Density
-        d0 = Density(Parity.ANTISYMMETRIC, A, np.zeros(8, complex), 8)
+        d0 = Density(Parity.ANTISYMMETRIC, A, np.zeros(8, complex))
         assert scattered_field(d0, ref_cfg, 0.3, 0.7) == 0
 
     def test_helmholtz_fd_residual(self, ref_cfg, ref_solves):
@@ -118,12 +118,14 @@ class TestFieldEvaluation:
         x = np.array([0.21, -0.68])
         assert np.allclose(strip_trace(da, ref_cfg, x), da(x) / 2, rtol=1e-14)
 
-    def test_trace_requires_flag_on_strip(self, ref_cfg, ref_solves):
+    def test_open_strip_points_to_strip_trace(self, ref_cfg, ref_solves):
         da, _, _, _ = ref_solves
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strip_trace"):
             scattered_field(da, ref_cfg, 0.2, 0.0)
-        v = scattered_field(da, ref_cfg, 0.2, 0.0, on_strip_trace=True)
+        # the on-strip entry point, and the field's limit from above
+        v = strip_trace(da, ref_cfg, 0.2)
         assert v == pytest.approx(da(np.array([0.2]))[0] / 2)
+        assert scattered_field(da, ref_cfg, 0.2, 1e-7) == pytest.approx(v, rel=1e-5)
 
     def test_off_strip_normal_derivative_vs_fd(self, ref_cfg, ref_solves):
         da, _, _, _ = ref_solves
@@ -175,12 +177,12 @@ class TestRadiation:
 
     def test_x_reflection_commutes_with_operator(self, ref_cfg, ref_solves):
         # the layer operator has an even kernel, so reflecting the density
-        # reflects its action; this underwrites the theta_in -> pi - theta_in
-        # mirror extension used for reciprocity
+        # reflects its action; this underwrites the x-parity of the
+        # directivity at normal incidence, S(pi - theta) = S(theta)
         from stripscat.bie import Density
         da, _, _, _ = ref_solves
         n = np.arange(len(da.coeffs))
-        d_mir = Density(Parity.ANTISYMMETRIC, A, da.coeffs * (-1.0) ** n, da.n_solve)
+        d_mir = Density(Parity.ANTISYMMETRIC, A, da.coeffs * (-1.0) ** n)
         x = np.array([0.15, 0.62, -0.4])
         lhs = hypersingular_action(d_mir, ref_cfg, x)
         rhs = hypersingular_action(da, ref_cfg, -x)
@@ -217,6 +219,19 @@ class TestOperatorReuse:
             assert dens.aug_amp == fresh.aug_amp
             assert diag == fresh_diag
         assert len(calls) == 1 + len(cfgs)
+
+    @pytest.mark.parametrize("parity", [Parity.ANTISYMMETRIC, Parity.SYMMETRIC])
+    def test_solves_are_columns_of_a_block(self, parity):
+        # one incidence is the one-column case of the block solve, bit for bit
+        from stripscat.bie import solve_block
+        solve = solve_antisymmetric if parity is Parity.ANTISYMMETRIC else solve_symmetric
+        incidences = (0.3, np.deg2rad(60.0), np.deg2rad(75.0), np.pi / 2)
+        coeffs, amp, _, _ = solve_block(ProblemConfig(K0, A, ETA, THETA), parity, incidences, 64)
+        assert coeffs.shape[1] == len(incidences)
+        for j, t in enumerate(incidences):
+            dens, _ = solve(ProblemConfig(K0, A, ETA, t), 64)
+            assert np.array_equal(dens.coeffs, coeffs[:, j])
+            assert dens.aug_amp == (amp[0, j], amp[1, j])
 
     def test_singular_medium_is_not_cached(self, monkeypatch):
         from stripscat import bie

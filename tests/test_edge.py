@@ -5,14 +5,7 @@ import pytest
 
 from stripscat.bie import solve_antisymmetric, solve_symmetric, strip_trace
 from stripscat.core import Parity, ProblemConfig, incident_field
-from stripscat.edge import (
-    EdgeCoefficients,
-    edge_coefficients,
-    extract_c,
-    extract_d,
-    fit_samples_to_csv,
-    local_expansion_fit,
-)
+from stripscat.edge import extract_c, extract_d, local_expansion_fit
 
 K0, A, ETA, THETA = 2 + 0.05j, 1.0, 1 - 1j, np.pi / 3
 
@@ -20,7 +13,7 @@ K0, A, ETA, THETA = 2 + 0.05j, 1.0, 1 - 1j, np.pi / 3
 class TestExtractC:
     def test_zero_density(self, ref_cfg):
         from stripscat.bie import Density
-        d0 = Density(Parity.ANTISYMMETRIC, A, np.zeros(6, complex), 6)
+        d0 = Density(Parity.ANTISYMMETRIC, A, np.zeros(6, complex))
         assert extract_c(d0, ref_cfg, "+") == 0
 
     def test_against_trace_limit(self, ref_cfg, ref_solves):
@@ -114,28 +107,16 @@ class TestLocalFit:
                                 radii_factors=(1e-3, 1.0000001e-3, 1.0000002e-3,
                                                1.0000003e-3))
 
-    def test_csv_export(self, ref_cfg, ref_solves, tmp_path):
-        da, _, _, _ = ref_solves
-        fit = local_expansion_fit(da, ref_cfg, "+", radii_factors=(1e-3, 3e-3),
-                                  n_angles=8)
-        p = tmp_path / "fit.csv"
-        fit_samples_to_csv(fit, p)
-        lines = p.read_text().strip().splitlines()
-        assert lines[0] == "rho,phi,re_u,im_u"
-        assert len(lines) == 1 + 2 * 8
-
 
 class TestMirrorRelation:
     def test_edge_coeff_mirror_magnitudes(self, ref_cfg, ref_solves):
         # the x-mirrored problem exchanges the roles of the two edges; the
         # magnitude pattern survives in the incident-phase-stripped constants
-        da, ds, _, _ = ref_solves
-        ec = edge_coefficients(da, ds, ref_cfg)
-        assert isinstance(ec, EdgeCoefficients)
+        da, _, _, _ = ref_solves
         ks, a = ref_cfg.k_star, A
         # strip the incident phases exp(-i k_* (+-a)) before comparing sides
-        cp = ec.c_plus * np.exp(1j * ks * a)
-        cm = ec.c_minus * np.exp(-1j * ks * a)
+        cp = extract_c(da, ref_cfg, "+") * np.exp(1j * ks * a)
+        cm = extract_c(da, ref_cfg, "-") * np.exp(-1j * ks * a)
         assert 0.05 < abs(cp) / abs(cm) < 20  # same order once phases stripped
         # normal incidence: exact equality of stripped magnitudes
         cfgN = ProblemConfig(K0, A, ETA, np.pi / 2)
