@@ -103,20 +103,37 @@ class SolveDiagnostics:
 def _log_sum_rect(Lbig: np.ndarray, Rbig: np.ndarray, Pi: np.ndarray, rmax: int) -> np.ndarray:
     """-2 sum_r (1/r) Phi_L^(r) Pi Phi_R^(r)T.
 
-    Phi^(r)[m, p] = (B[m, p+r] + B[m, |p-r|])/2 encodes the product
-    T_p T_r against the row family whose banded orthogonality matrix is B
-    (W for the sqrt(w) U family, V for T/sqrt(w), C3 for plain T).
+    Phi^(r) = B E_r, where E_r[j, p] = (d_{j,p+r} + d_{j,|p-r|})/2 encodes the
+    product T_p T_r = (T_{p+r} + T_{|p-r|})/2 against the row family whose
+    banded orthogonality matrix is B (W for the sqrt(w) U family, V for
+    T/sqrt(w), C3 for plain T).  The sum is Lbig C Rbig^T with
+    C = -2 sum_r (1/r) E_r Pi E_r^T, of which only the rows that meet a
+    nonzero column of Lbig are formed, by slice-adds of Pi.
     """
     Np = Pi.shape[0]
-    p = np.arange(Np)
-    out = np.zeros((Lbig.shape[0], Rbig.shape[0]), dtype=complex)
+    nL = int(np.flatnonzero(Lbig.any(axis=0))[-1]) + 1
+    C = np.zeros((nL, Lbig.shape[1]), dtype=complex)
+    Y = np.empty((nL, Np), dtype=complex)
     for r in range(1, rmax + 1):
-        PhiL = 0.5 * (Lbig[:, p + r] + Lbig[:, np.abs(p - r)])
-        if not PhiL.any():
-            continue
-        PhiR = 0.5 * (Rbig[:, p + r] + Rbig[:, np.abs(p - r)])
-        out += -(2.0 / r) * (PhiL @ Pi @ PhiR.T)
-    return out
+        # Y = (E_r Pi)[:nL]: row i takes Pi[i - r] and Pi[p] for |p - r| = i
+        Y[:] = 0.0
+        n = min(nL - r, Np)
+        if n > 0:
+            Y[r:r + n] += Pi[:n]
+        n = min(nL, Np - r)
+        if n > 0:
+            Y[:n] += Pi[r:r + n]
+        lo, hi = max(1, r - Np + 1), min(nL, r + 1)
+        if hi > lo:
+            Y[lo:hi] += Pi[r - hi + 1:r - lo + 1][::-1]
+        # C += -(2/r) (Y/2) E_r^T: column q of Y goes to columns q + r and |q - r|
+        Y *= -0.5 / r
+        C[:, r:r + Np] += Y
+        if r < Np:
+            C[:, :Np - r] += Y[:, r:]
+        m = min(r, Np)
+        C[:, r - m + 1:r + 1] += Y[:, m - 1::-1]
+    return Lbig[:, :nL] @ C @ Rbig.T
 
 
 def _assemble_antisym_operator(cfg: ProblemConfig, Ntest: int, Ntr: int):

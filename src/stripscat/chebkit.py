@@ -104,19 +104,15 @@ def plain_t_transform_matrix(nmax: int, z, extra: int = 48) -> np.ndarray:
     """Matrix E[i, n] = int_{-1}^{1} T_n(s) e^{i z_i s} ds.
 
     Via e^{izs} = J_0(z) + 2 sum_m i^m J_m(z) T_m(s) and the exact product
-    moments int T_m T_n ds; the m-series is truncated once J_m(z) is below
-    roundoff (m > |z| + extra).
+    moments int T_m T_n ds (`c3_matrix`); the m-series is truncated once
+    J_m(z) is below roundoff (m > |z| + extra).
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     mmax = int(np.max(np.abs(z))) + extra
     m = np.arange(mmax + 1)
     Jm = jv(m[None, :], z[:, None])          # (nz, mmax+1)
     wts = np.where(m == 0, 1.0, 2.0) * (1j ** m)
-    C = np.zeros((mmax + 1, nmax))
-    for mm in range(mmax + 1):
-        for n in range(nmax):
-            C[mm, n] = 0.5 * (plain_t_moment(mm + n) + plain_t_moment(abs(mm - n)))
-    return (Jm * wts[None, :]) @ C
+    return (Jm * wts[None, :]) @ c3_matrix(mmax + 1, nmax)
 
 
 # ---------------------------------------------------------------------------

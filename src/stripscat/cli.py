@@ -20,7 +20,7 @@ import numpy as np
 from . import rhstructure as rh
 from .bie import SingularSystemError, boundary_residual
 from .edge import extract_c, extract_d
-from .spectral import Scattering
+from .spectral import Scattering, forward_amplitude
 from .verify import RunConfig, run_suite
 
 logger = logging.getLogger(__name__)
@@ -45,6 +45,8 @@ def _write_csv(path: Path, header, rows) -> None:
 
 # what reading and validating a config file raises for bad input (exit 2)
 CONFIG_ERRORS = (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError)
+# what a solve raises when its linear algebra fails (exit 3)
+NUMERICAL_ERRORS = (SingularSystemError, np.linalg.LinAlgError)
 
 
 def _load_config(path: str) -> RunConfig:
@@ -72,7 +74,7 @@ def cmd_solve(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         sc = Scattering(rc.problem(), rc.N, rc.tail_tol)
-    except SingularSystemError as exc:
+    except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
@@ -124,7 +126,7 @@ def cmd_spectra(args) -> int:
         return EXIT_CONFIG
     try:
         ba, bs = Scattering(cfg, rc.N, rc.tail_tol).bundles
-    except SingularSystemError as exc:
+    except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
@@ -167,7 +169,7 @@ def cmd_verify(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         report, timings = run_suite(rc, args.suite)
-    except SingularSystemError as exc:
+    except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
@@ -219,7 +221,7 @@ def cmd_sweep(args) -> int:
             cfg = sc.cfg
             tab, rows = _directivity_table(sc, rci)
             _write_csv(out / f"directivity_{iv:03d}.csv", DIRECTIVITY_HEADER, rows)
-            fwd = tab.S[np.argmin(np.abs(tab.theta - (np.pi - cfg.theta_in)))]
+            fwd = forward_amplitude(*sc.bundles)
             c_plus = extract_c(sc.da, cfg, "+")
             d_plus = extract_d(sc.ds, cfg, "+")
             summary.append((

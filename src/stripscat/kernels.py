@@ -43,11 +43,11 @@ def p_antisym(k0: complex, rho: np.ndarray) -> np.ndarray:
 
 def q_antisym(k0: complex, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
-    z2q = (k0 * k0 / 4.0) * rho
     out = np.empty(rho.shape, dtype=complex)
-    small = np.abs(z2q) <= (Z_SWITCH / 2.0) ** 2
+    small = np.abs((k0 * k0 / 4.0) * rho) <= (Z_SWITCH / 2.0) ** 2
 
     # series branch
+    z2q = (k0 * k0 / 4.0) * rho[small]
     s1 = np.zeros_like(z2q)
     s2 = np.zeros_like(z2q)
     term = np.ones_like(z2q)
@@ -57,13 +57,13 @@ def q_antisym(k0: complex, rho: np.ndarray) -> np.ndarray:
         s2 += term * psum
         term = term * (-z2q) / ((j + 1) * (j + 2))
     c0 = 1j * k0 * k0 / 8.0 - (k0 * k0 / (4 * np.pi)) * np.log(k0 / 2.0)
-    ser = c0 * s1 + (k0 * k0 / (8 * np.pi)) * s2
+    out[small] = c0 * s1 + (k0 * k0 / (8 * np.pi)) * s2
 
     # direct branch
-    r = np.sqrt(np.where(small, 1.0, rho))
-    direct = (1j * k0 / 4.0) * hankel1(1, k0 * r) / r - 1.0 / (2 * np.pi * r * r) \
-        - p_antisym(k0, np.where(small, 1.0, rho)) * np.log(r)
-    out[...] = np.where(small, ser, direct)
+    big = rho[~small]
+    r = np.sqrt(big)
+    out[~small] = (1j * k0 / 4.0) * hankel1(1, k0 * r) / r - 1.0 / (2 * np.pi * r * r) \
+        - p_antisym(k0, big) * np.log(r)
     return out
 
 
@@ -75,9 +75,10 @@ def p_sym(k0: complex, rho: np.ndarray) -> np.ndarray:
 
 def q_sym(k0: complex, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
-    z2q = (k0 * k0 / 4.0) * rho
-    small = np.abs(z2q) <= (Z_SWITCH / 2.0) ** 2
+    out = np.empty(rho.shape, dtype=complex)
+    small = np.abs((k0 * k0 / 4.0) * rho) <= (Z_SWITCH / 2.0) ** 2
 
+    z2q = (k0 * k0 / 4.0) * rho[small]
     s1 = np.zeros_like(z2q)
     s2 = np.zeros_like(z2q)
     term = np.ones_like(z2q)
@@ -89,11 +90,12 @@ def q_sym(k0: complex, rho: np.ndarray) -> np.ndarray:
         term = term * (-z2q) / (j * j)
         s2 += -term * _harmonic(j)          # (-1)^{j+1} H_j z2q^j / (j!)^2
     c0 = 0.25j - (np.log(k0 / 2.0) + EULER_GAMMA) / (2 * np.pi)
-    ser = c0 * s1 - s2 / (2 * np.pi)
+    out[small] = c0 * s1 - s2 / (2 * np.pi)
 
-    r = np.sqrt(np.where(small, 1.0, rho))
-    direct = 0.25j * hankel1(0, k0 * r) - p_sym(k0, np.where(small, 1.0, rho)) * np.log(r)
-    return np.where(small, ser, direct)
+    big = rho[~small]
+    r = np.sqrt(big)
+    out[~small] = 0.25j * hankel1(0, k0 * r) - p_sym(k0, big) * np.log(r)
+    return out
 
 
 def hyper_kernel(k0: complex, r: np.ndarray) -> np.ndarray:
@@ -105,6 +107,19 @@ def hyper_kernel(k0: complex, r: np.ndarray) -> np.ndarray:
 def single_kernel(k0: complex, r: np.ndarray) -> np.ndarray:
     """Full single-layer kernel (i/4) H0(k0 r)."""
     return 0.25j * hankel1(0, k0 * np.asarray(r, dtype=float))
+
+
+def _symmetric_grid(fun, k0: complex, a: float):
+    """f(S, T) = fun(k0, a^2 (S - T)^2) on a square grid, evaluated on the
+    upper triangle and mirrored: (s - t)^2 == (t - s)^2 exactly, so the
+    values are those of the full grid."""
+    def f(S, T):
+        iu = np.triu_indices(S.shape[0])
+        F = np.empty(S.shape, dtype=complex)
+        F[iu] = fun(k0, a * a * (S[iu] - T[iu]) ** 2)
+        F.T[iu] = F[iu]
+        return F
+    return f
 
 
 class KernelExpansion:
@@ -121,8 +136,8 @@ class KernelExpansion:
         self.order = order
         pfun = p_antisym if parity_antisym else p_sym
         qfun = q_antisym if parity_antisym else q_sym
-        self.pi_hat = cheb_coeffs_2d(lambda S, T: pfun(k0, a * a * (S - T) ** 2), order)
-        self.q_hat = cheb_coeffs_2d(lambda S, T: qfun(k0, a * a * (S - T) ** 2), order)
+        self.pi_hat = cheb_coeffs_2d(_symmetric_grid(pfun, k0, a), order)
+        self.q_hat = cheb_coeffs_2d(_symmetric_grid(qfun, k0, a), order)
 
     def tail_mass(self) -> float:
         """Relative magnitude of the trailing coefficient block (resolution check)."""

@@ -57,7 +57,6 @@ class SheetPoint:
 class Contour:
     """Polyline from a branch point outward (orientation = increasing index)."""
 
-    label: str
     nodes: np.ndarray
 
 
@@ -90,7 +89,7 @@ def build_cut(cfg: ProblemConfig, which: str, radius: float, n_nodes: int = 400)
     nodes = _cut_param(cfg, s)
     if which == "G1":
         nodes = -nodes
-    return Contour(which, nodes)
+    return Contour(nodes)
 
 
 def xi_left_shore(k, cfg: ProblemConfig):

@@ -366,7 +366,6 @@ def embedding_rank_test(cfg: ProblemConfig, parity: Parity, incidences, k_points
         "status": "ok",
         "antisymmetry": float(np.max(np.abs(P + P.T)[off]) / np.max(np.abs(P)[off])),
         "s3_over_s1": float(sv[2] / sv[0]),
-        "singular_values": sv[:4].tolist(),
     }
 
 
@@ -475,6 +474,13 @@ def reciprocity_check(cfg: ProblemConfig, theta, N: int = 64) -> float:
     return float(np.max(np.abs(M - M.T)) / max(np.max(np.abs(M)), 1e-300))
 
 
+def forward_amplitude(bundle_a: SpectralBundle, bundle_s: SpectralBundle) -> complex:
+    """S(theta_in + pi), the forward direction, reflected into (0, pi) by
+    S_a(2pi - t) = -S_a(t), S_s(2pi - t) = S_s(t)."""
+    fwd = directivity(bundle_a, bundle_s, [2 * np.pi - (bundle_a.cfg.theta_in + np.pi)])
+    return complex(-fwd.S_a[0] + fwd.S_s[0])
+
+
 def energy_balance(cfg: ProblemConfig, N: int = 64, m_theta: int = 720):
     """Scattered power, extinction, and absorbed power in the S-convention.
 
@@ -485,11 +491,7 @@ def energy_balance(cfg: ProblemConfig, N: int = 64, m_theta: int = 720):
     ba, bs = Scattering(cfg, N).bundles
     th, S = directivity_full_circle(ba, bs, m_theta)
     p_scat = float(np.mean(np.abs(S) ** 2))
-
-    # the forward direction theta_in + pi, reflected into (0, pi) as above
-    fwd = directivity(ba, bs, [2 * np.pi - (cfg.theta_in + np.pi)])
-    s_fwd = complex(-fwd.S_a[0] + fwd.S_s[0])
-    extinction = float(-2 * np.real(np.exp(1j * np.pi / 4) * s_fwd))
+    extinction = float(-2 * np.real(np.exp(1j * np.pi / 4) * forward_amplitude(ba, bs)))
     return {
         "p_scat": p_scat,
         "extinction": extinction,

@@ -70,8 +70,8 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        if self.N < 4:
-            raise ValueError(f"N must be >= 4, got {self.N}")
+        if not 4 <= self.N <= 1024:
+            raise ValueError(f"N must lie in [4, 1024], got {self.N}")
         if not 0 < self.tail_tol < 1:
             raise ValueError(f"tail_tol must lie in (0, 1), got {self.tail_tol}")
         if self.n_theta < 1 or self.n_k < 1:

@@ -337,6 +337,53 @@ class TestVectorisedLogParts:
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def _log_sum_loop(Lbig, Rbig, Pi, rmax):
+    """The per-order sum -2 sum_r (1/r) Phi_L^(r) Pi Phi_R^(r)T, one pair of
+    products per order r (the reference for `bie._log_sum_rect`)."""
+    Np = Pi.shape[0]
+    p = np.arange(Np)
+    out = np.zeros((Lbig.shape[0], Rbig.shape[0]), dtype=complex)
+    for r in range(1, rmax + 1):
+        PhiL = 0.5 * (Lbig[:, p + r] + Lbig[:, np.abs(p - r)])
+        if not PhiL.any():
+            continue
+        PhiR = 0.5 * (Rbig[:, p + r] + Rbig[:, np.abs(p - r)])
+        out += -(2.0 / r) * (PhiL @ Pi @ PhiR.T)
+    return out
+
+
+class TestLogSumRect:
+    """The one-product log sum equals the per-order loop on the arguments
+    the two assemblers pass it."""
+
+    @pytest.mark.parametrize("N", [4, 5, 64, 300])
+    @pytest.mark.parametrize("k0a", [0.01, 2.0, 16.0, 30.0])
+    @pytest.mark.parametrize("parity", list(Parity))
+    def test_matches_per_order_loop(self, monkeypatch, N, k0a, parity):
+        from stripscat import bie
+        log_sum = bie._log_sum_rect
+        calls = []
+
+        def recorded(*args):
+            calls.append((args, log_sum(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(bie, "_log_sum_rect", recorded)
+        assemble = (bie._assemble_antisym_operator if parity is Parity.ANTISYMMETRIC
+                    else bie._assemble_sym_operator)
+        assemble(ProblemConfig(k0a * np.exp(0.025j), A, ETA, THETA), N + 2, max(192, N + 96))
+        (Lbig, Rbig, Pi, rmax), got = calls[0]
+        assert rmax > Pi.shape[0]                    # the |p - r| fold wraps
+        rows, cols = slice(None), slice(None)
+        if N > 100:
+            # the loop takes seconds here; the sum is linear in the rows of
+            # Lbig and of Rbig, so thinned rows give the same output entries
+            rows = np.r_[0:Lbig.shape[0]:7, Lbig.shape[0] - 1]
+            cols = np.r_[0:Rbig.shape[0]:7, Rbig.shape[0] - 1]
+        ref = _log_sum_loop(Lbig[rows], Rbig[cols], Pi, rmax)
+        assert np.max(np.abs(got[rows][:, cols] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def _off_strip_quad(dens, cfg, x):
     """Reference: int rho(t) K(|x - t|) dt by adaptive Gauss-Kronrod
     quadrature in t = a cos(theta), where the integrand is smooth.

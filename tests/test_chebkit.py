@@ -65,6 +65,22 @@ def test_plain_t_transform():
         assert E[0, n] == pytest.approx(ref, abs=1e-13)
 
 
+def test_plain_t_transform_moment_table():
+    # the moment table is c3_matrix: bitwise the per-entry double loop
+    from scipy.special import jv
+    z = np.array([0.3, 2 + 0.05j, 16.0, 40 - 0.2j])
+    nmax = 70
+    mmax = int(np.max(np.abs(z))) + 48
+    m = np.arange(mmax + 1)
+    C = np.zeros((mmax + 1, nmax))
+    for mm in range(mmax + 1):
+        for n in range(nmax):
+            C[mm, n] = 0.5 * (ck.plain_t_moment(mm + n) + ck.plain_t_moment(abs(mm - n)))
+    wts = np.where(m == 0, 1.0, 2.0) * (1j ** m)
+    ref = (jv(m[None, :], z[:, None]) * wts[None, :]) @ C
+    assert np.array_equal(ck.plain_t_transform_matrix(nmax, z), ref)
+
+
 def test_log_point_u():
     ell = ck.log_point_u(5, np.array([0.37]))
     for n, ref in ELL_REF_037.items():

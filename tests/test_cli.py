@@ -90,6 +90,7 @@ class TestSolve:
         ("grids", "k_grid_factor", 0.0),
         ("numerics", "cut_radius_factor", float("nan")),
         ("numerics", "cut_radius_factor", 0.5),
+        ("numerics", "N", 1025),
     ])
     def test_invalid_values_exit_2(self, tmp_path, run_cli, section, key, value):
         cfg = json.loads(json.dumps(SMALL_CFG))
@@ -160,6 +161,22 @@ class TestVerify:
         assert not (tmp_path / "out" / "report.json").exists()
 
 
+class TestLinAlgError:
+    @pytest.mark.parametrize("command", ["solve", "spectra", "verify"])
+    def test_exit_3(self, tmp_path, monkeypatch, cfg_file, capsys, command):
+        from stripscat import cli
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        assert cli.main([command, "--config", str(cfg_file)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("numerical failure:")
+        assert not any((tmp_path / "out").glob("*.csv"))
+        assert not (tmp_path / "out" / "report.json").exists()
+
+
 class TestSpectra:
     def test_schema_and_residual_column(self, tmp_path, cfg_file, run_cli):
         r = run_cli("spectra", "--config", str(cfg_file), cwd=tmp_path)
@@ -205,6 +222,34 @@ class TestSweep:
         r = run_cli("sweep", "--config", str(cfg_file), "--param", "bogus",
                     "--values", "1.0", cwd=tmp_path)
         assert r.returncode == 2
+
+    def test_forward_column_is_forward_amplitude(self, tmp_path, monkeypatch):
+        # S_forward is S(theta_in + pi), the amplitude whose projection
+        # energy_balance takes as the extinction
+        from stripscat import cli, spectral
+        from stripscat.verify import RunConfig
+        cfg = dict(SMALL_CFG, numerics={"N": 64}, out_dir=str(tmp_path / "out"))
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert cli.main(["sweep", "--config", str(p), "--param", "theta_in",
+                         "--values", "15"]) == 0
+        with open(tmp_path / "out" / "sweep_summary.csv", newline="") as fh:
+            row = list(csv.DictReader(fh))[0]
+        column = complex(float(row["S_forward_re"]), float(row["S_forward_im"]))
+
+        amplitudes = []
+        forward = spectral.forward_amplitude
+
+        def recorded(*bundles):
+            amplitudes.append(forward(*bundles))
+            return amplitudes[-1]
+
+        monkeypatch.setattr(spectral, "forward_amplitude", recorded)
+        eb = spectral.energy_balance(RunConfig.from_dict(dict(cfg, theta_in_deg=15.0)).problem(),
+                                     N=64)
+        fwd = amplitudes[0]
+        assert abs(column - fwd) <= 1e-14 * abs(fwd)
+        assert eb["extinction"] == -2 * np.real(np.exp(1j * np.pi / 4) * fwd)
 
     def test_single_value_matches_solve(self, tmp_path, cfg_file, run_cli):
         r = run_cli("solve", "--config", str(cfg_file), cwd=tmp_path)
@@ -256,6 +301,6 @@ class TestConfigRoundtrip:
         assert all(math.isfinite(v) for v in values)
         assert cfg.k0.real > 0 and cfg.k0.imag >= 0 and cfg.a > 0 and cfg.eta.imag <= 0
         assert 0 <= cfg.theta_in <= np.pi / 2 + 1e-14
-        assert rc.N >= 4 and 0 < rc.tail_tol < 1
+        assert 4 <= rc.N <= 1024 and 0 < rc.tail_tol < 1
         assert math.isfinite(rc.cut_radius_factor) and rc.cut_radius_factor > 1
         assert math.isfinite(rc.k_grid_factor) and rc.k_grid_factor > 0

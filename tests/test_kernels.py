@@ -51,3 +51,69 @@ def test_q_at_zero_is_finite_limit():
 def test_expansion_tail_is_negligible(ref_cfg):
     ker = kn.kernel_expansion(ref_cfg.k0, ref_cfg.a, True, kn.kernel_order(ref_cfg.k0, ref_cfg.a))
     assert ker.tail_mass() < 1e-14
+
+
+def _q_antisym_both_branches(k0, rho):
+    """q_antisym with both branches taken on the whole grid and picked by
+    np.where (the reference for the per-mask evaluation)."""
+    rho = np.asarray(rho, dtype=complex)
+    z2q = (k0 * k0 / 4.0) * rho
+    small = np.abs(z2q) <= (kn.Z_SWITCH / 2.0) ** 2
+    s1 = np.zeros_like(z2q)
+    s2 = np.zeros_like(z2q)
+    term = np.ones_like(z2q)
+    for j in range(kn._NTERMS):
+        psum = -2.0 * kn.EULER_GAMMA + kn._harmonic(j) + kn._harmonic(j + 1)
+        s1 += term
+        s2 += term * psum
+        term = term * (-z2q) / ((j + 1) * (j + 2))
+    c0 = 1j * k0 * k0 / 8.0 - (k0 * k0 / (4 * np.pi)) * np.log(k0 / 2.0)
+    ser = c0 * s1 + (k0 * k0 / (8 * np.pi)) * s2
+    r = np.sqrt(np.where(small, 1.0, rho))
+    direct = (1j * k0 / 4.0) * kn.hankel1(1, k0 * r) / r - 1.0 / (2 * np.pi * r * r) \
+        - kn.p_antisym(k0, np.where(small, 1.0, rho)) * np.log(r)
+    return np.where(small, ser, direct)
+
+
+def _q_sym_both_branches(k0, rho):
+    """q_sym in the same both-branch form."""
+    rho = np.asarray(rho, dtype=complex)
+    z2q = (k0 * k0 / 4.0) * rho
+    small = np.abs(z2q) <= (kn.Z_SWITCH / 2.0) ** 2
+    s1 = np.zeros_like(z2q)
+    s2 = np.zeros_like(z2q)
+    term = np.ones_like(z2q)
+    for j in range(kn._NTERMS):
+        s1 += term
+        term = term * (-z2q) / ((j + 1) * (j + 1))
+    term = np.ones_like(z2q)
+    for j in range(1, kn._NTERMS):
+        term = term * (-z2q) / (j * j)
+        s2 += -term * kn._harmonic(j)
+    c0 = 0.25j - (np.log(k0 / 2.0) + kn.EULER_GAMMA) / (2 * np.pi)
+    ser = c0 * s1 - s2 / (2 * np.pi)
+    r = np.sqrt(np.where(small, 1.0, rho))
+    direct = 0.25j * kn.hankel1(0, k0 * r) - kn.p_sym(k0, np.where(small, 1.0, rho)) * np.log(r)
+    return np.where(small, ser, direct)
+
+
+# |k0| a up to 8.5 keeps the grid below 16384 points; see the bound below
+@pytest.mark.parametrize("k0a", [0.01, 2.0, 8.5, 16.0])
+@pytest.mark.parametrize("antisym", [True, False])
+def test_expansion_equals_full_grid_evaluation(k0a, antisym):
+    from stripscat.chebkit import cheb_coeffs_2d
+    k0, a = k0a * np.exp(0.025j) / 1.3, 1.3
+    order = kn.kernel_order(k0, a)
+    pfun = kn.p_antisym if antisym else kn.p_sym
+    qfun = _q_antisym_both_branches if antisym else _q_sym_both_branches
+    pi_ref = cheb_coeffs_2d(lambda S, T: pfun(k0, a * a * (S - T) ** 2), order)
+    q_ref = cheb_coeffs_2d(lambda S, T: qfun(k0, a * a * (S - T) ** 2), order)
+    ker = kn.KernelExpansion(k0, a, antisym, order)
+    assert np.array_equal(ker.pi_hat, pi_ref)
+    if order ** 2 < 16384:
+        assert np.array_equal(ker.q_hat, q_ref)
+    else:
+        # from 16384 complex points (256 KiB) NumPy evaluates `term * (-z2q)`
+        # of the whole-grid series in place in the temporary, a loop that
+        # rounds some products differently in the last bit
+        assert np.max(np.abs(ker.q_hat - q_ref)) <= 1e-15 * np.max(np.abs(q_ref))
