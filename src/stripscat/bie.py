@@ -35,7 +35,7 @@ edge floor.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import hankel1, jv
@@ -136,136 +136,75 @@ def _log_sum_rect(Lbig: np.ndarray, Rbig: np.ndarray, Pi: np.ndarray, rmax: int)
     return Lbig[:, :nL] @ C @ Rbig.T
 
 
-def _assemble_antisym_operator(cfg: ProblemConfig, Ntest: int, Ntr: int):
-    """Rows: test sqrt(w)U_m; columns: trial density sqrt(a^2-x^2)U_n(x/a)."""
-    k0, a, eta = cfg.k0, cfg.a, cfg.eta
-    Np = max(kernel_order(k0, a), Ntest + 4)
-    ker = kernel_expansion(k0, a, True, Np)
-    rmax = min(Ntest, Ntr) + Np + 2
-    big = Np + rmax + 3
-    WL = ck.w_matrix(Ntest, big)
-    WR = ck.w_matrix(Ntr, big)
+def _galerkin(cfg: ProblemConfig, parity: Parity, Ntest: int, Ntr: int):
+    """The Galerkin matrix of one parity's boundary operator.
 
-    D = WL[:, :Np] @ ker.pi_hat @ WR[:, :Np].T
-    DQ = WL[:, :Np] @ ker.q_hat @ WR[:, :Np].T
-    Slog = _log_sum_rect(WL, WR, ker.pi_hat, rmax)
+    Both parities are static + c (L K R^T + log sum), with the kernel's
+    smooth part K = (ln a - ln 2) Pi + Q and the log-kernel sum of
+    `_log_sum_rect`; L and R are the test and trial families' coupling to
+    T_p.  Only the data differ:
 
-    M = np.zeros((Ntest, Ntr), dtype=complex)
-    n = np.arange(min(Ntest, Ntr))
-    M[n, n] = -a * np.pi * (n + 1) / 4.0
-    M += a ** 3 * ((np.log(a) - np.log(2.0)) * D + Slog + DQ)
-    M -= (eta / 2.0) * a * a * ck.mass2_matrix(Ntest, Ntr)
-    return M, ker
+    antisymmetric: test sqrt(w)U_m, trial sqrt(a^2-x^2)U_n(x/a); L = R = W,
+                   c = a^3, static = diag(-a pi (n+1)/4) - (eta/2) a^2 mass2;
+    symmetric:     test T_m/sqrt(w), trial T_n(x/a); L = V (the diagonal
+                   T orthogonality), R = C3^T, c = -eta a^2, static = -(a/2) V.
 
-
-def _rhs_antisym(cfg: ProblemConfig, N: int) -> np.ndarray:
-    ks = cfg.k_star
-    m = np.arange(N)
-    amp = 1j * cfg.k0 * np.sin(cfg.theta_in) * cfg.a * np.pi
-    jr = np.array([ck.bessel_ratio(int(mm), ks * cfg.a)[()] for mm in m])
-    return amp * (-1j) ** m * (m + 1) * jr
-
-
-def _edge_tail_vectors_u(N: int, Ntr: int):
-    """Trailing U-expansion parts of the edge-log functions (antisym trial side).
-
-    The T coefficients beta of (1-s)ln(1-s) convert to U coefficients via
-    u_0 = beta_0 - beta_2/2, u_n = (beta_n - beta_{n+2})/2.  Returns the
-    unit-normalized tail vectors and their normalization factors.
+    Returns the Ntest x Ntr matrix, the trial family's coefficients of the
+    edge function (1 - s) ln(1 - s), and the kernel expansion.
     """
-    beta = ck.edge_log_t_coeffs(Ntr + 3)
-    u = np.empty(Ntr)
-    u[0] = beta[0] - beta[2] / 2
-    u[1:] = 0.5 * (beta[1:Ntr] - beta[3:Ntr + 2])
-    um = u * (-1.0) ** np.arange(Ntr)
-    up_t = u.copy()
-    um_t = um.copy()
-    up_t[:N] = 0.0
-    um_t[:N] = 0.0
-    np_, nm_ = np.linalg.norm(up_t), np.linalg.norm(um_t)
-    return up_t / np_, um_t / nm_, np_, nm_
-
-
-def _assemble_sym_operator(cfg: ProblemConfig, Ntest: int, Ntr: int):
-    """O[m,n] = int int [T_m(s)/sqrt(w)] G(a|s-t|) T_n(t) a^2 ds dt."""
-    k0, a = cfg.k0, cfg.a
+    k0, a, eta = cfg.k0, cfg.a, cfg.eta
+    antisym = parity is Parity.ANTISYMMETRIC
     Np = max(kernel_order(k0, a), Ntest + 4)
-    ker = kernel_expansion(k0, a, False, Np)
+    ker = kernel_expansion(k0, a, antisym, Np)
     rmax = min(Ntest, Ntr) + Np + 2
     big = Np + rmax + 3
-    vdiag = (np.pi / 2) * np.ones(Ntest)
-    vdiag[0] = np.pi
-
-    Vb = np.zeros((Ntest, big))
-    Vb[np.arange(Ntest), np.arange(Ntest)] = vdiag
-    C3R = ck.c3_matrix(big, Ntr).T                 # (Ntr, big)
-
+    n = np.arange(Ntest)
+    static = np.zeros((Ntest, Ntr), dtype=complex)
+    beta = ck.edge_log_t_coeffs(Ntr + 3)
+    if antisym:
+        L, R, c = ck.w_matrix(Ntest, big), ck.w_matrix(Ntr, big), a ** 3
+        static[n, n] = -a * np.pi * (n + 1) / 4.0
+        static -= (eta / 2.0) * a * a * ck.mass2_matrix(Ntest, Ntr)
+        # U coefficients, from T_n = (U_n - U_{n-2})/2
+        edge = np.concatenate([[beta[0] - beta[2] / 2], 0.5 * (beta[1:Ntr] - beta[3:Ntr + 2])])
+    else:
+        L, R, c = np.zeros((Ntest, big)), ck.c3_matrix(big, Ntr).T, -eta * a * a
+        L[n, n] = np.where(n == 0, np.pi, np.pi / 2)
+        static[n, n] = -0.5 * a * L[n, n]
+        edge = beta[:Ntr]
     K = (np.log(a) - np.log(2.0)) * ker.pi_hat + ker.q_hat
-    D = vdiag[:, None] * (_pad_rows(K, Ntest) @ C3R[:, :Np].T)
-    Slog = _log_sum_rect(Vb, C3R, ker.pi_hat, rmax)
-    return a * a * (D + Slog), ker
+    O = static + c * (L[:, :Np] @ K @ R[:, :Np].T + _log_sum_rect(L, R, ker.pi_hat, rmax))
+    return O, edge, ker
 
 
-def _pad_rows(M: np.ndarray, nrows: int) -> np.ndarray:
-    if M.shape[0] >= nrows:
-        return M[:nrows, :]
-    out = np.zeros((nrows, M.shape[1]), dtype=M.dtype)
-    out[:M.shape[0], :] = M
-    return out
+def _edge_tails(edge: np.ndarray, N: int):
+    """Unit-normalized trailing parts (orders >= N) of the edge-log functions
+    (1 -+ s) ln(1 -+ s), from the trial family's coefficients `edge` of
+    (1 - s) ln(1 - s) (the mirror function's are (-1)^n times them), and
+    their normalization factors."""
+    plus = edge.copy()
+    minus = edge * (-1.0) ** np.arange(len(edge))
+    plus[:N] = 0.0
+    minus[:N] = 0.0
+    norm_p, norm_m = np.linalg.norm(plus), np.linalg.norm(minus)
+    return plus / norm_p, minus / norm_m, norm_p, norm_m
 
 
-def _rhs_sym(cfg: ProblemConfig, Ntest: int) -> np.ndarray:
-    ks = cfg.k_star
-    m = np.arange(Ntest)
-    return cfg.eta * cfg.a * np.pi * (-1j) ** m * jv(m, ks * cfg.a)
+def _rhs(cfg: ProblemConfig, parity: Parity, theta_in, Ntest: int) -> np.ndarray:
+    """Right-hand sides of one parity for every incidence: column j projects
+    the plane-wave data at theta_in[j] on the Ntest test functions.
 
+    The data are i k0 sin(theta_in) e^{-i k_* x} (antisymmetric, against
+    sqrt(w)U_m) and eta e^{-i k_* x} (symmetric, against T_m/sqrt(w)), so
+    both are the transforms listed in chebkit, at z = -k_* a.
+    """
+    theta_in = np.asarray(theta_in, dtype=float)
+    z = -complex(cfg.k0) * np.cos(theta_in) * cfg.a
+    if parity is Parity.ANTISYMMETRIC:
+        return (1j * cfg.k0 * np.sin(theta_in) * cfg.a) * ck.u_transform_matrix(Ntest, z).T
+    m = np.arange(Ntest)[:, None]
+    return cfg.eta * cfg.a * np.pi * ck.i_pow(m) * jv(m, z)
 
-def _edge_tail_vectors(N: int, Ntr: int):
-    """Unit-normalized trailing parts (orders >= N) of the edge-log expansions,
-    and their normalization factors."""
-    bp = ck.edge_log_t_coeffs(Ntr)
-    bm = bp * (-1.0) ** np.arange(Ntr)
-    bp_t = bp.copy()
-    bm_t = bm.copy()
-    bp_t[:N] = 0.0
-    bm_t[:N] = 0.0
-    np_, nm_ = np.linalg.norm(bp_t), np.linalg.norm(bm_t)
-    return bp_t / np_, bm_t / nm_, np_, nm_
-
-
-# ---------------------------------------------------------------------------
-# solvers
-# ---------------------------------------------------------------------------
-def _augmented_antisym(cfg: ProblemConfig, N: int, Ntest: int, Ntr: int):
-    """Augmented matrix: the first N trial columns plus the two edge-log tails."""
-    O, ker = _assemble_antisym_operator(cfg, Ntest, Ntr)
-    tails = _edge_tail_vectors_u(N, Ntr)
-    A = np.zeros((Ntest, N + 2), dtype=complex)
-    A[:, :N] = O[:, :N]
-    A[:, N] = O @ tails[0]
-    A[:, N + 1] = O @ tails[1]
-    return A, tails, ker.tail_mass()
-
-
-def _augmented_sym(cfg: ProblemConfig, N: int, Ntest: int, Ntr: int):
-    """Augmented matrix of -sigma/2 - eta S sigma with the two edge-log tails."""
-    O, ker = _assemble_sym_operator(cfg, Ntest, Ntr)
-    tails = _edge_tail_vectors(N, Ntr)
-    vdiag = (np.pi / 2) * np.ones(Ntest)
-    vdiag[0] = np.pi
-    A = np.zeros((Ntest, N + 2), dtype=complex)
-    mm = np.arange(min(N, Ntest))
-    A[mm, mm] = -0.5 * cfg.a * vdiag[mm]
-    A[:, :N] += -cfg.eta * O[:, :N]
-    for col, vec in ((N, tails[0]), (N + 1, tails[1])):
-        mass_col = -0.5 * cfg.a * vdiag * vec[:Ntest]
-        A[:, col] = mass_col - cfg.eta * (O @ vec)
-    return A, tails, ker.tail_mass()
-
-
-# the parts of a solve that differ by parity
-_AUGMENTED = {Parity.ANTISYMMETRIC: _augmented_antisym, Parity.SYMMETRIC: _augmented_sym}
-_RHS = {Parity.ANTISYMMETRIC: _rhs_antisym, Parity.SYMMETRIC: _rhs_sym}
 
 # (k0, a, eta, parity, N) -> (augmented matrix, condition estimate, edge-tail
 # vectors with their norms, kernel tail mass).  The operator does not depend
@@ -277,13 +216,15 @@ def _operator(cfg: ProblemConfig, parity: Parity, N: int):
     key = (complex(cfg.k0), float(cfg.a), complex(cfg.eta), parity, N)
     entry = _OPERATOR_CACHE.get(key)
     if entry is None:
-        A, tails, ker_tail = _AUGMENTED[parity](cfg, N, N + 2, max(192, N + 96))
+        O, edge, ker = _galerkin(cfg, parity, N + 2, max(192, N + 96))
+        tails = _edge_tails(edge, N)
+        A = np.column_stack([O[:, :N], O @ tails[0], O @ tails[1]])
         cond = float(np.linalg.cond(A))
         if not np.isfinite(cond) or cond > 1e13:
             raise SingularSystemError(f"{parity.value} system condition {cond:.2e}")
         if len(_OPERATOR_CACHE) > 32:
             _OPERATOR_CACHE.clear()
-        entry = _OPERATOR_CACHE[key] = (A, cond, tails, ker_tail)
+        entry = _OPERATOR_CACHE[key] = (A, cond, tails, ker.tail_mass())
     return entry
 
 
@@ -299,14 +240,9 @@ def solve_block(cfg: ProblemConfig, parity: Parity, theta_in, N: int):
     """
     if N < 4:
         raise ValueError("N must be >= 4")
-    m = len(theta_in)
-    if parity is Parity.SYMMETRIC and cfg.eta == 0:
-        # the equation degenerates to -sigma/2 = 0
-        return np.zeros((N, m), dtype=complex), np.zeros((2, m), dtype=complex), 1.0, 0.0
     A, cond, (vp, vm, norm_p, norm_m), ker_tail = _operator(cfg, parity, N)
-    B = np.column_stack([_RHS[parity](replace(cfg, theta_in=t), N + 2) for t in theta_in])
-    sol = np.linalg.solve(A, B)
-    coeffs = np.zeros((len(vp), m), dtype=complex)
+    sol = np.linalg.solve(A, _rhs(cfg, parity, theta_in, N + 2))
+    coeffs = np.zeros((len(vp), sol.shape[1]), dtype=complex)
     coeffs[:N] = sol[:N]
     coeffs += sol[N] * vp[:, None] + sol[N + 1] * vm[:, None]
     # the tail amplitudes in the raw edge-log scale.  Real and imaginary parts
@@ -350,8 +286,7 @@ def solve_antisymmetric(cfg: ProblemConfig, N: int, *, tail_tol: float = DEFAULT
 def solve_symmetric(cfg: ProblemConfig, N: int, *, tail_tol: float = DEFAULT_TAIL_TOL):
     """Solve the second-kind symmetric problem; return (Density, SolveDiagnostics).
 
-    eta = 0 short-circuits to the exact zero density (the equation
-    degenerates to -sigma/2 = 0).
+    At eta = 0 the right-hand side vanishes and so does the density.
     """
     return _solve(cfg, Parity.SYMMETRIC, N, tail_tol)
 

@@ -78,6 +78,25 @@ class TestSymmetricSolve:
         assert np.all(d.coeffs == 0)
         assert boundary_residual(d, cfg) == 0
 
+    def test_eta_zero_check_rejects_nonzero_rhs(self, monkeypatch):
+        # negative control: with data that do not vanish at eta = 0 the
+        # check reads a nonzero symmetric directivity and fails
+        from dataclasses import replace
+        from stripscat import bie, verify
+        rc = verify.RunConfig(K0, A, ETA, 60.0, N=16)
+        ctx = verify._Ctx(rc)
+        assert verify.check_eta_zero_sym(ctx).passed
+        rhs = bie._rhs
+
+        def nonzero(cfg, parity, theta_in, n):
+            B = rhs(cfg, parity, theta_in, n)
+            if parity is Parity.SYMMETRIC:
+                B = B + rhs(replace(cfg, eta=ETA), parity, theta_in, n)
+            return B
+
+        monkeypatch.setattr(bie, "_rhs", nonzero)
+        assert not verify.check_eta_zero_sym(ctx).passed
+
     def test_normal_incidence_even_density(self):
         cfg = ProblemConfig(K0, A, ETA, np.pi / 2)
         d, _ = solve_symmetric(cfg, 48)
@@ -197,17 +216,15 @@ class TestOperatorReuse:
     @pytest.mark.parametrize("parity", [Parity.ANTISYMMETRIC, Parity.SYMMETRIC])
     def test_one_assembly_per_medium(self, monkeypatch, parity):
         from stripscat import bie
-        name = ("_assemble_antisym_operator" if parity is Parity.ANTISYMMETRIC
-                else "_assemble_sym_operator")
         solve = solve_antisymmetric if parity is Parity.ANTISYMMETRIC else solve_symmetric
-        assemble = getattr(bie, name)
+        assemble = bie._galerkin
         calls = []
 
         def counted(*args):
             calls.append(args)
             return assemble(*args)
 
-        monkeypatch.setattr(bie, name, counted)
+        monkeypatch.setattr(bie, "_galerkin", counted)
         bie._OPERATOR_CACHE.clear()
         cfgs = [ProblemConfig(K0, A, ETA, t) for t in self.INCIDENCES]
         reused = [solve(c, 24) for c in cfgs]
@@ -236,15 +253,15 @@ class TestOperatorReuse:
     def test_singular_medium_is_not_cached(self, monkeypatch):
         from stripscat import bie
         from stripscat.bie import SingularSystemError
-        assemble = bie._assemble_antisym_operator
+        assemble = bie._galerkin
         calls = []
 
         def degenerate(*args):
             calls.append(args)
-            O, ker = assemble(*args)
-            return np.zeros_like(O), ker
+            O, edge, ker = assemble(*args)
+            return np.zeros_like(O), edge, ker
 
-        monkeypatch.setattr(bie, "_assemble_antisym_operator", degenerate)
+        monkeypatch.setattr(bie, "_galerkin", degenerate)
         bie._OPERATOR_CACHE.clear()
         cfg = ProblemConfig(K0, A, ETA, THETA)
         for _ in range(2):
@@ -354,7 +371,7 @@ def _log_sum_loop(Lbig, Rbig, Pi, rmax):
 
 class TestLogSumRect:
     """The one-product log sum equals the per-order loop on the arguments
-    the two assemblers pass it."""
+    the Galerkin builder passes it for either parity."""
 
     @pytest.mark.parametrize("N", [4, 5, 64, 300])
     @pytest.mark.parametrize("k0a", [0.01, 2.0, 16.0, 30.0])
@@ -369,9 +386,8 @@ class TestLogSumRect:
             return calls[-1][1]
 
         monkeypatch.setattr(bie, "_log_sum_rect", recorded)
-        assemble = (bie._assemble_antisym_operator if parity is Parity.ANTISYMMETRIC
-                    else bie._assemble_sym_operator)
-        assemble(ProblemConfig(k0a * np.exp(0.025j), A, ETA, THETA), N + 2, max(192, N + 96))
+        bie._galerkin(ProblemConfig(k0a * np.exp(0.025j), A, ETA, THETA), parity,
+                      N + 2, max(192, N + 96))
         (Lbig, Rbig, Pi, rmax), got = calls[0]
         assert rmax > Pi.shape[0]                    # the |p - r| fold wraps
         rows, cols = slice(None), slice(None)
@@ -382,6 +398,104 @@ class TestLogSumRect:
             cols = np.r_[0:Rbig.shape[0]:7, Rbig.shape[0] - 1]
         ref = _log_sum_loop(Lbig[rows], Rbig[cols], Pi, rmax)
         assert np.max(np.abs(got[rows][:, cols] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _galerkin_antisym_ref(cfg, Ntest, Ntr):
+    """Reference: the antisymmetric operator as its own assembler built it
+    (before `bie._galerkin` served both parities)."""
+    from stripscat import bie
+    from stripscat import chebkit as ck
+    from stripscat.kernels import kernel_expansion, kernel_order
+    k0, a, eta = cfg.k0, cfg.a, cfg.eta
+    Np = max(kernel_order(k0, a), Ntest + 4)
+    ker = kernel_expansion(k0, a, True, Np)
+    rmax = min(Ntest, Ntr) + Np + 2
+    big = Np + rmax + 3
+    WL = ck.w_matrix(Ntest, big)
+    WR = ck.w_matrix(Ntr, big)
+    D = WL[:, :Np] @ ker.pi_hat @ WR[:, :Np].T
+    DQ = WL[:, :Np] @ ker.q_hat @ WR[:, :Np].T
+    Slog = bie._log_sum_rect(WL, WR, ker.pi_hat, rmax)
+    M = np.zeros((Ntest, Ntr), dtype=complex)
+    n = np.arange(min(Ntest, Ntr))
+    M[n, n] = -a * np.pi * (n + 1) / 4.0
+    M += a ** 3 * ((np.log(a) - np.log(2.0)) * D + Slog + DQ)
+    M -= (eta / 2.0) * a * a * ck.mass2_matrix(Ntest, Ntr)
+    return M
+
+
+def _galerkin_sym_ref(cfg, Ntest, Ntr):
+    """Reference: the symmetric operator -sigma/2 - eta S sigma as its own
+    assembler built S and its augmenter added the rest."""
+    from stripscat import bie
+    from stripscat import chebkit as ck
+    from stripscat.kernels import kernel_expansion, kernel_order
+    k0, a = cfg.k0, cfg.a
+    Np = max(kernel_order(k0, a), Ntest + 4)
+    ker = kernel_expansion(k0, a, False, Np)
+    rmax = min(Ntest, Ntr) + Np + 2
+    big = Np + rmax + 3
+    vdiag = (np.pi / 2) * np.ones(Ntest)
+    vdiag[0] = np.pi
+    Vb = np.zeros((Ntest, big))
+    Vb[np.arange(Ntest), np.arange(Ntest)] = vdiag
+    C3R = ck.c3_matrix(big, Ntr).T
+    K = (np.log(a) - np.log(2.0)) * ker.pi_hat + ker.q_hat
+    D = vdiag[:, None] * (K[:Ntest] @ C3R[:, :Np].T)
+    S = a * a * (D + bie._log_sum_rect(Vb, C3R, ker.pi_hat, rmax))
+    M = -cfg.eta * S
+    M[np.arange(Ntest), np.arange(Ntest)] += -0.5 * a * vdiag
+    return M
+
+
+def _edge_log_ref(parity, Ntr):
+    """Reference: the trial family's coefficients of (1 - s) ln(1 - s), from
+    an edge_log_t_coeffs table of the length each parity's helper read."""
+    from stripscat import chebkit as ck
+    if parity is Parity.SYMMETRIC:
+        return ck.edge_log_t_coeffs(Ntr)
+    beta = ck.edge_log_t_coeffs(Ntr + 3)
+    u = np.empty(Ntr)
+    u[0] = beta[0] - beta[2] / 2
+    u[1:] = 0.5 * (beta[1:Ntr] - beta[3:Ntr + 2])
+    return u
+
+
+def _rhs_ref(cfg, parity, Ntest):
+    """Reference: one incidence's right-hand side, per order."""
+    from scipy.special import jv
+    from stripscat import chebkit as ck
+    ks = cfg.k_star
+    m = np.arange(Ntest)
+    if parity is Parity.ANTISYMMETRIC:
+        amp = 1j * cfg.k0 * np.sin(cfg.theta_in) * cfg.a * np.pi
+        jr = np.array([ck.bessel_ratio(int(mm), ks * cfg.a)[()] for mm in m])
+        return amp * (-1j) ** m * (m + 1) * jr
+    return cfg.eta * cfg.a * np.pi * (-1j) ** m * jv(m, ks * cfg.a)
+
+
+class TestGalerkin:
+    """One builder for both parities equals the two per-parity formulas."""
+
+    @pytest.mark.parametrize("N", [4, 5, 64, 300])
+    @pytest.mark.parametrize("k0a", [0.01, 2.0, 16.0, 30.0])
+    @pytest.mark.parametrize("parity", list(Parity))
+    def test_operator_and_rhs_match_per_parity_formulas(self, N, k0a, parity):
+        from dataclasses import replace
+        from stripscat import bie
+        cfg = ProblemConfig(k0a * np.exp(0.025j), A, ETA, THETA)
+        Ntest, Ntr = N + 2, max(192, N + 96)
+        O, edge, _ = bie._galerkin(cfg, parity, Ntest, Ntr)
+        ref = (_galerkin_antisym_ref if parity is Parity.ANTISYMMETRIC
+               else _galerkin_sym_ref)(cfg, Ntest, Ntr)
+        assert np.max(np.abs(O - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.array_equal(edge, _edge_log_ref(parity, Ntr))
+
+        incidences = (0.3, THETA, np.pi / 2)
+        B = bie._rhs(cfg, parity, incidences, Ntest)
+        for j, t in enumerate(incidences):
+            ref = _rhs_ref(replace(cfg, theta_in=t), parity, Ntest)
+            assert np.max(np.abs(B[:, j] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def _off_strip_quad(dens, cfg, x):

@@ -52,6 +52,42 @@ def test_u_transform_zero_limit():
     assert abs(F[0, 2]) == 0
 
 
+def _bessel_ratio_scalar(n, z):
+    """Reference: the one-order form J_{n+1}(z)/z that `bessel_ratio` broadcasts."""
+    from scipy.special import jv
+    z = np.asarray(z, dtype=complex)
+    small = np.abs(z) < 1e-8
+    zsafe = np.where(small, 1.0, z)
+    out = jv(n + 1, zsafe) / zsafe
+    return np.where(small, 0.5 if n == 0 else 0.0, out)
+
+
+def test_bessel_ratio_broadcasts_orders():
+    # one broadcast jv call: bitwise the per-order loop, the z -> 0 limit included
+    z = np.array([0.0, 1e-9, 0.3, 2 + 0.05j, -16.0 + 0.4j, 40 - 0.2j])
+    n = np.arange(200)
+    ref = np.stack([_bessel_ratio_scalar(k, z) for k in n], axis=1)
+    assert np.array_equal(ck.bessel_ratio(n, z[:, None]), ref)
+
+
+def test_transform_phases_exact(monkeypatch):
+    # with a real J_m(z) (jv of a complex argument is off by ~1e-14 in its
+    # imaginary part at real z) both transforms are i^n times a real number,
+    # exactly; 1j ** n and NumPy's complex power drift from i^n by 1e-15..1e-13
+    from scipy.special import jv
+    monkeypatch.setattr(ck, "jv", lambda v, z: jv(v, np.real(z)) + 0j)
+    n = np.arange(1101)
+    phase = np.array([1, 1j, -1, -1j])[n % 4]
+    z = np.array([1150.0])
+    F = ck.u_transform_matrix(len(n), z)[0]
+    E = ck.plain_t_transform_matrix(len(n), z)[0]
+    for G in (F, E):
+        assert np.all(G != 0)
+        assert np.array_equal((G * phase.conj()).imag, np.zeros(len(n)))
+    mag = np.pi * (n + 1) * jv(n + 1, z[0]) / z[0]
+    assert np.allclose((F * phase.conj()).real, mag, rtol=1e-12, atol=0)
+
+
 def test_t_weighted_transform():
     from scipy.special import jv
     for (n, z), ref in T_TRANSFORM_REF.items():
@@ -101,6 +137,19 @@ def test_w_matrix_against_quadrature():
         for p in range(8):
             tp = ck.eval_t_series(np.eye(8)[p], s)
             assert W[m, p] == pytest.approx(np.sum(w * um * tp).real, abs=1e-12)
+
+
+def test_mass2_matches_double_loop():
+    # the vectorised table is bitwise the per-entry double loop, at the
+    # operator's N = 64 shape
+    def c(p):
+        return 0.0 if p % 2 == 1 else 2.0 / (1 - p * p)
+
+    ref = np.zeros((66, 192))
+    for m in range(66):
+        for q in range(192):
+            ref[m, q] = 0.5 * (c(abs(m - q)) - c(m + q + 2))
+    assert np.array_equal(ck.mass2_matrix(66, 192), ref)
 
 
 def test_mass2_and_c3():

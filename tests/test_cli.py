@@ -147,13 +147,13 @@ class TestResidualOnlyInSolve:
 class TestVerify:
     def test_singular_medium_exit_3(self, tmp_path, monkeypatch, cfg_file, capsys):
         from stripscat import bie, cli
-        assemble = bie._assemble_antisym_operator
+        assemble = bie._galerkin
 
         def degenerate(*args):
-            O, ker = assemble(*args)
-            return np.zeros_like(O), ker
+            O, edge, ker = assemble(*args)
+            return np.zeros_like(O), edge, ker
 
-        monkeypatch.setattr(bie, "_assemble_antisym_operator", degenerate)
+        monkeypatch.setattr(bie, "_galerkin", degenerate)
         bie._OPERATOR_CACHE.clear()
         assert cli.main(["verify", "--config", str(cfg_file)]) == 3
         err = capsys.readouterr().err

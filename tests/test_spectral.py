@@ -281,9 +281,13 @@ class TestPhysics:
         # negative control: a symmetric right-hand side with a wrong phase per
         # Chebyshev order gives a map that is no longer reciprocal
         from stripscat import bie
-        rhs = bie._RHS[Parity.SYMMETRIC]
-        monkeypatch.setitem(bie._RHS, Parity.SYMMETRIC,
-                            lambda cfg, n: rhs(cfg, n) * 1j ** np.arange(n))
+        rhs = bie._rhs
+
+        def broken(cfg, parity, theta_in, n):
+            B = rhs(cfg, parity, theta_in, n)
+            return B * (1j ** np.arange(n))[:, None] if parity is Parity.SYMMETRIC else B
+
+        monkeypatch.setattr(bie, "_rhs", broken)
         th = np.linspace(0.02, np.pi - 0.02, 73)[:37]
         assert reciprocity_check(ref_cfg, th, N=64) > 1e-3
 
