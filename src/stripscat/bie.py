@@ -468,7 +468,7 @@ def density_quadrature(dens: Density, k0: complex):
     if dens.parity is Parity.ANTISYMMETRIC:
         s, w = ck.gauss_cheb2(n)
         return dens.a * s, dens.a ** 2 * w * dens.poly(s)
-    s, w = np.polynomial.legendre.leggauss(n)
+    s, w = ck.gauss_legendre(n)
     return dens.a * s, dens.a * w * dens.poly(s)
 
 
@@ -521,48 +521,47 @@ def _graf_order_count(d: np.ndarray, k0: complex, r: float) -> int | None:
     return n if n + 2 <= avail else None
 
 
-def _graf_eval(dens: Density, cfg: ProblemConfig, xs: np.ndarray, antisym: bool) -> np.ndarray:
-    """Boundary data at |x| >= 1.5a from the multipole series of `_graf_coeffs`.
+def _graf_eval(dens: Density, cfg: ProblemConfig, r: np.ndarray, antisym: bool) -> np.ndarray:
+    """Boundary data at x = +-r, from the multipole series of `_graf_coeffs`.
 
-    The series is summed from the smallest target radius at which
-    `_graf_order_count` finds an order count on (a bisection over the sorted
-    radii; the terms decay faster as |x| grows).  Targets nearer than that
-    go to `_direct_eval`.  H_m comes from H_0, H_1 and the forward
-    recurrence, which is stable for the Hankel function; for x < -a the
-    moments change by (-1)^m.
+    r holds sorted distinct radii >= 1.5a; row 0 of the result is the data
+    at x = r, row 1 at x = -r.  The series is summed from the smallest radius
+    at which `_graf_order_count` finds an order count on (a bisection over
+    r; the terms decay faster as r grows).  Nearer radii go to
+    `_direct_eval`.  H_m comes from H_0, H_1 and the forward recurrence,
+    which is stable for the Hankel function.  x = -r changes the moments by
+    (-1)^m, so the even and odd orders are summed apart and the two sides
+    are their sum and difference.
     """
     d = _graf_coeffs(dens, cfg, antisym)
-    r = np.abs(xs)
-    rs = np.sort(r)
-    n = _graf_order_count(d, cfg.k0, rs[0])
-    hi = 0                                  # the series serves the radii from rs[hi] on
+    n = _graf_order_count(d, cfg.k0, r[0])
+    hi = 0                                  # the series serves the radii from r[hi] on
     if n is None:
-        lo, hi = 0, len(rs)                 # no count at rs[lo], a count at rs[hi]
+        lo, hi = 0, len(r)                  # no count at r[lo], a count at r[hi]
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if _graf_order_count(d, cfg.k0, rs[mid]) is None:
+            if _graf_order_count(d, cfg.k0, r[mid]) is None:
                 lo = mid
             else:
                 hi = mid
-        if hi < len(rs):
-            n = _graf_order_count(d, cfg.k0, rs[hi])
-    ok = r >= (rs[hi] if hi < len(rs) else np.inf)
-    out = np.empty(len(xs), dtype=complex)
-    if not ok.all():
-        out[~ok] = _direct_eval(dens, cfg, xs[~ok], antisym)
-    if not ok.any():
+        if hi < len(r):
+            n = _graf_order_count(d, cfg.k0, r[hi])
+    out = np.empty((2, len(r)), dtype=complex)
+    if hi:
+        xd = np.concatenate([r[:hi], -r[:hi]])
+        out[:, :hi] = _direct_eval(dens, cfg, xd, antisym).reshape(2, hi)
+    if hi == len(r):
         return out
 
-    z = cfg.k0 * r[ok]
+    z = cfg.k0 * r[hi:]
+    two_z = 2 / z
     h_prev, h = hankel1(0, z), hankel1(1, z)
-    sign = np.sign(xs[ok])
-    par = sign.copy()
-    acc = d[0] * h_prev
+    acc = [d[0] * h_prev, np.zeros_like(z)]            # even and odd orders
     for m in range(1, n):
-        acc += d[m] * par * h
-        h_prev, h = h, (2 * m / z) * h - h_prev
-        par *= sign
-    out[ok] = acc
+        acc[m % 2] += d[m] * h
+        h_prev, h = h, (m * two_z) * h - h_prev
+    out[0, hi:] = acc[0] + acc[1]
+    out[1, hi:] = acc[0] - acc[1]
     return out
 
 
@@ -585,42 +584,41 @@ def _direct_eval(dens: Density, cfg: ProblemConfig, xs: np.ndarray, antisym: boo
 
 def _off_strip_eval(dens: Density, cfg: ProblemConfig, x, antisym: bool):
     """Bulk off-strip evaluation: edge-graded quadrature near the edges,
-    the Graf multipole series for targets farther than half a strip-length."""
+    the Graf multipole series for targets farther than half a strip-length.
+
+    The targets x and -x share the kernel values at |x|, so the work is done
+    once per distinct radius; the two sides differ only in the density's
+    parity, P(tau) against P(-tau).
+    """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(np.abs(xs) <= cfg.a):
         raise ValueError("off-strip evaluation requires |x| > a")
     a, k0 = cfg.a, cfg.k0
-    out = np.empty(xs.shape, dtype=complex)
-    dist = np.abs(xs) / a - 1.0
-    far = dist > 0.5
+    r, inv = np.unique(np.abs(xs), return_inverse=True)
+    g = np.empty((2, len(r)), dtype=complex)    # the data at x = r and at x = -r
+    far = r / a - 1.0 > 0.5
     if np.any(far):
-        out[far] = _graf_eval(dens, cfg, xs[far], antisym)
+        g[:, far] = _graf_eval(dens, cfg, r[far], antisym)
 
-    near_idx = np.nonzero(~far)[0]
-    if len(near_idx):
-        # batch the per-target graded rules into one kernel evaluation
-        th_all, w_all, segs, signs = [], [], [0], []
-        for i in near_idx:
-            s0 = xs[i] / a
-            th, w = ck.theta_graded(abs(s0) - 1.0)
-            th_all.append(th)
-            w_all.append(w)
-            signs.append(1.0 if s0 > 0 else -1.0)
-            segs.append(segs[-1] + len(th))
-        th_all = np.concatenate(th_all)
-        w_all = np.concatenate(w_all)
+    near = np.nonzero(~far)[0]
+    if len(near):
+        # batch the per-radius graded rules into one kernel evaluation
+        rules = [ck.theta_graded(r[i] / a - 1.0) for i in near]
+        segs = np.cumsum([0] + [len(th) for th, _ in rules])
+        th_all = np.concatenate([th for th, _ in rules])
+        w_all = np.concatenate([w for _, w in rules])
         tau = np.cos(th_all)
-        tau *= np.repeat(signs, np.diff(segs))
-        r = np.abs(np.repeat(xs[near_idx], np.diff(segs)) - a * tau)
-        P = dens.poly(tau)
+        rn = np.repeat(r[near], np.diff(segs)) - a * tau
         if antisym:
-            vals = w_all * np.sin(th_all) ** 2 * P * hyper_kernel(k0, r)
-            scale = a * a
+            w_all = w_all * np.sin(th_all) ** 2
+            kern, scale = hyper_kernel(k0, rn), a * a
         else:
-            vals = w_all * np.sin(th_all) * P * single_kernel(k0, r)
-            scale = a
-        out[near_idx] = scale * np.add.reduceat(vals, segs[:-1])
-    return out
+            w_all = w_all * np.sin(th_all)
+            kern, scale = single_kernel(k0, rn), a
+        for row, sign in enumerate((1.0, -1.0)):
+            vals = w_all * dens.poly(sign * tau) * kern
+            g[row, near] = scale * np.add.reduceat(vals, segs[:-1])
+    return g[(xs < 0).astype(int), inv]
 
 
 def off_strip_normal_derivative(dens: Density, cfg: ProblemConfig, x):

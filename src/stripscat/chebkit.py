@@ -15,6 +15,8 @@ of the layer operators so that only entire kernels are ever quadratured.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.fft import dct
 from scipy.special import jv
@@ -297,12 +299,21 @@ def theta_graded(dist: float, nper: int = 20, ratio: float = 2.0):
     return panels(edges, nper)
 
 
+@lru_cache(maxsize=None)
+def gauss_legendre(n: int):
+    """The n-point Gauss-Legendre rule on [-1, 1]: (nodes, weights), computed
+    once per n and returned read-only.  The package's one source of the rule."""
+    xg, wg = np.polynomial.legendre.leggauss(n)
+    xg.flags.writeable = wg.flags.writeable = False
+    return xg, wg
+
+
 def panels(breaks, n: int):
     """Gauss-Legendre rule with n nodes on each panel [breaks[i], breaks[i+1]].
 
     Returns (nodes, weights), panel after panel.
     """
-    xg, wg = np.polynomial.legendre.leggauss(n)
+    xg, wg = gauss_legendre(n)
     b = np.asarray(breaks, dtype=float)
     lo, hi = b[:-1, None], b[1:, None]
     return (lo + (xg + 1) / 2 * (hi - lo)).ravel(), (wg * (hi - lo) / 2).ravel()

@@ -147,7 +147,7 @@ class SpectralBundle:
         X = a + np.log(1.0 / self.tail_tol) / rate_lo
         hmax = np.pi / (abs(k0.real) + re_key + 1.0)
         h0 = min(hmax, max(3.0 / (1.0 + min(rate_hi, 1e3)), 1e-3))
-        xg, wg = np.polynomial.legendre.leggauss(16)
+        xg, wg = ck.gauss_legendre(16)
 
         # first panel [a, a+h0] via x = a + u^2 (integrable 1/sqrt edge data),
         # then panels growing geometrically up to hmax
@@ -160,9 +160,9 @@ class SpectralBundle:
         xp, wp = ck.panels(breaks, 16)
         xs = np.concatenate([a + uq ** 2, xp])
         ws = np.concatenate([np.sqrt(h0) / 2 * wg * 2 * uq, wp])
-        gp = self._boundary_data(xs)
-        gm = self._boundary_data(-xs)
-        bank = (xs, ws * gp, ws * gm)
+        # both sides in one off-strip pass: the mirror nodes share |x|
+        g = self._boundary_data(np.concatenate([xs, -xs]))
+        bank = (xs, ws * g[:len(xs)], ws * g[len(xs):])
         self._banks[key] = bank
         return bank
 
@@ -455,7 +455,7 @@ def cauchy_analyticity_test(f, rect, n_per_side: int = 32, refine_near=None) -> 
     """|contour integral| / (perimeter * max |f|) over the rectangle boundary."""
     re0, re1, im0, im1 = rect
     loop = contour_integral_rect(f, rect, n_per_side, refine_near=refine_near)
-    xg, _ = np.polynomial.legendre.leggauss(n_per_side)
+    xg, _ = ck.gauss_legendre(n_per_side)
     samples = []
     corners = [re0 + 1j * im0, re1 + 1j * im0, re1 + 1j * im1, re0 + 1j * im1]
     for z0, z1 in zip(corners, corners[1:] + corners[:1]):

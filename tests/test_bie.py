@@ -1,7 +1,11 @@
 """Solver tests: convergence, boundary conditions, traces, field consistency."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stripscat.bie import (
     boundary_residual,
@@ -566,3 +570,59 @@ class TestGrafEvaluator:
             finally:
                 tracemalloc.stop()
             assert peak < 32 * 2 ** 20
+
+
+class TestTwoSidedEvaluation:
+    """One off-strip call serves x and -x from the kernel values at |x|; its
+    values must be those of one call per target, and the data at -x those
+    of the mirrored density at |x| (P(-s) has the coefficients (-1)^n c_n)."""
+
+    # +-x pairs, a repeated radius, near (|x| <= 1.5a) and far targets
+    X = np.array([1.1, -1.1, 1.3, -1.5, 1.5, 3.0, -3.0, 3.0, 50.0, -50.0, -1.3])
+
+    @staticmethod
+    def _check(ref_solves, xs):
+        da, ds, _, _ = ref_solves
+        cfg = ProblemConfig(K0, A, ETA, THETA)
+        for dens, evaluate in ((da, off_strip_normal_derivative), (ds, off_strip_trace)):
+            got = evaluate(dens, cfg, xs)
+            ref = np.array([evaluate(dens, cfg, x) for x in xs])
+            assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+            # the mirrored density's Graf moments round differently (its
+            # quadrature nodes are not bitwise symmetric), and the far-field
+            # series cancels to 1e-4 of its terms at 50a: a norm-wise bound
+            mirror = replace(dens, coeffs=dens.coeffs * (-1.0) ** np.arange(len(dens.coeffs)))
+            ref = np.where(xs > 0, ref, evaluate(mirror, cfg, np.abs(xs)))
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("extra_orders", [None, 3])
+    def test_array_matches_single_targets(self, ref_solves, extra_orders, monkeypatch):
+        # with 3 extra orders the far targets take the _direct_eval fallback
+        from stripscat import bie
+        if extra_orders is not None:
+            monkeypatch.setattr(bie, "_GRAF_EXTRA_ORDERS", extra_orders)
+        self._check(ref_solves, self.X * A)
+
+    @settings(max_examples=20, deadline=None)
+    @given(targets=st.lists(st.tuples(st.floats(1.001, 60.0), st.sampled_from([1, -1, 0])),
+                            min_size=1, max_size=12))
+    def test_random_mixed_sign_targets(self, ref_solves, targets):
+        # sign 0 puts both x and -x in the set
+        xs = [s * r for r, sign in targets for s in ((1, -1) if sign == 0 else (sign,))]
+        self._check(ref_solves, np.array(xs) * A)
+
+    def test_one_pass_per_bank(self, ref_bundles, monkeypatch):
+        # both sides of a bank come from one set of Graf moments and one
+        # density quadrature
+        from stripscat import bie
+        from stripscat.spectral import SpectralBundle
+        counts = {"_graf_coeffs": 0, "density_quadrature": 0}
+        for name in counts:
+            def counted(*args, _fn=getattr(bie, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(bie, name, counted)
+        for b in ref_bundles:
+            counts.update(dict.fromkeys(counts, 0))
+            SpectralBundle(b.cfg, b.density)._bank(3 * abs(K0), 0.0)
+            assert counts == {"_graf_coeffs": 1, "density_quadrature": 1}

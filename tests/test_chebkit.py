@@ -211,3 +211,15 @@ def test_panels_match_per_panel_rule():
     x, w = ck.panels(breaks, 7)
     assert np.array_equal(x, nodes) and np.array_equal(w, wts)
     assert np.sum(w) == pytest.approx(np.pi, rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [7, 16, 20, 32, 256])
+def test_gauss_legendre_is_leggauss_memoized_read_only(n):
+    xg, wg = ck.gauss_legendre(n)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    assert np.array_equal(xg, ref_x) and np.array_equal(wg, ref_w)
+    again = ck.gauss_legendre(n)
+    assert again[0] is xg and again[1] is wg
+    for arr in (xg, wg):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
