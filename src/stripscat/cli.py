@@ -20,7 +20,7 @@ import numpy as np
 from . import rhstructure as rh
 from .bie import SingularSystemError, boundary_residual
 from .edge import extract_c, extract_d
-from .spectral import Scattering, forward_amplitude
+from .spectral import Scattering, forward_amplitude, real_axis_halflines
 from .verify import RunConfig, run_suite
 
 logger = logging.getLogger(__name__)
@@ -134,8 +134,6 @@ def cmd_spectra(args) -> int:
     if kmax > 8 * abs(cfg.k0):
         logger.warning("k grid extends beyond the truncation-validated window")
     kg = np.linspace(-kmax, kmax, rc.n_k)
-    if np.any(np.abs(kg - cfg.k_star) < 1e-2 * abs(cfg.k0)):
-        logger.warning("k grid contains rows inside the pole exclusion radius")
 
     header = ["k_re", "k_im"]
     for fam in ("U", "V"):
@@ -144,16 +142,15 @@ def cmd_spectra(args) -> int:
         header += [f"res_{fam.lower()}"]
     rows = []
     data = {}
-    for fam, b in (("U", ba), ("V", bs)):
-        fp = np.atleast_1d(b.f_plus(kg))
-        fm = np.atleast_1d(b.f_minus(kg))
+    halflines = real_axis_halflines((ba, bs), kg)
+    for fam, b, (fm, fp) in zip(("U", "V"), (ba, bs), halflines):
         f0 = np.atleast_1d(b.f0(kg))
         f0t = np.atleast_1d(b.f0_tilde(kg))
         res = np.abs(fp + fm + f0) / np.max(np.maximum(np.maximum(np.abs(fp), np.abs(fm)),
                                                        np.abs(f0)))
         data[fam] = (fm, f0, fp, f0t, res)
     for i, k in enumerate(kg):
-        row = [k.real if np.iscomplexobj(kg) else float(k), 0.0]
+        row = [float(k), 0.0]
         for fam in ("U", "V"):
             fm, f0, fp, f0t, res = data[fam]
             row += [fm[i].real, fm[i].imag, f0[i].real, f0[i].imag,

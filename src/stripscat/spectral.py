@@ -59,6 +59,13 @@ def xi_prefactor(parity: Parity, eta: complex, x):
     return 1j * (eta - 1j * x) / (eta * x)
 
 
+def _phase(k: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """E[i, j] = exp(i k_i x_j), built in place: one len(k) x len(xs) complex array."""
+    E = np.outer(np.asarray(k, dtype=complex), xs)
+    E *= 1j
+    return np.exp(E, out=E)
+
+
 def strip_transform(parity: Parity, a: float, coeffs: np.ndarray, k: np.ndarray) -> np.ndarray:
     """U0~(k) (antisymmetric) or V0~(k) (symmetric) of a coefficient vector,
     or of a block with one density per column; entire in k."""
@@ -83,6 +90,7 @@ class SpectralBundle:
     density: Density
     tail_tol: float = DEFAULT_TAIL_TOL
     _banks: dict = field(default_factory=dict, repr=False)
+    _pole_warned: bool = field(default=False, repr=False)
 
     @property
     def parity(self) -> Parity:
@@ -118,7 +126,11 @@ class SpectralBundle:
     _IM_BUCKETS = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 1e9)
 
     def _bank(self, re_max: float, im_floor: float):
-        """Quadrature bank (nodes, weights*data) for int_a^X g(x) e^{ikx} dx.
+        """Quadrature bank (xs, W) for int_a^X g(+-x) e^{+-ikx} dx.
+
+        W has the columns [w g(x), conj(w g(-x))] on the nodes xs in
+        [a, X], so with E(k) = exp(i k xs): F+check(k) = E(k) W[:, 0] and
+        F-check(k) = conj(E(conj k) W[:, 1]).
 
         Banks are keyed by conservative buckets of the phase rate and decay
         rate so that grids, contour panels, and ray scans reuse them: the
@@ -162,60 +174,87 @@ class SpectralBundle:
         ws = np.concatenate([np.sqrt(h0) / 2 * wg * 2 * uq, wp])
         # both sides in one off-strip pass: the mirror nodes share |x|
         g = self._boundary_data(np.concatenate([xs, -xs]))
-        bank = (xs, ws * g[:len(xs)], ws * g[len(xs):])
-        self._banks[key] = bank
-        return bank
+        # column-major: each W[:, j] is a contiguous vector for the products
+        W = np.empty((2, len(xs)), dtype=complex).T
+        W[:, 0] = ws * g[:len(xs)]
+        W[:, 1] = np.conj(ws * g[len(xs):])
+        self._banks[key] = (xs, W)
+        return xs, W
 
     def f_check_plus(self, k):
         """Truncated transform of the off-strip data on x > a."""
         karr = np.atleast_1d(np.asarray(k, dtype=complex))
-        xs, wgp, _ = self._bank(float(np.max(np.abs(karr.real))),
-                                float(np.min(karr.imag)))
-        out = np.exp(1j * np.outer(karr, xs)) @ wgp
+        xs, W = self._bank(float(np.max(np.abs(karr.real))), float(np.min(karr.imag)))
+        out = _phase(karr, xs) @ W[:, 0]
         return out if np.ndim(k) else complex(out[0])
 
     def f_check_minus(self, k):
         """Truncated transform of the off-strip data on x < -a."""
         karr = np.atleast_1d(np.asarray(k, dtype=complex))
-        xs, _, wgm = self._bank(float(np.max(np.abs(karr.real))),
-                                float(np.min(-karr.imag)))
-        out = np.exp(-1j * np.outer(karr, xs)) @ wgm
+        xs, W = self._bank(float(np.max(np.abs(karr.real))), float(np.min(-karr.imag)))
+        out = np.conj(_phase(np.conj(karr), xs) @ W[:, 1])
         return out if np.ndim(k) else complex(out[0])
 
-    def _pole_check(self, karr):
+    def _pole_term(self, karr, side: int):
+        """The k_* pole term of F+ (side +1) or F- (side -1): F = Fcheck + term."""
         ks = self.cfg.k_star
-        r = POLE_EXCLUSION_FACTOR * abs(self.cfg.k0)
-        if np.any(np.abs(karr - ks) < r) and not self._banks.get("_pole_warned"):
-            self._banks["_pole_warned"] = True
-            logger.warning("evaluation within %.3g of the pole k_* = %s", r, ks)
+        phase = np.exp(side * 1j * (karr - ks) * self.cfg.a)
+        return side * self.pole_residue / (karr - ks) * phase
 
     def f_plus(self, k):
         """U+(k) or V+(k): upper-half-plane function with the k_* pole."""
         karr = np.atleast_1d(np.asarray(k, dtype=complex))
-        self._pole_check(karr)
-        ks = self.cfg.k_star
-        a = self.cfg.a
-        pole = self.pole_residue / (karr - ks) * np.exp(1j * (karr - ks) * a)
-        out = np.atleast_1d(self.f_check_plus(karr)) + pole
+        _warn_near_pole((self,), karr, f"F+ ({self.parity.value})")
+        out = np.atleast_1d(self.f_check_plus(karr)) + self._pole_term(karr, +1)
         return out if np.ndim(k) else complex(out[0])
 
     def f_minus(self, k):
         """U-(k) or V-(k): lower-half-plane function."""
         karr = np.atleast_1d(np.asarray(k, dtype=complex))
-        self._pole_check(karr)
-        ks = self.cfg.k_star
-        a = self.cfg.a
-        pole = self.pole_residue / (karr - ks) * np.exp(-1j * (karr - ks) * a)
-        out = np.atleast_1d(self.f_check_minus(karr)) - pole
+        _warn_near_pole((self,), karr, f"F- ({self.parity.value})")
+        out = np.atleast_1d(self.f_check_minus(karr)) + self._pole_term(karr, -1)
         return out if np.ndim(k) else complex(out[0])
 
 
+def _warn_near_pole(bundles, karr, stage: str) -> None:
+    """Log once per set of bundles that `stage` evaluates within the pole
+    exclusion radius of k_*."""
+    cfg = bundles[0].cfg
+    r = POLE_EXCLUSION_FACTOR * abs(cfg.k0)
+    if not all(b._pole_warned for b in bundles) and np.any(np.abs(karr - cfg.k_star) < r):
+        for b in bundles:
+            b._pole_warned = True
+        logger.warning("%s: k within %.3g of the pole k_* = %s", stage, r, cfg.k_star)
+
+
+def real_axis_halflines(bundles, k) -> list:
+    """[(F-(k), F+(k)) of each bundle] on a real k grid, from one phase matrix.
+
+    For real k, E(conj k) = E(k), so one E = exp(i k xs) and one product
+    with the stacked bank columns serve both sides of every bundle.  The
+    bundles must share their bank nodes, as the two parities of one
+    `Scattering` do (one cfg and tail_tol).  Complex k needs E(k) and
+    E(conj k) apart: use f_plus / f_minus.
+    """
+    karr = np.atleast_1d(np.asarray(k))
+    if np.iscomplexobj(karr):
+        if np.any(karr.imag != 0):
+            raise ValueError("real_axis_halflines takes real k; use f_plus / f_minus")
+        karr = karr.real
+    banks = [b._bank(float(np.max(np.abs(karr))), 0.0) for b in bundles]
+    xs = banks[0][0]
+    if not all(np.array_equal(xs, x) for x, _ in banks[1:]):
+        raise ValueError("bundles do not share their bank nodes")
+    _warn_near_pole(bundles, karr, "real-axis half-line transforms")
+    P = _phase(karr, xs) @ np.hstack([W for _, W in banks])
+    return [(np.conj(P[:, 2 * i + 1]) + b._pole_term(karr, -1),
+             P[:, 2 * i] + b._pole_term(karr, +1)) for i, b in enumerate(bundles)]
+
+
 def functional_residual(bundle: SpectralBundle, k_grid) -> float:
-    """max_k |F-(k) + F0(k) + F+(k)| / max(|F-|, |F0|, |F+|) on the grid."""
-    k = np.asarray(k_grid, dtype=complex)
-    fp = bundle.f_plus(k)
-    fm = bundle.f_minus(k)
-    f0 = bundle.f0(k)
+    """max_k |F-(k) + F0(k) + F+(k)| / max(|F-|, |F0|, |F+|) on a real grid."""
+    (fm, fp), = real_axis_halflines((bundle,), k_grid)
+    f0 = bundle.f0(k_grid)
     scale = np.maximum(np.maximum(np.abs(fp), np.abs(fm)), np.abs(f0))
     return float(np.max(np.abs(fp + fm + f0) / np.max(scale)))
 

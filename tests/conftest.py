@@ -54,3 +54,28 @@ def ref_solves_fine(ref_cfg):
 def ref_bundles(ref_cfg, ref_solves):
     da, ds, _, _ = ref_solves
     return SpectralBundle(ref_cfg, da), SpectralBundle(ref_cfg, ds)
+
+
+class _CountingNumpy:
+    """Stands in for `numpy` inside a module and counts the 2-D `exp`
+    results: the phase matrices exp(+-i k x) of the half-line transforms."""
+
+    def __init__(self):
+        self.count = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, *args, **kwargs):
+        out = np.exp(*args, **kwargs)
+        self.count += np.ndim(out) == 2
+        return out
+
+
+@pytest.fixture()
+def phase_builds(monkeypatch):
+    """Counts the phase matrices `stripscat.spectral` builds."""
+    from stripscat import spectral
+    counter = _CountingNumpy()
+    monkeypatch.setattr(spectral, "np", counter)
+    return counter

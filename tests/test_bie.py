@@ -82,6 +82,17 @@ class TestSymmetricSolve:
         assert np.all(d.coeffs == 0)
         assert boundary_residual(d, cfg) == 0
 
+    def test_eta_zero_residual_reads_nonzero_density(self):
+        # negative control: at eta = 0 the data vanish, so the residual of a
+        # nonzero density is its absolute size max|sigma/2| (here below 1)
+        from stripscat import chebkit as ck
+        from stripscat.bie import Density
+        cfg = ProblemConfig(K0, A, 0.0, THETA)
+        d = Density(Parity.SYMMETRIC, A, 0.1 * np.exp(-np.arange(8.0)) * (1 + 0.5j))
+        x = A * ck.gauss_cheb1(48)[0]
+        assert boundary_residual(d, cfg) == pytest.approx(np.max(np.abs(0.5 * d(x))), rel=1e-14)
+        assert boundary_residual(d, cfg) > 0
+
     def test_eta_zero_check_rejects_nonzero_rhs(self, monkeypatch):
         # negative control: with data that do not vanish at eta = 0 the
         # check reads a nonzero symmetric directivity and fails

@@ -197,6 +197,25 @@ class TestSpectra:
         assert r.returncode == 2
 
 
+    def test_one_pole_warning_per_run(self, tmp_path, caplog):
+        # theta_in = 90 deg puts k_* = k0 cos(theta_in) on the k grid's row k = 0
+        import logging
+        from stripscat import cli
+        cfg = dict(SMALL_CFG, k0={"re": 2.0, "im": 0.2}, theta_in_deg=90.0,
+                   out_dir=str(tmp_path / "out"))
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        with caplog.at_level(logging.WARNING):
+            assert cli.main(["spectra", "--config", str(p)]) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert warnings[0].startswith("real-axis half-line transforms:") and "pole" in warnings[0]
+
+    def test_one_phase_matrix_per_run(self, cfg_file, phase_builds):
+        from stripscat import cli
+        assert cli.main(["spectra", "--config", str(cfg_file)]) == 0
+        assert phase_builds.count == 1
+
     def test_hard_strip_rejected_before_solving(self, tmp_path, run_cli):
         cfg = dict(SMALL_CFG)
         cfg["eta"] = {"re": 0.0, "im": 0.0}

@@ -20,6 +20,7 @@ from stripscat.spectral import (
     farfield_oracle,
     functional_residual,
     growth_scan,
+    real_axis_halflines,
     reciprocity_check,
 )
 
@@ -97,6 +98,94 @@ class TestFunctionalEquation:
         b = SpectralBundle(cfg0, da)
         with pytest.raises(ValueError):
             b.f_check_plus(0.5)
+
+
+# the media of the benchmark's spectra workload (Im k0, eta, theta_in in degrees)
+# and the reference configuration
+SPECTRA_MEDIA = [(0.4, 1 - 1j, 60.0), (0.2, 0.5, 30.0), (0.1, 0.5 - 2j, 75.0),
+                 (0.05, -1 - 1j, 45.0), (0.05, ETA, 60.0)]
+
+
+def _medium(im_k0, eta, deg):
+    cfg = ProblemConfig(2 + 1j * im_k0, A, eta, np.deg2rad(deg))
+    return cfg, np.linspace(-3 * abs(cfg.k0), 3 * abs(cfg.k0), 41)
+
+
+class TestRealAxisHalflines:
+    """One phase matrix E = exp(i k x) and one product give F- and F+ of both
+    parities on a real k grid; F-check(k) = conj(E(conj k) @ conj(w g(-x)))."""
+
+    @pytest.mark.parametrize("medium", SPECTRA_MEDIA)
+    def test_matches_per_side_formula(self, medium):
+        cfg, k = _medium(*medium)
+        bundles = Scattering(cfg, 64).bundles
+        got = real_axis_halflines(bundles, k)
+        ks = cfg.k_star
+        for b, (fm, fp) in zip(bundles, got):
+            (xs, W), = b._banks.values()
+            # the weights w from the x > a column, the data at -x evaluated afresh
+            g = b._boundary_data(np.concatenate([xs, -xs]))
+            wgp = W[:, 0]
+            wgm = wgp / g[:len(xs)] * g[len(xs):]
+            res = b.pole_residue
+            ref_p = (np.exp(1j * np.outer(k, xs)) @ wgp
+                     + res / (k - ks) * np.exp(1j * (k - ks) * A))
+            ref_m = (np.exp(-1j * np.outer(k, xs)) @ wgm
+                     - res / (k - ks) * np.exp(-1j * (k - ks) * A))
+            scale = max(np.max(np.abs(ref_p)), np.max(np.abs(ref_m)))
+            assert np.max(np.abs(fp - ref_p)) <= 1e-14 * scale
+            assert np.max(np.abs(fm - ref_m)) <= 1e-14 * scale
+            # the single-side evaluators agree on the real axis
+            assert np.max(np.abs(b.f_plus(k) - fp)) <= 1e-14 * scale
+            assert np.max(np.abs(b.f_minus(k) - fm)) <= 1e-14 * scale
+
+    @settings(max_examples=25, deadline=None)
+    @given(k_re=st.floats(-3 * abs(K0), 3 * abs(K0)), t=st.floats(0.0, 1.0),
+           side=st.sampled_from([+1, -1]))
+    def test_complex_k_in_decay_strip(self, ref_bundles, k_re, t, side):
+        # F+ needs Im k > -Im k0 and F- needs Im k < Im k0: from half way to
+        # that edge (t = 0) to 2 deep into the side's half plane (t = 1)
+        k_im = side * (-0.5 * K0.imag + t * (2 + 0.5 * K0.imag))
+        k = np.array([k_re, k_re + 0.37]) + 1j * k_im
+        for b in ref_bundles:
+            if side > 0:
+                xs, W = b._bank(float(np.max(np.abs(k.real))), float(np.min(k.imag)))
+                got, ref = b.f_check_plus(k), np.exp(1j * np.outer(k, xs)) @ W[:, 0]
+            else:
+                xs, W = b._bank(float(np.max(np.abs(k.real))), float(np.min(-k.imag)))
+                got = b.f_check_minus(k)
+                ref = np.exp(-1j * np.outer(k, xs)) @ np.conj(W[:, 1])
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_one_phase_matrix_per_residual(self, ref_cfg, ref_solves, phase_builds):
+        da, _, _, _ = ref_solves
+        functional_residual(SpectralBundle(ref_cfg, da), np.linspace(-6, 6, 21))
+        assert phase_builds.count == 1
+
+    def test_rejects_complex_k_and_foreign_nodes(self, ref_cfg, ref_solves):
+        da, ds, _, _ = ref_solves
+        b = SpectralBundle(ref_cfg, da)
+        with pytest.raises(ValueError):
+            real_axis_halflines((b,), np.array([0.5, 1.0 + 0.1j]))
+        other = SpectralBundle(ref_cfg, ds, tail_tol=1e-6)
+        with pytest.raises(ValueError):
+            real_axis_halflines((b, other), np.array([0.5, 1.0]))
+
+    def test_phase_matrix_memory(self):
+        # the in-place phase build holds one len(k) x nodes complex array
+        # (1j * outer, then exp, holds two); the stacked bank block adds 0.1
+        import tracemalloc
+        cfg, k = _medium(*SPECTRA_MEDIA[3])
+        bundles = Scattering(cfg, 64).bundles
+        real_axis_halflines(bundles, k)          # builds the banks
+        (xs, _), = bundles[0]._banks.values()
+        tracemalloc.start()
+        try:
+            real_axis_halflines(bundles, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * len(k) * len(xs) * 16
 
 
 class TestPoleStructure:
