@@ -75,9 +75,8 @@ class Density:
 
     def poly(self, s):
         """The Chebyshev sum at scaled coordinate s = x/a."""
-        if self.parity is Parity.ANTISYMMETRIC:
-            return ck.eval_u_series(self.coeffs, s)
-        return ck.eval_t_series(self.coeffs, s)
+        kind = "U" if self.parity is Parity.ANTISYMMETRIC else "T"
+        return ck.eval_series(self.coeffs, s, kind)
 
     def __call__(self, x):
         """Density value at physical coordinate x, |x| <= a."""
@@ -410,39 +409,70 @@ def _strip_theta_quad(s0: float, dist: float, nper: int = 20):
     return ck.panels(edges[keep], nper)
 
 
+# quadrature nodes per batched field evaluation.  A target near the strip
+# takes about 1000 nodes and every node some 130 bytes of temporaries, so a
+# chunk stays near 1 MiB however many targets a call has.  It also keeps each
+# complex temporary under the 256 KiB from which NumPy reuses a temporary
+# operand in place: the in-place complex product and quotient round
+# differently, and a target's value would then depend on its chunk.
+_FIELD_CHUNK_NODES = 2 ** 13
+
+
 def scattered_field(dens: Density, cfg: ProblemConfig, x, y):
     """Layer-potential field of the solved density at (x, y), y >= 0.
 
     Evaluation on the open strip (y = 0, |x| < a) is an error: its one-sided
     trace is `strip_trace`.  The antisymmetric field vanishes identically on
     y = 0, |x| > a.
+
+    Each target has its own `_strip_theta_quad` rule; the rules of a chunk
+    of targets are concatenated, so the density and the kernel are evaluated
+    once per chunk.  Each target's sum stays its own `np.sum`, which keeps a
+    target's value independent of the other targets of the call.
     """
     scalar = np.ndim(x) == 0 and np.ndim(y) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     xs, ys = np.broadcast_arrays(xs, ys)
-    out = np.empty(xs.shape, dtype=complex)
     a, k0 = cfg.a, cfg.k0
-    for idx in np.ndindex(xs.shape):
-        xv, yv = float(xs[idx]), float(ys[idx])
-        if yv == 0.0 and abs(xv) < a:
-            raise ValueError("scattered_field is not defined on the open strip; use strip_trace")
-        if yv == 0.0 and dens.parity is Parity.ANTISYMMETRIC:
-            out[idx] = 0.0
-            continue
-        s0 = xv / a
-        dist = np.hypot(max(abs(s0) - 1.0, 0.0), yv / a)
-        th, w = _strip_theta_quad(s0, dist)
+    if np.any((ys == 0.0) & (np.abs(xs) < a)):
+        raise ValueError("scattered_field is not defined on the open strip; use strip_trace")
+    antisym = dens.parity is Parity.ANTISYMMETRIC
+    shape = xs.shape
+    xs, ys = xs.ravel(), ys.ravel()
+    out = np.zeros(len(xs), dtype=complex)
+
+    def evaluate(targets, rules):
+        segs = np.cumsum([0] + [len(th) for th, _ in rules])
+        th = np.concatenate([th for th, _ in rules])
+        w = np.concatenate([w for _, w in rules])
+        xv, yv = (np.repeat(v[targets], np.diff(segs)) for v in (xs, ys))
         tau = np.cos(th)
         R = np.hypot(xv - a * tau, yv)
         P = dens.poly(tau)
-        if dens.parity is Parity.ANTISYMMETRIC:
+        if antisym:
             kern = 0.25j * k0 * hankel1(1, k0 * R) * yv / R
-            out[idx] = a * a * np.sum(w * np.sin(th) ** 2 * P * kern)
+            vals, scale = w * np.sin(th) ** 2 * P * kern, a * a
         else:
             kern = 0.25j * hankel1(0, k0 * R)
-            out[idx] = a * np.sum(w * np.sin(th) * P * kern)
-    return complex(out[0]) if scalar else out
+            vals, scale = w * np.sin(th) * P * kern, a
+        out[targets] = [scale * np.sum(vals[lo:hi]) for lo, hi in zip(segs[:-1], segs[1:])]
+
+    # the antisymmetric field is zero on y = 0 off the strip
+    targets, rules, nodes = [], [], 0
+    for i in np.flatnonzero(ys != 0.0) if antisym else range(len(xs)):
+        s0 = xs[i] / a
+        dist = np.hypot(max(abs(s0) - 1.0, 0.0), ys[i] / a)
+        rule = _strip_theta_quad(s0, dist)
+        if targets and nodes + len(rule[0]) > _FIELD_CHUNK_NODES:
+            evaluate(targets, rules)
+            targets, rules, nodes = [], [], 0
+        targets.append(i)
+        rules.append(rule)
+        nodes += len(rule[0])
+    if targets:
+        evaluate(targets, rules)
+    return complex(out[0]) if scalar else out.reshape(shape)
 
 
 def strip_trace(dens: Density, cfg: ProblemConfig, x):

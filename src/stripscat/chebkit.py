@@ -40,39 +40,27 @@ def gauss_cheb1(n: int):
     return s, np.full(n, np.pi / n)
 
 
-def eval_u_series(coef: np.ndarray, s):
-    """sum_n coef[n] U_n(s) by the three-term recurrence."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros(s.shape, dtype=complex)
-    um2 = np.ones_like(s, dtype=complex)
-    um1 = 2.0 * s + 0j
-    for n, c in enumerate(coef):
-        if n == 0:
-            out += c * um2
-        elif n == 1:
-            out += c * um1
-        else:
-            un = 2 * s * um1 - um2
-            out += c * un
-            um2, um1 = um1, un
-    return out
+def eval_series(coef: np.ndarray, s, kind: str):
+    """sum_n coef[n] U_n(s) (kind "U") or T_n(s) (kind "T") by the three-term
+    recurrence.
 
-
-def eval_t_series(coef: np.ndarray, s):
-    """sum_n coef[n] T_n(s) by the three-term recurrence."""
+    U_n(s) and T_n(s) are real for real s, so the recurrence runs in real
+    arithmetic and the real and imaginary parts of the coefficients are
+    accumulated apart, side by side in one array.  The result is bitwise the
+    complex recurrence's: c (x + 0j) = c.real x + i c.imag x exactly.
+    """
     s = np.asarray(s, dtype=float)
-    out = np.zeros(s.shape, dtype=complex)
-    tm2 = np.ones_like(s, dtype=complex)
-    tm1 = s + 0j
-    for n, c in enumerate(coef):
-        if n == 0:
-            out += c * tm2
-        elif n == 1:
-            out += c * tm1
-        else:
-            tn = 2 * s * tm1 - tm2
-            out += c * tn
-            tm2, tm1 = tm1, tn
+    c = np.asarray(coef, dtype=complex)
+    parts = np.stack([c.real, c.imag], axis=1).reshape((len(c), 2) + (1,) * s.ndim)
+    acc = np.zeros((2,) + s.shape)
+    s2 = 2 * s
+    prev, cur = np.ones_like(s), (s2 if kind == "U" else s)
+    for n in range(len(c)):
+        if n >= 2:
+            prev, cur = cur, s2 * cur - prev
+        acc += parts[n] * (prev if n == 0 else cur)
+    out = np.empty(s.shape, dtype=complex)
+    out.real, out.imag = acc
     return out
 
 

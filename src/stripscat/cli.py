@@ -144,8 +144,9 @@ def cmd_spectra(args) -> int:
     data = {}
     halflines = real_axis_halflines((ba, bs), kg)
     for fam, b, (fm, fp) in zip(("U", "V"), (ba, bs), halflines):
-        f0 = np.atleast_1d(b.f0(kg))
+        # one strip transform per family: F0 = P(xi) F0~, as SpectralBundle.f0
         f0t = np.atleast_1d(b.f0_tilde(kg))
+        f0 = b.prefactor(kg) * f0t
         res = np.abs(fp + fm + f0) / np.max(np.maximum(np.maximum(np.abs(fp), np.abs(fm)),
                                                        np.abs(f0)))
         data[fam] = (fm, f0, fp, f0t, res)

@@ -100,16 +100,16 @@ def local_expansion_fit(dens: Density, cfg: ProblemConfig, side: str = "+",
     a, k0, eta = cfg.a, cfg.k0, cfg.eta
     radii = np.asarray(radii_factors, dtype=float) * a
     phi_up = np.linspace(0.12, np.pi - 0.12, n_angles // 2)
+    phis = np.concatenate([-phi_up[::-1], phi_up])
+    # every fan in one field evaluation: row i is the fan at radii[i]
+    fans = _total_field(dens, cfg, *_edge_points(cfg, side, radii[:, None], phi_up))
     samples = []
-    for rho in radii:
-        x, y = _edge_points(cfg, side, rho, phi_up)
-        u_up = _total_field(dens, cfg, x, y)
+    for rho, u_up in zip(radii, fans):
         # extend to phi in (-pi, 0) by the y-parity of the field
         if dens.parity is Parity.ANTISYMMETRIC:
             u_dn = -u_up[::-1]
         else:
             u_dn = u_up[::-1]
-        phis = np.concatenate([-phi_up[::-1], phi_up])
         samples.append((rho, phis, np.concatenate([u_dn, u_up])))
 
     if dens.parity is Parity.ANTISYMMETRIC:

@@ -90,7 +90,9 @@ class SpectralBundle:
     density: Density
     tail_tol: float = DEFAULT_TAIL_TOL
     _banks: dict = field(default_factory=dict, repr=False)
-    _pole_warned: bool = field(default=False, repr=False)
+    # [warned]: the pole-proximity warning's flag, one list shared by the
+    # bundles of a `Scattering`, so that they warn once between them
+    _pole_warned: list = field(default_factory=lambda: [False], repr=False)
 
     @property
     def parity(self) -> Parity:
@@ -109,11 +111,15 @@ class SpectralBundle:
         out = strip_transform(self.parity, self.cfg.a, self.density.coeffs, karr)
         return out if np.ndim(k) else complex(out[0])
 
+    def prefactor(self, k) -> np.ndarray:
+        """P(xi(k)) of F0 = P(xi) F0~, on an array of k."""
+        karr = np.atleast_1d(np.asarray(k, dtype=complex))
+        return xi_prefactor(self.parity, self.cfg.eta, _xi(karr, self.cfg.k0))
+
     def f0(self, k):
         """U0(k) or V0(k): the strip transform with its xi prefactor."""
         karr = np.atleast_1d(np.asarray(k, dtype=complex))
-        pref = xi_prefactor(self.parity, self.cfg.eta, _xi(karr, self.cfg.k0))
-        out = pref * np.atleast_1d(self.f0_tilde(karr))
+        out = self.prefactor(karr) * np.atleast_1d(self.f0_tilde(karr))
         return out if np.ndim(k) else complex(out[0])
 
     # -- half-line transforms ----------------------------------------------
@@ -218,12 +224,12 @@ class SpectralBundle:
 
 def _warn_near_pole(bundles, karr, stage: str) -> None:
     """Log once per set of bundles that `stage` evaluates within the pole
-    exclusion radius of k_*."""
+    exclusion radius of k_*; the bundles of one `Scattering` share the flag."""
     cfg = bundles[0].cfg
     r = POLE_EXCLUSION_FACTOR * abs(cfg.k0)
-    if not all(b._pole_warned for b in bundles) and np.any(np.abs(karr - cfg.k_star) < r):
+    if not all(b._pole_warned[0] for b in bundles) and np.any(np.abs(karr - cfg.k_star) < r):
         for b in bundles:
-            b._pole_warned = True
+            b._pole_warned[0] = True
         logger.warning("%s: k within %.3g of the pole k_* = %s", stage, r, cfg.k_star)
 
 
@@ -322,20 +328,22 @@ class Scattering:
         self.cfg = cfg
         self.da, self.diag_a = solve_antisymmetric(cfg, N, tail_tol=tail_tol)
         self.ds, self.diag_s = solve_symmetric(cfg, N, tail_tol=tail_tol)
-        self.bundles = (SpectralBundle(cfg, self.da, tail_tol),
-                        SpectralBundle(cfg, self.ds, tail_tol))
+        warned = [False]
+        self.bundles = (SpectralBundle(cfg, self.da, tail_tol, _pole_warned=warned),
+                        SpectralBundle(cfg, self.ds, tail_tol, _pole_warned=warned))
 
     def directivity(self, theta_grid) -> DirectivityTable:
         return directivity(*self.bundles, theta_grid)
 
 
 def directivity_full_circle(bundle_a: SpectralBundle, bundle_s: SpectralBundle, m: int = 720):
-    """S on a uniform grid over (0, 2pi), using the parity reflections
-    S_a(2pi - t) = -S_a(t), S_s(2pi - t) = S_s(t)."""
+    """S on a uniform grid over (0, 2pi), from the ceil(m/2) grid angles in
+    (0, pi] and the parity reflections S_a(2pi - t) = -S_a(t), S_s(2pi - t) =
+    S_s(t): grid angle m - 1 - j is the mirror image of grid angle j."""
     th = 2 * np.pi * (np.arange(m) + 0.5) / m
-    upper = th <= np.pi
-    tab = directivity(bundle_a, bundle_s, np.where(upper, th, 2 * np.pi - th))
-    return th, np.where(upper, tab.S_a, -tab.S_a) + tab.S_s
+    h = (m + 1) // 2
+    tab = directivity(bundle_a, bundle_s, th[:h])
+    return th, np.concatenate([tab.S, (tab.S_s - tab.S_a)[:m - h][::-1]])
 
 
 def farfield_oracle(dens: Density, cfg: ProblemConfig, theta) -> np.ndarray | complex:

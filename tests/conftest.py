@@ -79,3 +79,19 @@ def phase_builds(monkeypatch):
     counter = _CountingNumpy()
     monkeypatch.setattr(spectral, "np", counter)
     return counter
+
+
+@pytest.fixture()
+def poly_calls(monkeypatch):
+    """Records the number of points of every `Density.poly` call: the
+    Chebyshev series evaluations of the package."""
+    from stripscat.bie import Density
+    calls = []
+    poly = Density.poly
+
+    def counted(self, s):
+        calls.append(np.size(s))
+        return poly(self, s)
+
+    monkeypatch.setattr(Density, "poly", counted)
+    return calls

@@ -195,6 +195,101 @@ class TestFieldEvaluation:
             off_strip_trace(ds, ref_cfg, -0.5)
 
 
+# field targets off the open strip: above it, beyond both edges (near and
+# far), and on y = 0 beyond the edges, where the antisymmetric part is zero.
+# The edge point itself is left out: a node of its rule sits on the edge,
+# where the symmetric kernel is infinite.
+_field_targets = st.one_of(
+    st.tuples(st.floats(-3.0, 3.0), st.floats(1e-4, 2.0)),
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(1e-4, 0.05)),
+    st.tuples(st.floats(1.0, 3.0, exclude_min=True) | st.floats(-3.0, -1.0, exclude_max=True),
+              st.just(0.0)),
+)
+
+
+def _bits(z):
+    return np.asarray(z, dtype=complex).view(float)
+
+
+class TestBatchedField:
+    """`scattered_field` evaluates the quadrature rules of a chunk of targets
+    at once; every target's value is bitwise that of a call with it alone."""
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    @settings(max_examples=15, deadline=None)
+    @given(targets=st.lists(_field_targets, min_size=1, max_size=10))
+    def test_array_call_is_the_scalar_calls(self, ref_cfg, ref_solves, parity, targets):
+        dens = ref_solves[0] if parity is Parity.ANTISYMMETRIC else ref_solves[1]
+        x, y = (np.array(v) for v in zip(*targets))
+        ref = np.array([scattered_field(dens, ref_cfg, xv, yv) for xv, yv in targets])
+        assert np.array_equal(_bits(scattered_field(dens, ref_cfg, x, y)), _bits(ref))
+        if len(x) % 2 == 0:               # the same targets as a 2 x n/2 array
+            got = scattered_field(dens, ref_cfg, x.reshape(2, -1), y.reshape(2, -1))
+            assert np.array_equal(_bits(got), _bits(ref.reshape(2, -1)))
+        if parity is Parity.ANTISYMMETRIC:
+            assert np.all(ref[y == 0] == 0)
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    def test_broadcast_shapes(self, ref_cfg, ref_solves, parity):
+        # a column against a row: 60 targets about the edge x = a, some
+        # 30,000 quadrature nodes in several chunks
+        dens = ref_solves[0] if parity is Parity.ANTISYMMETRIC else ref_solves[1]
+        x = np.array([-1.3, -1.0, 0.4, 0.9, 0.97, 0.999, 1.0, 1.001, 1.03, 2.5])[:, None]
+        y = np.array([1e-3, 4e-3, 0.01, 0.03, 0.1, 0.3])
+        got = scattered_field(dens, ref_cfg, x, y)
+        assert got.shape == (10, 6)
+        ref = [[scattered_field(dens, ref_cfg, xv, yv) for yv in y] for xv in x[:, 0]]
+        assert np.array_equal(_bits(got), _bits(ref))
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    def test_scalar_call_returns_complex(self, ref_cfg, ref_solves, parity):
+        dens = ref_solves[0] if parity is Parity.ANTISYMMETRIC else ref_solves[1]
+        for x, y in ((0.3, 0.5), (1.5, 0.0), (np.float64(-1.0), np.float64(1e-3))):
+            assert type(scattered_field(dens, ref_cfg, x, y)) is complex
+        assert scattered_field(dens, ref_cfg, np.array([0.3]), 0.5).shape == (1,)
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    def test_open_strip_raises_before_any_work(self, ref_cfg, ref_solves, parity, poly_calls):
+        dens = ref_solves[0] if parity is Parity.ANTISYMMETRIC else ref_solves[1]
+        x = np.array([0.3, 1.5, -2.0, 0.999])
+        y = np.array([0.5, 0.0, 0.2, 0.0])
+        with pytest.raises(ValueError, match="strip_trace"):
+            scattered_field(dens, ref_cfg, x, y)
+        assert poly_calls == []
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    def test_one_series_evaluation_per_chunk(self, ref_cfg, ref_solves, parity, poly_calls):
+        from stripscat import bie
+        dens = ref_solves[0] if parity is Parity.ANTISYMMETRIC else ref_solves[1]
+        # eight targets near the strip fill one chunk
+        scattered_field(dens, ref_cfg, np.linspace(-0.9, 1.2, 8), 0.01)
+        assert len(poly_calls) == 1
+        # a larger call: chunks under the node budget, one series evaluation each
+        poly_calls.clear()
+        x = np.linspace(-1.2, 1.2, 40)
+        scattered_field(dens, ref_cfg, x, 0.01)
+        nodes = [len(bie._strip_theta_quad(s0, np.hypot(max(abs(s0) - 1, 0), 0.01))[0])
+                 for s0 in x / A]
+        assert sum(poly_calls) == sum(nodes)
+        assert 1 < len(poly_calls) <= 2 * sum(nodes) / bie._FIELD_CHUNK_NODES + 1
+        assert max(poly_calls) <= bie._FIELD_CHUNK_NODES
+
+    def test_memory_is_bounded(self, ref_cfg, ref_solves):
+        # 400 targets near the strip take about 380,000 quadrature nodes: in
+        # one piece their temporaries peak at about 44 MiB
+        import tracemalloc
+        x = np.linspace(-1.2, 1.2, 20)[:, None]
+        y = np.geomspace(1e-3, 0.1, 20)
+        for dens in ref_solves[:2]:
+            tracemalloc.start()
+            try:
+                scattered_field(dens, ref_cfg, x, y)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2 ** 20
+
+
 class TestRadiation:
     def test_cylindrical_decay(self):
         # |field| ~ r^{-1/2} |e^{i k0 r}| along a ray (nearly real k0)

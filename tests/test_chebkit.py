@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stripscat import chebkit as ck
 
@@ -133,9 +136,9 @@ def test_w_matrix_against_quadrature():
     s, w = ck.gauss_cheb2(300)
     W = ck.w_matrix(5, 8)
     for m in range(5):
-        um = ck.eval_u_series(np.eye(5)[m], s)
+        um = ck.eval_series(np.eye(5)[m], s, "U")
         for p in range(8):
-            tp = ck.eval_t_series(np.eye(8)[p], s)
+            tp = ck.eval_series(np.eye(8)[p], s, "T")
             assert W[m, p] == pytest.approx(np.sum(w * um * tp).real, abs=1e-12)
 
 
@@ -157,14 +160,14 @@ def test_mass2_and_c3():
     M2 = ck.mass2_matrix(5, 7)                     # rectangular, as the operator uses it
     C3 = ck.c3_matrix(5, 5)
     for m in range(5):
-        um = ck.eval_u_series(np.eye(5)[m], xg)
-        tm = ck.eval_t_series(np.eye(5)[m], xg)
+        um = ck.eval_series(np.eye(5)[m], xg, "U")
+        tm = ck.eval_series(np.eye(5)[m], xg, "T")
         for n in range(7):
-            un = ck.eval_u_series(np.eye(7)[n], xg)
+            un = ck.eval_series(np.eye(7)[n], xg, "U")
             assert M2[m, n] == pytest.approx(
                 np.sum(wg * (1 - xg ** 2) * um * un).real, abs=1e-12)
         for n in range(5):
-            tn = ck.eval_t_series(np.eye(5)[n], xg)
+            tn = ck.eval_series(np.eye(5)[n], xg, "T")
             assert C3[m, n] == pytest.approx(np.sum(wg * tm * tn).real, abs=1e-12)
 
 
@@ -182,7 +185,7 @@ def test_cheb2d_roundtrip():
 def test_edge_log_t_coeffs():
     b = ck.edge_log_t_coeffs(400)
     s = np.linspace(-0.999, 0.999, 41)
-    got = ck.eval_t_series(b, s).real
+    got = ck.eval_series(b, s, "T").real
     ref = (1 - s) * np.log(1 - s)
     assert np.max(np.abs(got - ref)) < 1e-6  # truncation tail ~ 2/N^2
     # closed-form decay 2/(j(j^2-1))
@@ -223,3 +226,98 @@ def test_gauss_legendre_is_leggauss_memoized_read_only(n):
     for arr in (xg, wg):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def _complex_recurrence(coef, s, kind):
+    """The series evaluator before the real-arithmetic one: the three-term
+    recurrence on complex arrays, kept as the bitwise reference."""
+    s = np.asarray(s, dtype=float)
+    out = np.zeros(s.shape, dtype=complex)
+    um2 = np.ones_like(s, dtype=complex)
+    um1 = (2.0 * s if kind == "U" else s) + 0j
+    for n, c in enumerate(coef):
+        if n == 0:
+            out += c * um2
+        elif n == 1:
+            out += c * um1
+        else:
+            un = 2 * s * um1 - um2
+            out += c * un
+            um2, um1 = um1, un
+    return out
+
+
+def _basis_long_double(nmax, s, kind):
+    """T_n(s) = cos(n t) or U_n(s) = sin((n+1) t)/sin(t), s = cos(t), in long
+    double, rows n < nmax.  Negative s is reflected (T_n and U_n have the
+    parity of n), so t stays in [0, pi/2] where sin(t) loses no digits."""
+    r = np.abs(s).astype(np.longdouble)
+    t = np.arccos(r)
+    n = np.arange(nmax)[:, None]
+    if kind == "T":
+        B = np.cos(n * t)
+    else:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            B = np.where(r == 1, n + 1, np.sin((n + 1) * t) / np.sin(t))
+    return B * np.where(s < 0, (-1.0) ** n, 1.0)
+
+
+def _long_double_sum(coef, B):
+    """sum_n coef[n] B[n] in long double, rounded to complex128."""
+    re = coef.real.astype(np.longdouble) @ B
+    im = coef.imag.astype(np.longdouble) @ B
+    return re.astype(float) + 1j * im.astype(float)
+
+
+_coeffs = arrays(complex, st.integers(0, 300),
+                 elements=st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                             allow_infinity=False))
+_points = arrays(float, st.integers(1, 12), elements=st.floats(-1.0, 1.0))
+
+
+class TestSeriesEvaluation:
+    @settings(max_examples=60, deadline=None)
+    @given(coef=_coeffs, s=_points, kind=st.sampled_from("TU"))
+    def test_bitwise_the_complex_recurrence(self, coef, s, kind):
+        got = ck.eval_series(coef, s, kind)
+        ref = _complex_recurrence(coef, s, kind)
+        assert got.shape == ref.shape and got.dtype == complex
+        assert np.array_equal(got.view(float), ref.view(float))
+
+    @settings(max_examples=60, deadline=None)
+    @given(coef=_coeffs, s=_points)
+    def test_t_series_matches_chebval(self, coef, s):
+        # chebval in long double: its Clenshaw sum loses up to 3e-13 of
+        # sum |c_n| in double next to s = +-1 at 300 terms.  A trailing zero
+        # coefficient serves the empty series, which chebval rejects.
+        c = np.append(coef, 0).astype(np.clongdouble)
+        ref = np.polynomial.chebyshev.chebval(s.astype(np.longdouble), c)
+        err = np.max(np.abs(ck.eval_series(coef, s, "T") - ref.astype(complex)))
+        assert err <= 1e-13 * np.sum(np.abs(coef))
+        # and the closed form cos(n t)
+        ref = _long_double_sum(coef, _basis_long_double(len(coef), s, "T"))
+        err = np.max(np.abs(ck.eval_series(coef, s, "T") - ref))
+        assert err <= 1e-13 * np.sum(np.abs(coef))
+
+    @settings(max_examples=60, deadline=None)
+    @given(coef=_coeffs, s=_points)
+    def test_u_series_matches_closed_form(self, coef, s):
+        # the forward recurrence for U_n loses digits like (n+1)^2 next to
+        # s = +-1, where U_n(s) -> (+-1)^n (n+1): 1.4e-12 (n+1) at n = 299,
+        # s = 1 - 2^-53.  The bound is 1e-13 per unit of |c_n| (n+1)^2.
+        ref = _long_double_sum(coef, _basis_long_double(len(coef), s, "U"))
+        err = np.max(np.abs(ck.eval_series(coef, s, "U") - ref))
+        assert err <= 1e-13 * np.sum(np.abs(coef) * np.arange(1, len(coef) + 1) ** 2)
+
+    def test_u_bound_is_attained_near_the_edge(self):
+        # the (n+1)^2 allowance is needed: a single order-299 term at
+        # s = 1 - 2^-53 is off by more than 1e-13 (n+1), inside 1e-13 (n+1)^2
+        c = np.zeros(300)
+        c[299] = 1.0
+        s = np.array([np.nextafter(1.0, 0.0)])
+        err = abs(ck.eval_series(c, s, "U")[0] - float(_basis_long_double(300, s, "U")[299, 0]))
+        assert 1e-13 * 300 < err <= 1e-13 * 300 ** 2
+
+    def test_empty_and_scalar(self):
+        assert ck.eval_series([], 0.3, "U") == 0
+        assert ck.eval_series(np.array([1.5 - 2j]), np.array(0.3), "T").shape == ()

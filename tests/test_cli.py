@@ -211,6 +211,36 @@ class TestSpectra:
         assert len(warnings) == 1
         assert warnings[0].startswith("real-axis half-line transforms:") and "pole" in warnings[0]
 
+    def test_one_strip_transform_per_family(self, cfg_file, monkeypatch):
+        # F0 = P(xi) F0~ comes from the one F0~ of each family
+        from stripscat import cli, spectral
+        seen = []
+        transform = spectral.strip_transform
+
+        def counted(parity, a, coeffs, k):
+            seen.append(parity)
+            return transform(parity, a, coeffs, k)
+
+        monkeypatch.setattr(spectral, "strip_transform", counted)
+        assert cli.main(["spectra", "--config", str(cfg_file)]) == 0
+        assert sorted(p.value for p in seen) == ["antisymmetric", "symmetric"]
+
+    def test_f0_columns_are_the_bundle_values(self, tmp_path, cfg_file):
+        # F0 and F0~ in spectra.csv are bitwise SpectralBundle.f0 / f0_tilde
+        from stripscat import cli
+        from stripscat.spectral import Scattering
+        from stripscat.verify import RunConfig
+        assert cli.main(["spectra", "--config", str(cfg_file)]) == 0
+        with open(tmp_path / "out" / "spectra.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rc = RunConfig.from_json_file(cfg_file)
+        kg = np.array([float(r["k_re"]) for r in rows])
+        for fam, b in zip("UV", Scattering(rc.problem(), rc.N, rc.tail_tol).bundles):
+            for col, f in (("0", b.f0), ("0t", b.f0_tilde)):
+                got = np.array([complex(float(r[f"{fam}{col}_re"]), float(r[f"{fam}{col}_im"]))
+                                for r in rows])
+                assert np.array_equal(got.view(float), f(kg).view(float))
+
     def test_one_phase_matrix_per_run(self, cfg_file, phase_builds):
         from stripscat import cli
         assert cli.main(["spectra", "--config", str(cfg_file)]) == 0

@@ -15,6 +15,7 @@ from stripscat.spectral import (
     cauchy_analyticity_test,
     contour_integral_rect,
     directivity,
+    directivity_full_circle,
     embedding_rank_test,
     energy_balance,
     farfield_oracle,
@@ -225,6 +226,23 @@ class TestPoleStructure:
         assert len(calls) == 4 and sum(calls) > 4 * 32
         assert abs(loop - 2j * np.pi * np.exp(1j * pole)) < 1e-12
 
+    def test_one_pole_warning_per_scattering(self, ref_cfg, caplog):
+        # the bundles of one Scattering share the warning's flag
+        import logging
+        ba, bs = Scattering(ref_cfg, 64).bundles
+        k = ref_cfg.k_star + 1e-5
+        with caplog.at_level(logging.WARNING, logger="stripscat.spectral"):
+            ba.f_plus(k)
+            bs.f_plus(k)
+            ba.f_plus(k)
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and warnings[0].startswith("F+ (antisymmetric):")
+        # a bundle made on its own keeps its own flag
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="stripscat.spectral"):
+            SpectralBundle(ref_cfg, bs.density).f_plus(k)
+        assert len([r for r in caplog.records if r.levelno == logging.WARNING]) == 1
+
     def test_cauchy_calibration_entire(self):
         rect = (-1.0, 1.0, -1.0, 1.0)
         val = cauchy_analyticity_test(lambda z: np.exp(1j * z), rect)
@@ -276,6 +294,54 @@ class TestDirectivity:
         th = np.linspace(0.05, np.pi - 0.05, 21)
         assert np.max(np.abs(np.atleast_1d(
             bs.f0_tilde(-cfg.k0 * np.cos(th))))) < 1e-14
+
+
+def _full_circle_all_angles(bundle_a, bundle_s, m=720):
+    """The full-circle directivity with every one of the m angles transformed,
+    the lower half at 2 pi - theta: the reference for the half-circle one."""
+    th = 2 * np.pi * (np.arange(m) + 0.5) / m
+    upper = th <= np.pi
+    tab = directivity(bundle_a, bundle_s, np.where(upper, th, 2 * np.pi - th))
+    return th, np.where(upper, tab.S_a, -tab.S_a) + tab.S_s
+
+
+class TestFullCircle:
+    @pytest.mark.parametrize("m", [1, 7, 8, 720, 721])
+    def test_matches_all_angles(self, ref_bundles, m):
+        # the mirrored grid angle 2 pi (m - j - 1/2)/m and 2 pi - theta_j differ
+        # by up to 2 ulp of 2 pi, over which S moves by about |k0| a ulp
+        th, S = directivity_full_circle(*ref_bundles, m)
+        th_ref, S_ref = _full_circle_all_angles(*ref_bundles, m)
+        assert np.array_equal(th, th_ref)
+        assert np.max(np.abs(S - S_ref)) <= 1e-15 * max(1.0, abs(K0) * A) * np.max(np.abs(S_ref))
+
+    @pytest.mark.parametrize("m", [7, 8, 720, 721])
+    def test_half_the_angles_are_transformed(self, ref_bundles, m, monkeypatch):
+        from stripscat import spectral
+        seen = []
+        transform = spectral.strip_transform
+
+        def counted(parity, a, coeffs, k):
+            seen.append((parity, len(k)))
+            return transform(parity, a, coeffs, k)
+
+        monkeypatch.setattr(spectral, "strip_transform", counted)
+        directivity_full_circle(*ref_bundles, m)
+        assert len(seen) == 2 and dict(seen) == dict.fromkeys(Parity, (m + 1) // 2)
+
+    @pytest.mark.parametrize("eta", [1.0, 1 - 1j, 0.0])
+    def test_energy_balance_unchanged(self, eta, monkeypatch):
+        # the media of `verify`'s energy checks.  On the reference machine
+        # their report.json values are bitwise those of the all-angle route;
+        # the mirrored angles may move the last bit of a mean of |S|^2
+        from stripscat import spectral
+        cfg = ProblemConfig(2 + 0j, A, eta, THETA)
+        eb = energy_balance(cfg)
+        monkeypatch.setattr(spectral, "directivity_full_circle", _full_circle_all_angles)
+        ref = energy_balance(cfg)
+        for key in ("p_scat", "extinction", "absorbed"):
+            assert eb[key] == pytest.approx(ref[key], rel=1e-15, abs=1e-15)
+        assert eb["balance_rel"] == pytest.approx(ref["balance_rel"], rel=0, abs=1e-15)
 
 
 class TestEmbedding:
