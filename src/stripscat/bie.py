@@ -99,6 +99,11 @@ class SolveDiagnostics:
 # ---------------------------------------------------------------------------
 # assembly helpers
 # ---------------------------------------------------------------------------
+# even diagonals of Pi~ per BLAS product: the gathered block holds
+# 2 x 32 x (2 Np - 1) doubles, however large the kernel order Np
+_LOG_SUM_BLOCK = 32
+
+
 def _log_sum_rect(Lbig: np.ndarray, Rbig: np.ndarray, Pi: np.ndarray, rmax: int) -> np.ndarray:
     """-2 sum_r (1/r) Phi_L^(r) Pi Phi_R^(r)T.
 
@@ -106,33 +111,44 @@ def _log_sum_rect(Lbig: np.ndarray, Rbig: np.ndarray, Pi: np.ndarray, rmax: int)
     product T_p T_r = (T_{p+r} + T_{|p-r|})/2 against the row family whose
     banded orthogonality matrix is B (W for the sqrt(w) U family, V for
     T/sqrt(w), C3 for plain T).  The sum is Lbig C Rbig^T with
-    C = -2 sum_r (1/r) E_r Pi E_r^T, of which only the rows that meet a
-    nonzero column of Lbig are formed, by slice-adds of Pi.
+    C = -2 sum_r (1/r) E_r Pi E_r^T, of which only the rows i < nL that meet
+    a nonzero column of Lbig are formed.  In cosine-Fourier terms, with
+    Pi~[m, n] = g_|m| g_|n| Pi[|m|, |n|] (g_0 = 1, else 1/2; c_0 = 1, else 2),
+    C[i, q] = c_i c_q (G[i, q] + G[i, -q]) and
+    G[i, q] = sum_{0<|r|<=rmax} -Pi~[i - r, q - r] / (2|r|): a convolution
+    along each diagonal of Pi~, so the diagonals times one real Toeplitz
+    matrix give G.  Pi[p, q] = 0 for odd p + q (P(a^2 (s-t)^2) is even under
+    (s, t) -> (-s, -t)), so only the even diagonals are visited.
     """
     Np = Pi.shape[0]
+    M = Np - 1                                    # Pi~ lives on |m|, |n| <= M
     nL = int(np.flatnonzero(Lbig.any(axis=0))[-1]) + 1
-    C = np.zeros((nL, Lbig.shape[1]), dtype=complex)
-    Y = np.empty((nL, Np), dtype=complex)
-    for r in range(1, rmax + 1):
-        # Y = (E_r Pi)[:nL]: row i takes Pi[i - r] and Pi[p] for |p - r| = i
-        Y[:] = 0.0
-        n = min(nL - r, Np)
-        if n > 0:
-            Y[r:r + n] += Pi[:n]
-        n = min(nL, Np - r)
-        if n > 0:
-            Y[:n] += Pi[r:r + n]
-        lo, hi = max(1, r - Np + 1), min(nL, r + 1)
-        if hi > lo:
-            Y[lo:hi] += Pi[r - hi + 1:r - lo + 1][::-1]
-        # C += -(2/r) (Y/2) E_r^T: column q of Y goes to columns q + r and |q - r|
-        Y *= -0.5 / r
-        C[:, r:r + Np] += Y
-        if r < Np:
-            C[:, :Np - r] += Y[:, r:]
-        m = min(r, Np)
-        C[:, r - m + 1:r + 1] += Y[:, m - 1::-1]
-    return Lbig[:, :nL] @ C @ Rbig.T
+    g = np.where(np.arange(Np) == 0, 1.0, 0.5)
+    # Tk[x, i] = c_i g_|m| k_{i-m} at m = M - x, k_r = -1/(2|r|) for 0 < |r| <= rmax
+    r = np.abs(np.arange(-M, M + nL))
+    k = np.where((r > 0) & (r <= rmax), -0.5 / np.maximum(r, 1), 0.0)
+    m = np.arange(M, -M - 1, -1)
+    Tk = np.lib.stride_tricks.sliding_window_view(k, nL) * g[np.abs(m), None]
+    Tk[:, 1:] *= 2.0
+    gn = np.pad(g[np.abs(m)], 2 * M)              # g_|n| for |n| <= 3M, 0 off the support
+    # H[:, i, q + 2M] = G[i, q], real and imaginary planes; the same buffer with
+    # rows one longer puts diagonal d = 2e - 2M of row i at column e
+    W = nL + 4 * M
+    Hb = np.zeros((2, nL * (W + 1)))
+    diag = Hb.reshape(2, nL, W + 1)[:, :, :4 * M + 1:2]
+    Pf, row = Pi.reshape(-1).view(float), 2 * np.abs(m) * Np
+    for e in range(0, 2 * M + 1, _LOG_SUM_BLOCK):
+        n = m + 2 * np.arange(e, min(e + _LOG_SUM_BLOCK, 2 * M + 1))[:, None] - 2 * M
+        idx = row + 2 * np.minimum(np.abs(n), M)
+        D = np.stack([Pf[idx], Pf[idx + 1]]) * gn[n + 3 * M]
+        diag[:, :, e:e + len(n)] = (D @ Tk).transpose(0, 2, 1)
+    H = Hb[:, :nL * W].reshape(2, nL, W)
+    H[:, :, 2 * M:4 * M + 1] += H[:, :, 2 * M::-1]        # G[i, q] + G[i, -q]
+    C = H[:, :, 2 * M:]
+    C[:, :, 1:] *= 2.0
+    w = min(C.shape[2], Rbig.shape[1])
+    S = Lbig[:, :nL] @ C[:, :, :w] @ Rbig[:, :w].T
+    return S[0] + 1j * S[1]
 
 
 def _galerkin(cfg: ProblemConfig, parity: Parity, Ntest: int, Ntr: int):
@@ -448,7 +464,9 @@ def scattered_field(dens: Density, cfg: ProblemConfig, x, y):
         w = np.concatenate([w for _, w in rules])
         xv, yv = (np.repeat(v[targets], np.diff(segs)) for v in (xs, ys))
         tau = np.cos(th)
-        R = np.hypot(xv - a * tau, yv)
+        # x - a tau from half angles, exact at the edge points (+-a, 0)
+        R = np.hypot(np.where(tau > 0, (xv - a) + 2 * a * np.sin(th / 2) ** 2,
+                              (xv + a) - 2 * a * np.cos(th / 2) ** 2), yv)
         P = dens.poly(tau)
         if antisym:
             kern = 0.25j * k0 * hankel1(1, k0 * R) * yv / R

@@ -92,11 +92,12 @@ def u_transform_matrix(nmax: int, z) -> np.ndarray:
     return np.pi * i_pow(n) * (n + 1) * bessel_ratio(n, z[:, None])
 
 
-def plain_t_moment(j: int) -> float:
-    """int_{-1}^{1} T_j(s) ds."""
-    if j % 2 == 1:
-        return 0.0
-    return 2.0 / (1 - j * j)
+def plain_t_moments(n: int) -> np.ndarray:
+    """J[j] = int_{-1}^{1} T_j(s) ds for j < n: 2/(1 - j^2) at even j, 0 at odd j."""
+    J = np.zeros(n)
+    j = np.arange(0, n, 2)
+    J[::2] = 2.0 / (1 - j * j)
+    return J
 
 
 def plain_t_transform_matrix(nmax: int, z, extra: int = 48) -> np.ndarray:
@@ -130,7 +131,7 @@ def w_matrix(nrow: int, ncol: int) -> np.ndarray:
 
 def c3_matrix(nrow: int, ncol: int) -> np.ndarray:
     """C3[p, n] = int_{-1}^{1} T_p T_n ds = (J(p+n) + J(|p-n|))/2."""
-    J = np.array([plain_t_moment(j) for j in range(nrow + ncol + 1)])
+    J = plain_t_moments(nrow + ncol + 1)
     p = np.arange(nrow)[:, None]
     n = np.arange(ncol)[None, :]
     return 0.5 * (J[p + n] + J[np.abs(p - n)])
@@ -138,7 +139,7 @@ def c3_matrix(nrow: int, ncol: int) -> np.ndarray:
 
 def mass2_matrix(nrow: int, ncol: int) -> np.ndarray:
     """M[m, n] = int_{-1}^{1} (1-s^2) U_m U_n ds = (J(|m-n|) - J(m+n+2))/2, rectangular."""
-    J = np.array([plain_t_moment(j) for j in range(nrow + ncol + 1)])
+    J = plain_t_moments(nrow + ncol + 1)
     m = np.arange(nrow)[:, None]
     n = np.arange(ncol)[None, :]
     return 0.5 * (J[np.abs(m - n)] - J[m + n + 2])
@@ -170,8 +171,9 @@ def pv_t_over_linear(nmax: int, s) -> np.ndarray:
     R[:, 0] = np.log(np.abs((1 - s) / (1 + s)))
     if nmax > 1:
         R[:, 1] = 2.0 + s * R[:, 0]
+    J = plain_t_moments(nmax)
     for p in range(1, nmax - 1):
-        R[:, p + 1] = 2 * s * R[:, p] - R[:, p - 1] + 2 * plain_t_moment(p)
+        R[:, p + 1] = 2 * s * R[:, p] - R[:, p - 1] + 2 * J[p]
     return R
 
 
@@ -184,21 +186,16 @@ def log_point_plain_t(nmax: int, s) -> np.ndarray:
     s = np.atleast_1d(np.asarray(s, dtype=float))
     R = pv_t_over_linear(nmax + 2, s)
     out = np.zeros((len(s), nmax))
-    l1 = np.log(np.abs(s - 1.0))
-    l2 = np.log(np.abs(s + 1.0))
-    for n in range(nmax):
-        if n == 0:
-            # A_0 = t
-            out[:, 0] = l1 - (-1.0) * l2 - R[:, 1]
-        elif n == 1:
-            # A_1 = t^2/2 = (T_2 + T_0)/4
-            out[:, 1] = 0.5 * l1 - 0.5 * l2 - 0.25 * (R[:, 2] + R[:, 0])
-        else:
-            ap = 0.5 / (n + 1)
-            am = 0.5 / (n - 1)
-            A1 = ap - am                      # A_n(1)
-            Am1 = ap * (-1.0) ** (n + 1) - am * (-1.0) ** (n - 1)
-            out[:, n] = A1 * l1 - Am1 * l2 - (ap * R[:, n + 1] - am * R[:, n - 1])
+    l1 = np.log(np.abs(s - 1.0))[:, None]
+    l2 = np.log(np.abs(s + 1.0))[:, None]
+    # A_0 = t, A_1 = t^2/2 = (T_2 + T_0)/4 and A_n = T_{n+1}/(2(n+1)) - T_{n-1}/(2(n-1))
+    out[:, :1] = l1 - (-1.0) * l2 - R[:, 1:2]
+    out[:, 1:2] = 0.5 * l1 - 0.5 * l2 - 0.25 * (R[:, 2:3] + R[:, 0:1])
+    n = np.arange(2, nmax)
+    ap, am = 0.5 / (n + 1), 0.5 / (n - 1)
+    sign = np.where(n % 2 == 1, 1.0, -1.0)     # (-1)^(n+1) = (-1)^(n-1)
+    out[:, 2:] = ((ap - am) * l1 - (ap * sign - am * sign) * l2
+                  - (ap * R[:, 3:nmax + 1] - am * R[:, 1:nmax - 1]))
     return out
 
 
@@ -207,8 +204,9 @@ def log_point_plain_t(nmax: int, s) -> np.ndarray:
 # ---------------------------------------------------------------------------
 def cheb_coeffs_2d(f, M: int) -> np.ndarray:
     """C[p, q] with f(s, t) ~ sum C[p,q] T_p(s) T_q(t), roots grid of size M."""
-    i = np.arange(M)
-    s = np.cos((2 * i + 1) * np.pi / (2 * M))
+    # the roots, exactly antisymmetric: s[M-1-i] = -s[i], 0 in the middle of an odd M
+    h = np.cos((2 * np.arange(M // 2) + 1) * np.pi / (2 * M))
+    s = np.concatenate([h, np.zeros(M % 2), -h[::-1]])
     S, T = np.meshgrid(s, s, indexing="ij")
     F = np.asarray(f(S, T), dtype=complex)
     C = dct(dct(F, type=2, axis=0), type=2, axis=1) / (M * M)

@@ -110,14 +110,17 @@ def single_kernel(k0: complex, r: np.ndarray) -> np.ndarray:
 
 
 def _symmetric_grid(fun, k0: complex, a: float):
-    """f(S, T) = fun(k0, a^2 (S - T)^2) on a square grid, evaluated on the
-    upper triangle and mirrored: (s - t)^2 == (t - s)^2 exactly, so the
-    values are those of the full grid."""
+    """f(S, T) = fun(k0, a^2 (S - T)^2) on the roots grid, evaluated on the
+    quarter i <= j, i + j <= M - 1 and copied to its three images: the grid
+    is exactly antisymmetric, s[M-1-i] = -s[i], so (s_i - s_j)^2 is exactly
+    invariant under i <-> j and (i, j) -> (M-1-i, M-1-j)."""
     def f(S, T):
-        iu = np.triu_indices(S.shape[0])
+        M = S.shape[0]
+        i, j = np.triu_indices(M)
+        i, j = i[i + j <= M - 1], j[i + j <= M - 1]
         F = np.empty(S.shape, dtype=complex)
-        F[iu] = fun(k0, a * a * (S[iu] - T[iu]) ** 2)
-        F.T[iu] = F[iu]
+        F[i, j] = F[j, i] = fun(k0, a * a * (S[i, j] - T[i, j]) ** 2)
+        F[M - 1 - i, M - 1 - j] = F[M - 1 - j, M - 1 - i] = F[i, j]
         return F
     return f
 

@@ -196,12 +196,11 @@ class TestFieldEvaluation:
 
 
 # field targets off the open strip: above it, beyond both edges (near and
-# far), and on y = 0 beyond the edges, where the antisymmetric part is zero.
-# The edge point itself is left out: a node of its rule sits on the edge,
-# where the symmetric kernel is infinite.
+# far), at the edge points, and on y = 0 beyond the edges, where the
+# antisymmetric part is zero.
 _field_targets = st.one_of(
     st.tuples(st.floats(-3.0, 3.0), st.floats(1e-4, 2.0)),
-    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(1e-4, 0.05)),
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.just(0.0) | st.floats(1e-4, 0.05)),
     st.tuples(st.floats(1.0, 3.0, exclude_min=True) | st.floats(-3.0, -1.0, exclude_max=True),
               st.just(0.0)),
 )
@@ -228,6 +227,19 @@ class TestBatchedField:
             assert np.array_equal(_bits(got), _bits(ref.reshape(2, -1)))
         if parity is Parity.ANTISYMMETRIC:
             assert np.all(ref[y == 0] == 0)
+
+    def test_edge_point_is_the_limit(self, ref_cfg, ref_solves):
+        # the node next to tau = 1 has cos(theta) = 1.0 in double; the
+        # distance from half angles is still positive there.  The
+        # antisymmetric part is zero on y = 0 and grows like sqrt(y) above
+        # the edge, so only the symmetric part is continuous to 1e-6 at 1e-9
+        da, ds = ref_solves[:2]
+        for x in (-A, A):
+            u = scattered_field(ds, ref_cfg, x, 0.0)
+            assert np.isfinite(u)
+            assert abs(u - scattered_field(ds, ref_cfg, x, 1e-9)) <= 1e-6
+            assert scattered_field(da, ref_cfg, x, 0.0) == 0
+            assert abs(scattered_field(da, ref_cfg, x, 1e-9)) <= 1e-4
 
     @pytest.mark.parametrize("parity", list(Parity))
     def test_broadcast_shapes(self, ref_cfg, ref_solves, parity):
@@ -508,6 +520,101 @@ class TestLogSumRect:
             cols = np.r_[0:Rbig.shape[0]:7, Rbig.shape[0] - 1]
         ref = _log_sum_loop(Lbig[rows], Rbig[cols], Pi, rmax)
         assert np.max(np.abs(got[rows][:, cols] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _log_sum_slice_add(Lbig, Rbig, Pi, rmax):
+    """The log sum with C = -2 sum_r (1/r) E_r Pi E_r^T built by per-order
+    slice-adds of Pi (the reference for the Toeplitz product of
+    `bie._log_sum_rect`)."""
+    Np = Pi.shape[0]
+    nL = int(np.flatnonzero(Lbig.any(axis=0))[-1]) + 1
+    C = np.zeros((nL, Lbig.shape[1]), dtype=complex)
+    Y = np.empty((nL, Np), dtype=complex)
+    for r in range(1, rmax + 1):
+        # Y = (E_r Pi)[:nL]: row i takes Pi[i - r] and Pi[p] for |p - r| = i
+        Y[:] = 0.0
+        n = min(nL - r, Np)
+        if n > 0:
+            Y[r:r + n] += Pi[:n]
+        n = min(nL, Np - r)
+        if n > 0:
+            Y[:n] += Pi[r:r + n]
+        lo, hi = max(1, r - Np + 1), min(nL, r + 1)
+        if hi > lo:
+            Y[lo:hi] += Pi[r - hi + 1:r - lo + 1][::-1]
+        # C += -(2/r) (Y/2) E_r^T: column q of Y goes to columns q + r and |q - r|
+        Y *= -0.5 / r
+        C[:, r:r + Np] += Y
+        if r < Np:
+            C[:, :Np - r] += Y[:, r:]
+        m = min(r, Np)
+        C[:, r - m + 1:r + 1] += Y[:, m - 1::-1]
+    return Lbig[:, :nL] @ C @ Rbig.T
+
+
+# the ten media of the benchmark's media-sweep, (k0, a)
+_SWEEP_MEDIA = [(1.0, 1.0), (2.5, 1.0), (2.0, 2.0), (5.5, 1.0), (3.5, 2.0),
+                (8.5, 1.0), (10.0, 1.0), (6.0, 2.0), (14.0, 1.0), (16.0, 1.0)]
+
+
+class TestLogSumToeplitz:
+    """The Toeplitz product over the even diagonals of Pi~ equals the
+    per-order slice-adds, and its premise, Pi[p, q] = 0 for odd p + q,
+    holds for the kernel expansions."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(Np=st.integers(4, 80), left=st.sampled_from("WV"), right=st.sampled_from("WC"),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_matches_slice_add_loop(self, Np, left, right, seed, data):
+        from stripscat import bie
+        from stripscat import chebkit as ck
+        # the sizes and rmax as `_galerkin` sets them
+        Ntest = data.draw(st.integers(1, max(1, Np - 4)), label="Ntest")
+        Ntr = data.draw(st.integers(1, 250), label="Ntr")
+        rmax = min(Ntest, Ntr) + Np + 2
+        big = Np + rmax + 3
+        if left == "W":
+            L = ck.w_matrix(Ntest, big)
+        else:
+            L = np.zeros((Ntest, big))
+            L[np.arange(Ntest), np.arange(Ntest)] = np.where(np.arange(Ntest) == 0, np.pi, np.pi / 2)
+        R = ck.w_matrix(Ntr, big) if right == "W" else ck.c3_matrix(big, Ntr).T
+        # a complex symmetric checkerboard, as P(a^2 (s-t)^2) gives
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((Np, Np)) + 1j * rng.standard_normal((Np, Np))
+        Pi = A + A.T
+        Pi[np.add.outer(np.arange(Np), np.arange(Np)) % 2 == 1] = 0.0
+        ref = _log_sum_slice_add(L, R, Pi, rmax)
+        got = bie._log_sum_rect(L, R, Pi, rmax)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 4e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("k0, a", _SWEEP_MEDIA + [(0.01, 1.0), (64.0, 1.0)])
+    def test_odd_parity_coefficients_vanish(self, k0, a):
+        from stripscat.kernels import KernelExpansion, kernel_order
+        # the order of N = 64 and an odd one, N + 6 for odd N
+        for order in (kernel_order(k0, a), kernel_order(k0, a) + 1):
+            odd = np.add.outer(np.arange(order), np.arange(order)) % 2 == 1
+            for antisym in (True, False):
+                ker = KernelExpansion(k0, a, antisym, order)
+                for C in (ker.pi_hat, ker.q_hat):
+                    assert np.max(np.abs(C[odd])) <= 1e-15 * np.max(np.abs(C))
+
+    def test_assembly_memory_is_bounded(self):
+        # k0 = 16, N = 128, the kernel expansion built beforehand: the
+        # slice-add form peaked at 7.3 MiB, all diagonals in one product at 12 MiB
+        import tracemalloc
+        from stripscat import bie
+        cfg = ProblemConfig(16.0, A, ETA, THETA)
+        for parity in Parity:
+            bie._galerkin(cfg, parity, 130, 224)        # the kernel expansion, once
+            tracemalloc.start()
+            try:
+                bie._galerkin(cfg, parity, 130, 224)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8.4 * 2 ** 20
 
 
 def _galerkin_antisym_ref(cfg, Ntest, Ntr):

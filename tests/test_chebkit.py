@@ -104,6 +104,11 @@ def test_plain_t_transform():
         assert E[0, n] == pytest.approx(ref, abs=1e-13)
 
 
+def _plain_t_moment(j):
+    """int T_j ds, one moment (the reference for `chebkit.plain_t_moments`)."""
+    return 0.0 if j % 2 == 1 else 2.0 / (1 - j * j)
+
+
 def test_plain_t_transform_moment_table():
     # the moment table is c3_matrix: bitwise the per-entry double loop
     from scipy.special import jv
@@ -114,7 +119,7 @@ def test_plain_t_transform_moment_table():
     C = np.zeros((mmax + 1, nmax))
     for mm in range(mmax + 1):
         for n in range(nmax):
-            C[mm, n] = 0.5 * (ck.plain_t_moment(mm + n) + ck.plain_t_moment(abs(mm - n)))
+            C[mm, n] = 0.5 * (_plain_t_moment(mm + n) + _plain_t_moment(abs(mm - n)))
     wts = np.where(m == 0, 1.0, 2.0) * (1j ** m)
     ref = (jv(m[None, :], z[:, None]) * wts[None, :]) @ C
     assert np.array_equal(ck.plain_t_transform_matrix(nmax, z), ref)
@@ -143,16 +148,61 @@ def test_w_matrix_against_quadrature():
 
 
 def test_mass2_matches_double_loop():
-    # the vectorised table is bitwise the per-entry double loop, at the
-    # operator's N = 64 shape
-    def c(p):
-        return 0.0 if p % 2 == 1 else 2.0 / (1 - p * p)
+    # the vectorised tables (mass2, C3 and the moments) are bitwise the
+    # per-entry double loops, at the operator's N = 64 shape among others
+    for nrow, ncol in [(66, 192), (1, 1), (5, 300), (187, 7)]:
+        mass2, c3 = np.zeros((nrow, ncol)), np.zeros((nrow, ncol))
+        for m in range(nrow):
+            for q in range(ncol):
+                mass2[m, q] = 0.5 * (_plain_t_moment(abs(m - q)) - _plain_t_moment(m + q + 2))
+                c3[m, q] = 0.5 * (_plain_t_moment(m + q) + _plain_t_moment(abs(m - q)))
+        assert np.array_equal(ck.mass2_matrix(nrow, ncol), mass2)
+        assert np.array_equal(ck.c3_matrix(nrow, ncol), c3)
+        J = ck.plain_t_moments(nrow + ncol)
+        assert np.array_equal(J, [_plain_t_moment(j) for j in range(nrow + ncol)])
 
-    ref = np.zeros((66, 192))
-    for m in range(66):
-        for q in range(192):
-            ref[m, q] = 0.5 * (c(abs(m - q)) - c(m + q + 2))
-    assert np.array_equal(ck.mass2_matrix(66, 192), ref)
+
+def _pv_t_over_linear_loop(nmax, s):
+    """`chebkit.pv_t_over_linear` with one moment per order (the reference)."""
+    R = np.zeros((len(s), nmax))
+    R[:, 0] = np.log(np.abs((1 - s) / (1 + s)))
+    if nmax > 1:
+        R[:, 1] = 2.0 + s * R[:, 0]
+    for p in range(1, nmax - 1):
+        R[:, p + 1] = 2 * s * R[:, p] - R[:, p - 1] + 2 * _plain_t_moment(p)
+    return R
+
+
+def _log_point_plain_t_loop(nmax, s):
+    """`chebkit.log_point_plain_t` one column per order (the reference)."""
+    R = _pv_t_over_linear_loop(nmax + 2, s)
+    out = np.zeros((len(s), nmax))
+    l1 = np.log(np.abs(s - 1.0))
+    l2 = np.log(np.abs(s + 1.0))
+    for n in range(nmax):
+        if n == 0:
+            out[:, 0] = l1 - (-1.0) * l2 - R[:, 1]
+        elif n == 1:
+            out[:, 1] = 0.5 * l1 - 0.5 * l2 - 0.25 * (R[:, 2] + R[:, 0])
+        else:
+            ap = 0.5 / (n + 1)
+            am = 0.5 / (n - 1)
+            A1 = ap - am
+            Am1 = ap * (-1.0) ** (n + 1) - am * (-1.0) ** (n - 1)
+            out[:, n] = A1 * l1 - Am1 * l2 - (ap * R[:, n + 1] - am * R[:, n - 1])
+    return out
+
+
+# points inside and outside [-1, 1]; the log terms are infinite at s = +-1
+_log_points = arrays(float, st.integers(1, 8),
+                     elements=st.floats(-3.0, 3.0).filter(lambda v: abs(v) != 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(nmax=st.integers(1, 300), s=_log_points)
+def test_log_point_plain_t_is_the_loop(nmax, s):
+    assert np.array_equal(ck.pv_t_over_linear(nmax, s), _pv_t_over_linear_loop(nmax, s))
+    assert np.array_equal(ck.log_point_plain_t(nmax, s), _log_point_plain_t_loop(nmax, s))
 
 
 def test_mass2_and_c3():
@@ -180,6 +230,22 @@ def test_cheb2d_roundtrip():
         Ts = np.cos(np.arange(48) * np.arccos(s))
         Tt = np.cos(np.arange(48) * np.arccos(t))
         assert Ts @ C @ Tt == pytest.approx(f(s, t), rel=1e-13)
+
+
+@pytest.mark.parametrize("M", [1, 2, 7, 48, 72, 73, 185])
+def test_cheb2d_grid_is_antisymmetric(M):
+    # s[M-1-i] = -s[i] bitwise, so the kernel factors of (s - t)^2 take the
+    # same values at (i, j) and (M-1-i, M-1-j)
+    seen = []
+    ck.cheb_coeffs_2d(lambda S, T: seen.append((S, T)) or S * T, M)
+    S, T = seen[0]
+    s = S[:, 0]
+    assert np.array_equal(S, np.broadcast_to(s[:, None], (M, M)))
+    assert np.array_equal(T, S.T)
+    assert np.array_equal(s[::-1], -s)
+    if M % 2:
+        assert s[M // 2] == 0.0
+    assert np.max(np.abs(s - np.cos((2 * np.arange(M) + 1) * np.pi / (2 * M)))) <= 1e-15
 
 
 def test_edge_log_t_coeffs():

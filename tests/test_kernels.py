@@ -97,13 +97,15 @@ def _q_sym_both_branches(k0, rho):
     return np.where(small, ser, direct)
 
 
-# |k0| a up to 8.5 keeps the grid below 16384 points; see the bound below
-@pytest.mark.parametrize("k0a", [0.01, 2.0, 8.5, 16.0])
+# |k0| a up to 8.5 keeps the grid below 16384 points; see the bound below.
+# The orders are even but for one: Np = N + 6 is odd for odd N
+@pytest.mark.parametrize("k0a, extra", [(0.01, 0), (2.0, 0), (2.0, 1), (8.5, 0), (16.0, 0)],
+                         ids=["0.01", "2.0", "2.0-odd", "8.5", "16.0"])
 @pytest.mark.parametrize("antisym", [True, False])
-def test_expansion_equals_full_grid_evaluation(k0a, antisym):
+def test_expansion_equals_full_grid_evaluation(k0a, extra, antisym):
     from stripscat.chebkit import cheb_coeffs_2d
     k0, a = k0a * np.exp(0.025j) / 1.3, 1.3
-    order = kn.kernel_order(k0, a)
+    order = kn.kernel_order(k0, a) + extra
     pfun = kn.p_antisym if antisym else kn.p_sym
     qfun = _q_antisym_both_branches if antisym else _q_sym_both_branches
     pi_ref = cheb_coeffs_2d(lambda S, T: pfun(k0, a * a * (S - T) ** 2), order)
