@@ -10,7 +10,6 @@ from .core import (
 from .bie import (
     Density,
     SolveDiagnostics,
-    boundary_residual,
     off_strip_normal_derivative,
     off_strip_trace,
     scattered_field,
@@ -27,7 +26,6 @@ __all__ = [
     "xi",
     "Density",
     "SolveDiagnostics",
-    "boundary_residual",
     "off_strip_normal_derivative",
     "off_strip_trace",
     "scattered_field",

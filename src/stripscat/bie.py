@@ -34,7 +34,6 @@ edge floor.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,12 +42,6 @@ from scipy.special import hankel1, jv
 from . import chebkit as ck
 from .core import Parity, ProblemConfig
 from .kernels import hyper_kernel, kernel_expansion, kernel_order, single_kernel
-
-logger = logging.getLogger(__name__)
-
-# the coefficient-tail target of a solve and the truncation tolerance of the
-# half-line banks
-DEFAULT_TAIL_TOL = 1e-9
 
 
 class SingularSystemError(RuntimeError):
@@ -90,9 +83,7 @@ class Density:
 @dataclass(frozen=True)
 class SolveDiagnostics:
     N: int
-    tail_decay: float
     condition_estimate: float
-    tail_converged: bool
     kernel_tail: float
 
 
@@ -269,25 +260,15 @@ def solve_block(cfg: ProblemConfig, parity: Parity, theta_in, N: int):
     return coeffs, amp, cond, ker_tail
 
 
-def _solve(cfg: ProblemConfig, parity: Parity, N: int, tail_tol: float):
+def _solve(cfg: ProblemConfig, parity: Parity, N: int):
     """One incidence, the one-column case of `solve_block`; returns
     (Density, SolveDiagnostics)."""
     coeffs, amp, cond, ker_tail = solve_block(cfg, parity, [cfg.theta_in], N)
-    coeffs = coeffs[:, 0]
-    dens = Density(parity, cfg.a, coeffs, aug_amp=(complex(amp[0, 0]), complex(amp[1, 0])))
-
-    # the folded edge-log tail is an exact feature of the density; the
-    # convergence-relevant decay is that of the solved polynomial block
-    peak = np.max(np.abs(coeffs))
-    tail = float(np.max(np.abs(coeffs[int(0.9 * N):N])) / peak) if peak > 0 else 0.0
-    ok = tail <= tail_tol
-    if not ok:
-        logger.debug("%s solve at N=%d: coefficient tail %.2e above target %.0e",
-                     parity.value, N, tail, tail_tol)
-    return dens, SolveDiagnostics(N, tail, cond, ok, ker_tail)
+    dens = Density(parity, cfg.a, coeffs[:, 0], aug_amp=(complex(amp[0, 0]), complex(amp[1, 0])))
+    return dens, SolveDiagnostics(N, cond, ker_tail)
 
 
-def solve_antisymmetric(cfg: ProblemConfig, N: int, *, tail_tol: float = DEFAULT_TAIL_TOL):
+def solve_antisymmetric(cfg: ProblemConfig, N: int):
     """Solve the hypersingular problem; return (Density, SolveDiagnostics).
 
     The trial space is the first N weighted Chebyshev functions plus the
@@ -295,19 +276,19 @@ def solve_antisymmetric(cfg: ProblemConfig, N: int, *, tail_tol: float = DEFAULT
     (which carry the rho^{3/2} log rho edge correction); their
     contribution is folded back into one long coefficient vector.
     """
-    return _solve(cfg, Parity.ANTISYMMETRIC, N, tail_tol)
+    return _solve(cfg, Parity.ANTISYMMETRIC, N)
 
 
-def solve_symmetric(cfg: ProblemConfig, N: int, *, tail_tol: float = DEFAULT_TAIL_TOL):
+def solve_symmetric(cfg: ProblemConfig, N: int):
     """Solve the second-kind symmetric problem; return (Density, SolveDiagnostics).
 
     At eta = 0 the right-hand side vanishes and so does the density.
     """
-    return _solve(cfg, Parity.SYMMETRIC, N, tail_tol)
+    return _solve(cfg, Parity.SYMMETRIC, N)
 
 
 # ---------------------------------------------------------------------------
-# pointwise operator actions (closed-form singular parts)
+# the single-layer trace on the strip (closed-form singular parts)
 # ---------------------------------------------------------------------------
 def _kernel_columns(ker: KernelExpansion, s):
     """pi_q(s) and q_q(s): the kernel factors' T_q(t) columns at fixed s."""
@@ -315,41 +296,6 @@ def _kernel_columns(ker: KernelExpansion, s):
     Np = ker.order
     T = np.cos(np.arange(Np)[None, :] * np.arccos(np.clip(s, -1, 1))[:, None])
     return T @ ker.pi_hat, T @ ker.q_hat          # (ns, Np) each
-
-
-def hypersingular_action(dens: Density, cfg: ProblemConfig, x):
-    """(T mu)(x) on the strip, via analytic static/log parts + expanded remainder."""
-    assert dens.parity is Parity.ANTISYMMETRIC
-    a, k0 = cfg.a, cfg.k0
-    b = dens.coeffs
-    N = len(b)
-    s = np.atleast_1d(np.asarray(x, dtype=float)) / a
-    ker = kernel_expansion(k0, a, True, kernel_order(k0, a))
-    Np = ker.order
-
-    nn = np.arange(N)
-    Us = np.empty((len(s), N))
-    Us[:, 0] = 1.0
-    if N > 1:
-        Us[:, 1] = 2.0 * s
-    for n in range(2, N):
-        Us[:, n] = 2.0 * s * Us[:, n - 1] - Us[:, n - 2]
-    static = Us @ (-(nn + 1) / 2.0 * b)
-
-    pic, qc = _kernel_columns(ker, s)
-    Wb = ck.w_matrix(N, Np)
-    wb = Wb.T @ b                                  # moments int T_q sqrt(w) P dt
-    smooth = (pic * np.log(a) + qc) @ wb           # Pi ln(a) part + entire part
-
-    # T_q U_n = (U_{n+q} + U_{n-q})/2 with U_{-1} = 0 and U_{-m} = -U_{m-2}
-    ell = ck.log_point_u(N + Np + 2, s)            # (ns, N+Np+2)
-    q = np.arange(Np)[:, None]
-    d = nn[None, :] - q
-    sign = np.where(d >= 0, 1.0, np.where(d <= -2, -1.0, 0.0))
-    cols = (ell[:, q + nn] + sign * ell[:, np.where(d >= 0, d, np.abs(d + 2))]) @ (0.5 * b)
-    logpart = np.sum(pic * cols, axis=1)
-    out = static + a * a * (smooth + logpart)
-    return out if np.ndim(x) else complex(out[0])
 
 
 def sym_trace_on_strip(dens: Density, cfg: ProblemConfig, x):
@@ -375,26 +321,6 @@ def sym_trace_on_strip(dens: Density, cfg: ProblemConfig, x):
     logpart = np.sum(pic * cols, axis=1)
     out = a * (smooth + logpart)
     return out if np.ndim(x) else complex(out[0])
-
-
-def boundary_residual(dens: Density, cfg: ProblemConfig, n_check: int = 48) -> float:
-    """Max relative residual of the governing boundary equation on a Chebyshev grid.
-
-    Where the data vanish, the residual is scaled by max(max|lhs|, 1)
-    instead, so a zero density reads 0 and any other density reads > 0."""
-    s, _ = ck.gauss_cheb1(n_check)
-    x = cfg.a * s
-    ks = cfg.k_star
-    if dens.parity is Parity.ANTISYMMETRIC:
-        lhs = hypersingular_action(dens, cfg, x) - (cfg.eta / 2.0) * dens(x)
-        rhs = 1j * cfg.k0 * np.sin(cfg.theta_in) * np.exp(-1j * ks * x)
-    else:
-        lhs = -0.5 * dens(x) - cfg.eta * sym_trace_on_strip(dens, cfg, x)
-        rhs = cfg.eta * np.exp(-1j * ks * x)
-    scale = np.max(np.abs(rhs))
-    if scale == 0:        # zero data (grazing incidence; eta = 0 for the symmetric part)
-        scale = max(np.max(np.abs(lhs)), 1.0)
-    return float(np.max(np.abs(lhs - rhs)) / scale)
 
 
 # ---------------------------------------------------------------------------

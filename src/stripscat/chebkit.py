@@ -33,13 +33,6 @@ def gauss_cheb2(n: int):
     return s, w
 
 
-def gauss_cheb1(n: int):
-    """Nodes/weights for int_{-1}^{1} f(s)/sqrt(1-s^2) ds."""
-    j = np.arange(n)
-    s = np.cos((2 * j + 1) * np.pi / (2 * n))
-    return s, np.full(n, np.pi / n)
-
-
 def eval_series(coef: np.ndarray, s, kind: str):
     """sum_n coef[n] U_n(s) (kind "U") or T_n(s) (kind "T") by the three-term
     recurrence.
@@ -143,21 +136,6 @@ def mass2_matrix(nrow: int, ncol: int) -> np.ndarray:
     m = np.arange(nrow)[:, None]
     n = np.arange(ncol)[None, :]
     return 0.5 * (J[np.abs(m - n)] - J[m + n + 2])
-
-
-def log_point_u(nmax: int, s) -> np.ndarray:
-    """ell[i, n] = int ln|s_i - t| sqrt(w(t)) U_n(t) dt (closed form).
-
-    ell_0 = -(pi/2) ln 2 + (pi/4) T_2(s); for n >= 1,
-    ell_n = -(pi/2)[T_n(s)/n - T_{n+2}(s)/(n+2)].
-    """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    T = np.cos(np.arange(nmax + 2)[None, :] * np.arccos(np.clip(s, -1, 1))[:, None])
-    out = np.zeros((len(s), nmax), dtype=float)
-    out[:, 0] = -(np.pi / 2) * np.log(2) + (np.pi / 4) * T[:, 2]
-    for n in range(1, nmax):
-        out[:, n] = -(np.pi / 2) * (T[:, n] / n - T[:, n + 2] / (n + 2))
-    return out
 
 
 def pv_t_over_linear(nmax: int, s) -> np.ndarray:

@@ -13,15 +13,16 @@ import csv
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import rhstructure as rh
-from .bie import SingularSystemError, boundary_residual
+from .bie import SingularSystemError
 from .edge import extract_c, extract_d
 from .spectral import Scattering, forward_amplitude, real_axis_halflines
-from .verify import RunConfig, run_suite
+from .verify import RunConfig, check_self_convergence, run_suite
 
 logger = logging.getLogger(__name__)
 
@@ -57,9 +58,22 @@ def _load_config(path: str) -> RunConfig:
         raise SystemExit(EXIT_CONFIG)
 
 
+def _spectral_config_ok(rc: RunConfig, command: str) -> bool:
+    """The spectral functions need Im(k0) > 0 (the half-line integrals decay
+    like e^{-Im(k0) x}) and eta != 0; report a config error if not."""
+    if complex(rc.k0).imag <= 0:
+        need = "Im(k0) > 0"
+    elif rc.eta == 0:
+        need = "eta != 0 (the V0 prefactor 1/(eta xi) is degenerate for the hard strip)"
+    else:
+        return True
+    print(f"config error: {command} requires {need}", file=sys.stderr)
+    return False
+
+
 def _directivity_table(sc: Scattering, rc: RunConfig):
     """Directivity on the CLI's theta grid and its CSV rows."""
-    tab = sc.directivity(np.linspace(0.02, np.pi - 0.02, rc.n_theta))
+    tab = sc.directivity(rc.theta_grid())
     rows = [(np.degrees(t), S.real, S.imag, Sa.real, Sa.imag, Ss.real, Ss.imag)
             for t, S, Sa, Ss in zip(tab.theta, tab.S, tab.S_a, tab.S_s)]
     return tab, rows
@@ -74,6 +88,7 @@ def cmd_solve(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         sc = Scattering(rc.problem(), rc.N, rc.tail_tol)
+        conv = check_self_convergence(rc, sc)
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -89,51 +104,36 @@ def cmd_solve(args) -> int:
                [(x, m.real, m.imag, s.real, s.imag) for x, m, s in zip(xg, mu, sg)])
 
     diags = {
-        "antisymmetric": _diag_dict(sc.diag_a, boundary_residual(sc.da, sc.cfg, 48)),
-        "symmetric": _diag_dict(sc.diag_s, boundary_residual(sc.ds, sc.cfg, 48)),
+        "antisymmetric": asdict(sc.diag_a),
+        "symmetric": asdict(sc.diag_s),
+        "self_convergence": {"value": conv.value, "tol": conv.tol,
+                             "N2": conv.details["N2"], "passed": conv.passed},
         "config": rc.to_dict(),
     }
     (out / "diagnostics.json").write_text(json.dumps(diags, sort_keys=True, indent=1),
                                           encoding="utf-8")
-    if not (sc.diag_a.tail_converged and sc.diag_s.tail_converged):
-        logger.warning("coefficient tails above target; see diagnostics.json")
+    if not conv.passed:
+        logger.warning("directivity self-convergence %.2e (N = %d against %d) above %.0e;"
+                       " see diagnostics.json", conv.value, rc.N, 2 * rc.N, conv.tol)
         return EXIT_NUMERICAL if args.strict else EXIT_OK
     return EXIT_OK
 
 
-def _diag_dict(dg, bc_residual: float) -> dict:
-    return {
-        "N": dg.N,
-        "bc_residual": bc_residual,
-        "tail_decay": dg.tail_decay,
-        "condition_estimate": dg.condition_estimate,
-        "tail_converged": dg.tail_converged,
-        "kernel_tail": dg.kernel_tail,
-    }
-
-
 def cmd_spectra(args) -> int:
     rc = _load_config(args.config)
+    if not _spectral_config_ok(rc, "spectra"):
+        return EXIT_CONFIG
     out = Path(args.out or rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = rc.problem()
-    if complex(cfg.k0).imag <= 0:
-        print("config error: spectra require Im(k0) > 0", file=sys.stderr)
-        return EXIT_CONFIG
-    if cfg.eta == 0:
-        print("config error: spectra require eta != 0 (the V0 prefactor 1/(eta xi)"
-              " is degenerate for the hard strip)", file=sys.stderr)
-        return EXIT_CONFIG
     try:
-        ba, bs = Scattering(cfg, rc.N, rc.tail_tol).bundles
+        ba, bs = Scattering(rc.problem(), rc.N, rc.tail_tol).bundles
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    kmax = rc.k_grid_factor * abs(cfg.k0)
-    if kmax > 8 * abs(cfg.k0):
+    if rc.k_grid_factor > 8:
         logger.warning("k grid extends beyond the truncation-validated window")
-    kg = np.linspace(-kmax, kmax, rc.n_k)
+    kg = rc.k_grid()
 
     header = ["k_re", "k_im"]
     for fam in ("U", "V"):
@@ -163,6 +163,8 @@ def cmd_spectra(args) -> int:
 
 def cmd_verify(args) -> int:
     rc = _load_config(args.config)
+    if not _spectral_config_ok(rc, "verify"):
+        return EXIT_CONFIG
     out = Path(args.out or rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
@@ -254,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", parents=[common], help="solve and write directivity/densities")
     p.add_argument("--strict", action="store_true",
-                   help="exit 3 when coefficient tails miss the target")
+                   help="exit 3 when the directivity self-convergence check fails")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("spectra", parents=[common], help="tabulate the spectral families")

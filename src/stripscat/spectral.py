@@ -31,7 +31,6 @@ import numpy as np
 
 from . import chebkit as ck
 from .bie import (
-    DEFAULT_TAIL_TOL,
     Density,
     off_strip_normal_derivative,
     off_strip_trace,
@@ -44,6 +43,8 @@ from .core import Parity, ProblemConfig, xi
 logger = logging.getLogger(__name__)
 
 POLE_EXCLUSION_FACTOR = 1e-2
+# the truncation tolerance of the half-line banks
+DEFAULT_TAIL_TOL = 1e-9
 
 
 def _xi(k, k0):
@@ -320,14 +321,14 @@ class Scattering:
     diagnostics and their spectral bundles (whose banks are built on first use).
 
     This is the one place where the antisymmetric and symmetric solutions
-    of one incidence are paired.  `tail_tol` is both the solves'
-    coefficient-tail target and the bundles' truncation tolerance.
+    of one incidence are paired.  `tail_tol` is the bundles' truncation
+    tolerance.
     """
 
     def __init__(self, cfg: ProblemConfig, N: int = 64, tail_tol: float = DEFAULT_TAIL_TOL):
         self.cfg = cfg
-        self.da, self.diag_a = solve_antisymmetric(cfg, N, tail_tol=tail_tol)
-        self.ds, self.diag_s = solve_symmetric(cfg, N, tail_tol=tail_tol)
+        self.da, self.diag_a = solve_antisymmetric(cfg, N)
+        self.ds, self.diag_s = solve_symmetric(cfg, N)
         warned = [False]
         self.bundles = (SpectralBundle(cfg, self.da, tail_tol, _pole_warned=warned),
                         SpectralBundle(cfg, self.ds, tail_tol, _pole_warned=warned))

@@ -23,11 +23,14 @@ def cli_env():
     The directory holding the imported `stripscat` package goes first on
     PYTHONPATH, so a child started in another working directory imports the
     same package even when the parent found it through a relative path.
+    A RuntimeWarning is an error in the child as it is in the test process
+    (pyproject.toml's filterwarnings).
     """
     env = dict(os.environ)
     pkg_root = str(Path(stripscat.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     return env
 
 

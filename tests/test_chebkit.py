@@ -27,8 +27,6 @@ P_TRANSFORM_REF = {
     (2, 1.5): -0.782929194993112767 + 0.0j,
     (5, 4.0): 0.0 + 0.584718996542596799j,
 }
-# int ln|0.37 - t| sqrt(w) U_n dt
-ELL_REF_037 = {0: -1.659149191410470, 1: -1.056301886707668, 3: 0.772895775882310}
 # int ln|s - t| T_n(t) dt
 LAM_PLAIN_REF = {
     (0, 0.37): -1.859791625964986,
@@ -123,12 +121,6 @@ def test_plain_t_transform_moment_table():
     wts = np.where(m == 0, 1.0, 2.0) * (1j ** m)
     ref = (jv(m[None, :], z[:, None]) * wts[None, :]) @ C
     assert np.array_equal(ck.plain_t_transform_matrix(nmax, z), ref)
-
-
-def test_log_point_u():
-    ell = ck.log_point_u(5, np.array([0.37]))
-    for n, ref in ELL_REF_037.items():
-        assert ell[0, n] == pytest.approx(ref, abs=1e-12)
 
 
 def test_log_point_plain_t():

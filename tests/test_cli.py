@@ -50,7 +50,11 @@ class TestSolve:
         header = (out / "densities.csv").read_text().splitlines()[0]
         assert header == "x,mu_re,mu_im,sigma_re,sigma_im"
         diags = json.loads((out / "diagnostics.json").read_text())
-        assert set(diags) == {"antisymmetric", "symmetric", "config"}
+        assert set(diags) == {"antisymmetric", "symmetric", "self_convergence", "config"}
+        for parity in ("antisymmetric", "symmetric"):
+            assert set(diags[parity]) == {"N", "condition_estimate", "kernel_tail"}
+        assert set(diags["self_convergence"]) == {"value", "tol", "N2", "passed"}
+        assert diags["self_convergence"]["N2"] == 2 * SMALL_CFG["numerics"]["N"]
 
     def test_eta_zero_kills_ss_columns(self, tmp_path, run_cli):
         cfg = dict(SMALL_CFG)
@@ -116,32 +120,51 @@ class TestSolve:
         assert "eta" in r.stderr.lower() or "dissipation" in r.stderr.lower()
 
 
-class TestResidualOnlyInSolve:
-    """The pointwise residual is a `solve` diagnostic, not part of a solve."""
+REF_CFG = dict(SMALL_CFG, numerics={"N": 64}, grids={})
 
-    def test_counted_residual_calls(self, tmp_path, monkeypatch, ref_cfg, cfg_file):
-        from stripscat import bie, cli
-        from stripscat.spectral import Scattering
-        from stripscat.verify import RunConfig
-        residual = bie.boundary_residual
-        calls = []
 
-        def counted(dens, cfg, *args):
-            calls.append(dens.parity)
-            return residual(dens, cfg, *args)
+def _write_cfg(tmp_path, **changes):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(REF_CFG, out_dir=str(tmp_path / "out"), **changes)))
+    return p
 
-        monkeypatch.setattr(bie, "boundary_residual", counted)
-        monkeypatch.setattr(cli, "boundary_residual", counted)
-        Scattering(ref_cfg, 64)
-        assert calls == []
 
-        assert cli.main(["solve", "--config", str(cfg_file)]) == 0
-        assert sorted(p.value for p in calls) == ["antisymmetric", "symmetric"]
+class TestSolveVerdict:
+    """`solve` reports the suite's directivity self-convergence check."""
+
+    def test_reference_config_converged(self, tmp_path):
+        from stripscat import cli
+        from stripscat.verify import RunConfig, run_suite
+        p = _write_cfg(tmp_path)
+        assert cli.main(["solve", "--config", str(p), "--strict"]) == 0
         diags = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
-        rc = RunConfig.from_json_file(cfg_file)
-        sc = Scattering(rc.problem(), rc.N, rc.tail_tol)
-        assert diags["antisymmetric"]["bc_residual"] == residual(sc.da, sc.cfg, 48)
-        assert diags["symmetric"]["bc_residual"] == residual(sc.ds, sc.cfg, 48)
+        report, _ = run_suite(RunConfig.from_json_file(p), "fast")
+        check, = (c for c in report.checks if c.check_id == "directivity-self-convergence")
+        assert diags["self_convergence"] == {"value": check.value, "tol": check.tol,
+                                             "N2": 128, "passed": True}
+
+    def test_unresolved_solve_fails_strict(self, tmp_path, caplog):
+        # N = 8 at normal incidence misses the directivity by about 2e-3
+        import logging
+        from stripscat import cli
+        p = _write_cfg(tmp_path, k0={"re": 8.0, "im": 0.0}, eta={"re": -1.0, "im": -1.0},
+                       theta_in_deg=90.0, numerics={"N": 8})
+        assert cli.main(["solve", "--config", str(p), "--strict"]) == 3
+        conv = json.loads((tmp_path / "out" / "diagnostics.json").read_text())["self_convergence"]
+        assert conv["value"] > 1e-4 and not conv["passed"]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            assert cli.main(["solve", "--config", str(p)]) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and warnings[0].startswith("directivity self-convergence")
+
+    def test_zero_field_converged(self, tmp_path, run_cli):
+        # eta = 0 at grazing incidence scatters nothing: S = 0 at N and 2N
+        p = _write_cfg(tmp_path, eta={"re": 0.0, "im": 0.0}, theta_in_deg=0.0)
+        r = run_cli("solve", "--config", str(p), "--strict", cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        conv = json.loads((tmp_path / "out" / "diagnostics.json").read_text())["self_convergence"]
+        assert conv["value"] == 0.0 and conv["passed"]
 
 
 class TestVerify:
@@ -187,14 +210,6 @@ class TestSpectra:
         assert "res_u" in cols and "res_v" in cols
         res_u = [float(row.split(",")[cols.index("res_u")]) for row in lines[1:]]
         assert max(res_u) < 1e-3  # N=16 quick config
-
-    def test_requires_absorbing_k0(self, tmp_path, run_cli):
-        cfg = dict(SMALL_CFG)
-        cfg["k0"] = {"re": 2.0, "im": 0.0}
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(cfg))
-        r = run_cli("spectra", "--config", str(p), cwd=tmp_path)
-        assert r.returncode == 2
 
 
     def test_one_pole_warning_per_run(self, tmp_path, caplog):
@@ -246,14 +261,21 @@ class TestSpectra:
         assert cli.main(["spectra", "--config", str(cfg_file)]) == 0
         assert phase_builds.count == 1
 
-    def test_hard_strip_rejected_before_solving(self, tmp_path, run_cli):
-        cfg = dict(SMALL_CFG)
-        cfg["eta"] = {"re": 0.0, "im": 0.0}
+
+class TestSpectralPreconditions:
+    """`spectra` and `verify` need Im(k0) > 0 and eta != 0, and say so in one
+    line, with no traceback, before solving."""
+
+    @pytest.mark.parametrize("command", ["spectra", "verify"])
+    @pytest.mark.parametrize("key,value", [("k0", {"re": 2.0, "im": 0.0}),
+                                           ("eta", {"re": 0.0, "im": 0.0})])
+    def test_config_error(self, tmp_path, run_cli, command, key, value):
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(cfg))
-        r = run_cli("spectra", "--config", str(p), cwd=tmp_path)
+        p.write_text(json.dumps(dict(SMALL_CFG, out_dir=str(tmp_path / "out"), **{key: value})))
+        r = run_cli(command, "--config", str(p), cwd=tmp_path)
         assert r.returncode == 2
         assert r.stderr.count("\n") == 1 and r.stderr.startswith("config error:")
+        assert not (tmp_path / "out").exists()       # rejected before solving
 
 
 class TestSweep:
