@@ -10,8 +10,6 @@ from .core import (
 from .bie import (
     Density,
     SolveDiagnostics,
-    off_strip_normal_derivative,
-    off_strip_trace,
     scattered_field,
     solve_antisymmetric,
     solve_symmetric,
@@ -26,8 +24,6 @@ __all__ = [
     "xi",
     "Density",
     "SolveDiagnostics",
-    "off_strip_normal_derivative",
-    "off_strip_trace",
     "scattered_field",
     "solve_antisymmetric",
     "solve_symmetric",

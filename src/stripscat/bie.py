@@ -41,7 +41,7 @@ from scipy.special import hankel1, jv
 
 from . import chebkit as ck
 from .core import Parity, ProblemConfig
-from .kernels import hyper_kernel, kernel_expansion, kernel_order, single_kernel
+from .kernels import kernel_expansion, kernel_order
 
 
 class SingularSystemError(RuntimeError):
@@ -428,183 +428,4 @@ def strip_trace(dens: Density, cfg: ProblemConfig, x):
         out = dens(xs) / 2.0
     else:
         out = sym_trace_on_strip(dens, cfg, xs)
-    return out if np.ndim(x) else complex(out[0])
-
-
-def density_quadrature(dens: Density, k0: complex):
-    """Nodes t and weights w with sum_i w_i f(t_i) = int_{-a}^{a} rho(t) f(t) dt.
-
-    Exact up to roundoff for f entire of exponential type |k0| (plane waves,
-    J_m(k0 t)): the density is a polynomial of degree len(coeffs) - 1 (times
-    sqrt(a^2 - t^2) for the antisymmetric part, which Gauss-Chebyshev of the
-    second kind carries), and f adds about |k0| a to the degree.
-    """
-    n = max(256, len(dens.coeffs) + int(np.ceil(abs(k0) * dens.a)))
-    if dens.parity is Parity.ANTISYMMETRIC:
-        s, w = ck.gauss_cheb2(n)
-        return dens.a * s, dens.a ** 2 * w * dens.poly(s)
-    s, w = ck.gauss_legendre(n)
-    return dens.a * s, dens.a * w * dens.poly(s)
-
-
-# orders computed beyond |k0| a: the series converges like (a/|x|)^m, and
-# (1/1.5)^100 < 3e-18 at the nearest far-field target |x| = 1.5a.  Where
-# that is not enough (|k0| a in the hundreds, where J_m(k0 t) decays over a
-# width of (|k0| a)^(1/3) orders past |k0| a), `_graf_eval` finds no order
-# count and hands the targets to `_direct_eval`.
-_GRAF_EXTRA_ORDERS = 100
-
-
-def _graf_coeffs(dens: Density, cfg: ProblemConfig, antisym: bool) -> np.ndarray:
-    """Coefficients d_m of the boundary data g(x) = sum_{m>=0} d_m H_m(k0 x), x > a.
-
-    Graf's addition theorem for collinear points (DLMF 10.23.7),
-    H_n(k0(x - t)) = sum_k H_{n+k}(k0 x) J_k(k0 t) for |t| < x, turns the
-    kernels (i/4) H0 (symmetric) and (i k0^2/8)(H0 + H2) (antisymmetric)
-    into sums over the density moments c_k = int rho J_k(k0 t) dt.  Negative
-    orders fold onto m >= 0 through c_{-k} = (-1)^k c_k and
-    H_{-m} = (-1)^m H_m.  The terms decay like (a/x)^m beyond m ~ |k0| a.
-    """
-    k0 = cfg.k0
-    t, w = density_quadrature(dens, k0)
-    k = np.arange(int(np.ceil(abs(k0) * cfg.a)) + _GRAF_EXTRA_ORDERS)
-    c = jv(k[:, None], k0 * t[None, :]) @ w
-    if antisym:
-        c_below = np.concatenate([[c[2], -c[1]], c[:-4]])      # c_{m-2}
-        d = (1j * k0 * k0 / 8) * (2 * c[:-2] + c_below + c[2:])
-    else:
-        d = 0.5j * c
-    d[0] /= 2
-    return d
-
-
-def _graf_order_count(d: np.ndarray, k0: complex, r: float) -> int | None:
-    """Orders of the series sum d_m H_m(k0 r) that reach roundoff at radius r.
-
-    The count ends at the last term |d_m H_m(k0 r)| of at least 1e-17 of the
-    largest one.  None when the computed orders do not show that: fewer than
-    two computed orders follow it, or H_m nears overflow first (at small
-    |k0| r, where H_m grows like (m - 1)! (2 / k0 r)^m).
-    """
-    h = np.abs(hankel1(np.arange(len(d)), k0 * r))
-    finite = h < 1e250                                      # NaN past overflow
-    avail = len(d) if finite.all() else int(np.argmin(finite))
-    terms = np.abs(d[:avail]) * h[:avail]
-    if not np.any(terms):
-        return 1
-    n = int(np.flatnonzero(terms >= 1e-17 * np.max(terms))[-1]) + 1
-    return n if n + 2 <= avail else None
-
-
-def _graf_eval(dens: Density, cfg: ProblemConfig, r: np.ndarray, antisym: bool) -> np.ndarray:
-    """Boundary data at x = +-r, from the multipole series of `_graf_coeffs`.
-
-    r holds sorted distinct radii >= 1.5a; row 0 of the result is the data
-    at x = r, row 1 at x = -r.  The series is summed from the smallest radius
-    at which `_graf_order_count` finds an order count on (a bisection over
-    r; the terms decay faster as r grows).  Nearer radii go to
-    `_direct_eval`.  H_m comes from H_0, H_1 and the forward recurrence,
-    which is stable for the Hankel function.  x = -r changes the moments by
-    (-1)^m, so the even and odd orders are summed apart and the two sides
-    are their sum and difference.
-    """
-    d = _graf_coeffs(dens, cfg, antisym)
-    n = _graf_order_count(d, cfg.k0, r[0])
-    hi = 0                                  # the series serves the radii from r[hi] on
-    if n is None:
-        lo, hi = 0, len(r)                  # no count at r[lo], a count at r[hi]
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _graf_order_count(d, cfg.k0, r[mid]) is None:
-                lo = mid
-            else:
-                hi = mid
-        if hi < len(r):
-            n = _graf_order_count(d, cfg.k0, r[hi])
-    out = np.empty((2, len(r)), dtype=complex)
-    if hi:
-        xd = np.concatenate([r[:hi], -r[:hi]])
-        out[:, :hi] = _direct_eval(dens, cfg, xd, antisym).reshape(2, hi)
-    if hi == len(r):
-        return out
-
-    z = cfg.k0 * r[hi:]
-    two_z = 2 / z
-    h_prev, h = hankel1(0, z), hankel1(1, z)
-    acc = [d[0] * h_prev, np.zeros_like(z)]            # even and odd orders
-    for m in range(1, n):
-        acc[m % 2] += d[m] * h
-        h_prev, h = h, (m * two_z) * h - h_prev
-    out[0, hi:] = acc[0] + acc[1]
-    out[1, hi:] = acc[0] - acc[1]
-    return out
-
-
-def _direct_eval(dens: Density, cfg: ProblemConfig, xs: np.ndarray, antisym: bool) -> np.ndarray:
-    """Boundary data at |x| >= 1.5a by `density_quadrature` of the kernel.
-
-    For these targets the kernel is analytic in t inside the Bernstein
-    ellipse of parameter 1.5 + sqrt(1.25) around the strip, so the rule
-    converges geometrically and is at roundoff with its >= 256 nodes.
-    Targets go in blocks of about 2^20 kernel values.
-    """
-    t, w = density_quadrature(dens, cfg.k0)
-    kernel = hyper_kernel if antisym else single_kernel
-    out = np.empty(len(xs), dtype=complex)
-    step = max(1, 2 ** 20 // len(t))
-    for s in range(0, len(xs), step):
-        out[s:s + step] = kernel(cfg.k0, np.abs(xs[s:s + step, None] - t[None, :])) @ w
-    return out
-
-
-def _off_strip_eval(dens: Density, cfg: ProblemConfig, x, antisym: bool):
-    """Bulk off-strip evaluation: edge-graded quadrature near the edges,
-    the Graf multipole series for targets farther than half a strip-length.
-
-    The targets x and -x share the kernel values at |x|, so the work is done
-    once per distinct radius; the two sides differ only in the density's
-    parity, P(tau) against P(-tau).
-    """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(np.abs(xs) <= cfg.a):
-        raise ValueError("off-strip evaluation requires |x| > a")
-    a, k0 = cfg.a, cfg.k0
-    r, inv = np.unique(np.abs(xs), return_inverse=True)
-    g = np.empty((2, len(r)), dtype=complex)    # the data at x = r and at x = -r
-    far = r / a - 1.0 > 0.5
-    if np.any(far):
-        g[:, far] = _graf_eval(dens, cfg, r[far], antisym)
-
-    near = np.nonzero(~far)[0]
-    if len(near):
-        # batch the per-radius graded rules into one kernel evaluation
-        rules = [ck.theta_graded(r[i] / a - 1.0) for i in near]
-        segs = np.cumsum([0] + [len(th) for th, _ in rules])
-        th_all = np.concatenate([th for th, _ in rules])
-        w_all = np.concatenate([w for _, w in rules])
-        tau = np.cos(th_all)
-        rn = np.repeat(r[near], np.diff(segs)) - a * tau
-        if antisym:
-            w_all = w_all * np.sin(th_all) ** 2
-            kern, scale = hyper_kernel(k0, rn), a * a
-        else:
-            w_all = w_all * np.sin(th_all)
-            kern, scale = single_kernel(k0, rn), a
-        for row, sign in enumerate((1.0, -1.0)):
-            vals = w_all * dens.poly(sign * tau) * kern
-            g[row, near] = scale * np.add.reduceat(vals, segs[:-1])
-    return g[(xs < 0).astype(int), inv]
-
-
-def off_strip_normal_derivative(dens: Density, cfg: ProblemConfig, x):
-    """d u_a/dy (x, +0) for |x| > a, via the (regular there) hypersingular kernel."""
-    assert dens.parity is Parity.ANTISYMMETRIC
-    out = _off_strip_eval(dens, cfg, x, True)
-    return out if np.ndim(x) else complex(out[0])
-
-
-def off_strip_trace(dens: Density, cfg: ProblemConfig, x):
-    """u_s(x, 0) for |x| > a from the single-layer potential."""
-    assert dens.parity is Parity.SYMMETRIC
-    out = _off_strip_eval(dens, cfg, x, False)
     return out if np.ndim(x) else complex(out[0])

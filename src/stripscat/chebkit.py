@@ -181,15 +181,19 @@ def log_point_plain_t(nmax: int, s) -> np.ndarray:
 # Chebyshev coefficient extraction (DCT on the roots grid)
 # ---------------------------------------------------------------------------
 def cheb_coeffs_2d(f, M: int) -> np.ndarray:
-    """C[p, q] with f(s, t) ~ sum C[p,q] T_p(s) T_q(t), roots grid of size M."""
+    """C[p, q] with f(s, t) ~ sum C[p,q] T_p(s) T_q(t), roots grid of size M.
+
+    f may return a stack of grids (shape (..., M, M)); each gets its C.  The
+    transforms overwrite f's result, so f returns a new array."""
     # the roots, exactly antisymmetric: s[M-1-i] = -s[i], 0 in the middle of an odd M
     h = np.cos((2 * np.arange(M // 2) + 1) * np.pi / (2 * M))
     s = np.concatenate([h, np.zeros(M % 2), -h[::-1]])
     S, T = np.meshgrid(s, s, indexing="ij")
     F = np.asarray(f(S, T), dtype=complex)
-    C = dct(dct(F, type=2, axis=0), type=2, axis=1) / (M * M)
-    C[0, :] *= 0.5
-    C[:, 0] *= 0.5
+    C = dct(dct(F, type=2, axis=-2, overwrite_x=True), type=2, axis=-1, overwrite_x=True)
+    C /= M * M
+    C[..., 0, :] *= 0.5
+    C[..., :, 0] *= 0.5
     return C
 
 

@@ -87,7 +87,7 @@ def cmd_solve(args) -> int:
     out = Path(args.out or rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        sc = Scattering(rc.problem(), rc.N, rc.tail_tol)
+        sc = Scattering(rc.problem(), rc.N)
         conv = check_self_convergence(rc, sc)
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -126,13 +126,11 @@ def cmd_spectra(args) -> int:
     out = Path(args.out or rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        ba, bs = Scattering(rc.problem(), rc.N, rc.tail_tol).bundles
+        ba, bs = Scattering(rc.problem(), rc.N).bundles
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    if rc.k_grid_factor > 8:
-        logger.warning("k grid extends beyond the truncation-validated window")
     kg = rc.k_grid()
 
     header = ["k_re", "k_im"]
@@ -217,7 +215,7 @@ def cmd_sweep(args) -> int:
             d["k0"]["im"] *= scale
         try:
             rci = RunConfig.from_dict(d)
-            sc = Scattering(rci.problem(), rci.N, rci.tail_tol)
+            sc = Scattering(rci.problem(), rci.N)
             cfg = sc.cfg
             tab, rows = _directivity_table(sc, rci)
             _write_csv(out / f"directivity_{iv:03d}.csv", DIRECTIVITY_HEADER, rows)

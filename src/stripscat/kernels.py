@@ -41,7 +41,9 @@ def p_antisym(k0: complex, rho: np.ndarray) -> np.ndarray:
     return -(k0 * k0 / (2 * np.pi)) * ratio
 
 
-def q_antisym(k0: complex, rho: np.ndarray) -> np.ndarray:
+def q_antisym(k0: complex, rho: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Smooth part of the hypersingular kernel; `p` is p_antisym(k0, rho),
+    which the direct branch needs and the caller has already evaluated."""
     rho = np.asarray(rho, dtype=complex)
     out = np.empty(rho.shape, dtype=complex)
     small = np.abs((k0 * k0 / 4.0) * rho) <= (Z_SWITCH / 2.0) ** 2
@@ -63,7 +65,7 @@ def q_antisym(k0: complex, rho: np.ndarray) -> np.ndarray:
     big = rho[~small]
     r = np.sqrt(big)
     out[~small] = (1j * k0 / 4.0) * hankel1(1, k0 * r) / r - 1.0 / (2 * np.pi * r * r) \
-        - p_antisym(k0, big) * np.log(r)
+        - np.asarray(p)[~small] * np.log(r)
     return out
 
 
@@ -73,7 +75,9 @@ def p_sym(k0: complex, rho: np.ndarray) -> np.ndarray:
     return -jv(0, k0 * np.sqrt(rho)) / (2 * np.pi)
 
 
-def q_sym(k0: complex, rho: np.ndarray) -> np.ndarray:
+def q_sym(k0: complex, rho: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Smooth part of the single-layer kernel; `p` is p_sym(k0, rho), which
+    the direct branch needs and the caller has already evaluated."""
     rho = np.asarray(rho, dtype=complex)
     out = np.empty(rho.shape, dtype=complex)
     small = np.abs((k0 * k0 / 4.0) * rho) <= (Z_SWITCH / 2.0) ** 2
@@ -94,33 +98,25 @@ def q_sym(k0: complex, rho: np.ndarray) -> np.ndarray:
 
     big = rho[~small]
     r = np.sqrt(big)
-    out[~small] = 0.25j * hankel1(0, k0 * r) - p_sym(k0, big) * np.log(r)
+    out[~small] = 0.25j * hankel1(0, k0 * r) - np.asarray(p)[~small] * np.log(r)
     return out
 
 
-def hyper_kernel(k0: complex, r: np.ndarray) -> np.ndarray:
-    """Full hypersingular kernel (i k0/4) H1(k0 r)/r (off-diagonal use)."""
-    r = np.asarray(r, dtype=float)
-    return 0.25j * k0 * hankel1(1, k0 * r) / r
-
-
-def single_kernel(k0: complex, r: np.ndarray) -> np.ndarray:
-    """Full single-layer kernel (i/4) H0(k0 r)."""
-    return 0.25j * hankel1(0, k0 * np.asarray(r, dtype=float))
-
-
-def _symmetric_grid(fun, k0: complex, a: float):
-    """f(S, T) = fun(k0, a^2 (S - T)^2) on the roots grid, evaluated on the
-    quarter i <= j, i + j <= M - 1 and copied to its three images: the grid
-    is exactly antisymmetric, s[M-1-i] = -s[i], so (s_i - s_j)^2 is exactly
-    invariant under i <-> j and (i, j) -> (M-1-i, M-1-j)."""
+def _symmetric_grid(pfun, qfun, k0: complex, a: float):
+    """f(S, T) = [P, Q](a^2 (S - T)^2) on the roots grid, stacked, evaluated
+    on the quarter i <= j, i + j <= M - 1 and copied to its three images: the
+    grid is exactly antisymmetric, s[M-1-i] = -s[i], so (s_i - s_j)^2 is
+    exactly invariant under i <-> j and (i, j) -> (M-1-i, M-1-j).  Q's direct
+    branch takes the P values of the same points."""
     def f(S, T):
         M = S.shape[0]
         i, j = np.triu_indices(M)
         i, j = i[i + j <= M - 1], j[i + j <= M - 1]
-        F = np.empty(S.shape, dtype=complex)
-        F[i, j] = F[j, i] = fun(k0, a * a * (S[i, j] - T[i, j]) ** 2)
-        F[M - 1 - i, M - 1 - j] = F[M - 1 - j, M - 1 - i] = F[i, j]
+        rho = a * a * (S[i, j] - T[i, j]) ** 2
+        p = pfun(k0, rho)
+        F = np.empty((2,) + S.shape, dtype=complex)
+        F[:, i, j] = F[:, j, i] = p, qfun(k0, rho, p)
+        F[:, M - 1 - i, M - 1 - j] = F[:, M - 1 - j, M - 1 - i] = F[:, i, j]
         return F
     return f
 
@@ -137,10 +133,8 @@ class KernelExpansion:
         self.k0 = k0
         self.a = a
         self.order = order
-        pfun = p_antisym if parity_antisym else p_sym
-        qfun = q_antisym if parity_antisym else q_sym
-        self.pi_hat = cheb_coeffs_2d(_symmetric_grid(pfun, k0, a), order)
-        self.q_hat = cheb_coeffs_2d(_symmetric_grid(qfun, k0, a), order)
+        funs = (p_antisym, q_antisym) if parity_antisym else (p_sym, q_sym)
+        self.pi_hat, self.q_hat = cheb_coeffs_2d(_symmetric_grid(*funs, k0, a), order)
 
     def tail_mass(self) -> float:
         """Relative magnitude of the trailing coefficient block (resolution check)."""

@@ -30,21 +30,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chebkit as ck
-from .bie import (
-    Density,
-    off_strip_normal_derivative,
-    off_strip_trace,
-    solve_antisymmetric,
-    solve_block,
-    solve_symmetric,
-)
+from .bie import Density, solve_antisymmetric, solve_block, solve_symmetric
 from .core import Parity, ProblemConfig, xi
 
 logger = logging.getLogger(__name__)
 
 POLE_EXCLUSION_FACTOR = 1e-2
-# the truncation tolerance of the half-line banks
-DEFAULT_TAIL_TOL = 1e-9
 
 
 def _xi(k, k0):
@@ -60,13 +51,6 @@ def xi_prefactor(parity: Parity, eta: complex, x):
     return 1j * (eta - 1j * x) / (eta * x)
 
 
-def _phase(k: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """E[i, j] = exp(i k_i x_j), built in place: one len(k) x len(xs) complex array."""
-    E = np.outer(np.asarray(k, dtype=complex), xs)
-    E *= 1j
-    return np.exp(E, out=E)
-
-
 def strip_transform(parity: Parity, a: float, coeffs: np.ndarray, k: np.ndarray) -> np.ndarray:
     """U0~(k) (antisymmetric) or V0~(k) (symmetric) of a coefficient vector,
     or of a block with one density per column; entire in k."""
@@ -76,24 +60,71 @@ def strip_transform(parity: Parity, a: float, coeffs: np.ndarray, k: np.ndarray)
 
 
 # ---------------------------------------------------------------------------
-# spectral bundle
+# half-line transforms as integrals along the branch cut from k0
 # ---------------------------------------------------------------------------
+def _cut_rule():
+    """Nodes s and weights of int_0^inf ds along the cut lambda = k0 + i s.
+
+    s = u^2 on [0, 1e-4] and on 20 geometric u-panels up to U = 100, which
+    carry the s^{-1/2} end point of the symmetric integrand and the near
+    pole of 1/(lambda + k) at k = -Re k0, a distance Im k0 off the cut, down
+    to Im k0 ~ 1e-8.  The tail u > U is s = 1/v^2 on three panels of
+    (0, 1/U], where the integrands are analytic in v (G(s) expands in powers
+    of s^{-1/2}), so its s^{-3/2} decay costs no truncation.  16 Gauss points
+    a panel, 384 nodes.
+    """
+    u, wu = ck.panels(np.concatenate([[0.0], np.geomspace(1e-4, 100.0, 21)]), 16)
+    v, wv = ck.panels(np.linspace(0.0, 0.01, 4), 16)
+    return np.concatenate([u * u, v ** -2.0]), np.concatenate([2 * u * wu, 2 * wv / v ** 3])
+
+
+_CUT_S, _CUT_W = _cut_rule()
+
+
+def _theta_rule(a: float, width: float):
+    """Nodes theta in [0, pi] and weights for the density integrals G(s).
+
+    e^{-s d(theta)} with d = 2a sin^2(theta/2) concentrates within
+    1/sqrt(s a) of theta = 0, so panels halve toward 0 down to
+    0.25/sqrt(s_max a); elsewhere they are at most `width` wide.
+    """
+    edges = [0.0]
+    t = 0.25 / np.sqrt(_CUT_S.max() * a)
+    while t < width:
+        edges.append(t)
+        t *= 2.0
+    n = int(np.ceil((np.pi - edges[-1]) / width))
+    return ck.panels(np.concatenate([edges, np.linspace(edges[-1], np.pi, n + 1)[1:]]), 16)
+
+
 @dataclass
 class SpectralBundle:
     """Evaluators for one parity's spectral function family.
 
-    Semi-infinite integrals are truncated where the integrand envelope
-    e^{-(Im k0 + min Im k)(x - a)} falls below `tail_tol`; the boundary
-    data is cached per truncation bank so grids of k share one evaluation.
+    The half-line transforms are integrals along the vertical branch cut
+    lambda = k0 + i s, s >= 0, of the layer potential's spectral form:
+
+        F+check(k) = (i e^{ika}/4pi)  int_0^inf G+(s) J(s) / (lambda + k) ds
+        F-check(k) = (i e^{-ika}/4pi) int_0^inf G-(s) J(s) / (lambda - k) ds
+
+    with G+-(s) = int rho(t) e^{i lambda (a -+ t)} dt, J = 2 xi_c
+    (antisymmetric) or 2/xi_c (symmetric) and xi_c = sqrt(s) sqrt(s - 2i k0),
+    the jump of xi across the cut.  With t = +-a cos(theta) both sides share
+    a -+ t = d(theta), so one real table exp(-s d) gives G+ and G- of the
+    density; the bundle caches the weighted columns, and any set of k costs
+    one Cauchy-matrix product.  The integrals continue F+check analytically
+    to the plane cut along k = -k0 - i s (F-check along k0 + i s).  They need
+    Im k0 > 0: for real k0 the functional equation's half-line integrals do
+    not converge.
     """
 
     cfg: ProblemConfig
     density: Density
-    tail_tol: float = DEFAULT_TAIL_TOL
-    _banks: dict = field(default_factory=dict, repr=False)
     # [warned]: the pole-proximity warning's flag, one list shared by the
     # bundles of a `Scattering`, so that they warn once between them
     _pole_warned: list = field(default_factory=lambda: [False], repr=False)
+    # (lambda, W): the cut nodes and the columns (i/4pi) w J G+ and (i/4pi) w J G-
+    _cut: tuple | None = field(default=None, repr=False)
 
     @property
     def parity(self) -> Parity:
@@ -124,86 +155,46 @@ class SpectralBundle:
         return out if np.ndim(k) else complex(out[0])
 
     # -- half-line transforms ----------------------------------------------
-    def _boundary_data(self, x: np.ndarray) -> np.ndarray:
-        """d u_a/dy (x,+0) (antisym) or u_s(x,0) (sym) for |x| > a, vectorized."""
-        if self.parity is Parity.ANTISYMMETRIC:
-            return off_strip_normal_derivative(self.density, self.cfg, x)
-        return off_strip_trace(self.density, self.cfg, x)
-
-    _IM_BUCKETS = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 1e9)
-
-    def _bank(self, re_max: float, im_floor: float):
-        """Quadrature bank (xs, W) for int_a^X g(+-x) e^{+-ikx} dx.
-
-        W has the columns [w g(x), conj(w g(-x))] on the nodes xs in
-        [a, X], so with E(k) = exp(i k xs): F+check(k) = E(k) W[:, 0] and
-        F-check(k) = conj(E(conj k) W[:, 1]).
-
-        Banks are keyed by conservative buckets of the phase rate and decay
-        rate so that grids, contour panels, and ray scans reuse them: the
-        truncation X comes from the bucket's slow edge, the initial panel
-        size from its fast edge.
-        """
-        im_k0 = complex(self.cfg.k0).imag
-        if im_k0 + im_floor <= 0:
-            raise ValueError(
-                f"tail integral not decaying: Im k0 = {im_k0}"
-                f" with Im k down to {im_floor}"
-            )
-        re_key = float(np.ceil(max(abs(re_max), 1.0)))
-        if im_floor <= 0:
-            key = (re_key, round(float(im_floor), 9))
-            rate_lo = rate_hi = im_k0 + im_floor
-        else:
-            j = int(np.searchsorted(self._IM_BUCKETS, im_floor, side="right") - 1)
-            key = (re_key, f"b{j}")
-            rate_lo = im_k0 + self._IM_BUCKETS[j]
-            rate_hi = im_k0 + self._IM_BUCKETS[j + 1]
-        if key in self._banks:
-            return self._banks[key]
-        a = self.cfg.a
-        k0 = complex(self.cfg.k0)
-        X = a + np.log(1.0 / self.tail_tol) / rate_lo
-        hmax = np.pi / (abs(k0.real) + re_key + 1.0)
-        h0 = min(hmax, max(3.0 / (1.0 + min(rate_hi, 1e3)), 1e-3))
-        xg, wg = ck.gauss_legendre(16)
-
-        # first panel [a, a+h0] via x = a + u^2 (integrable 1/sqrt edge data),
-        # then panels growing geometrically up to hmax
-        uq = np.sqrt(h0) * (xg + 1) / 2
-        breaks = [a + h0]
-        h = h0
-        while breaks[-1] < X:
-            h = min(1.6 * h, hmax)
-            breaks.append(min(breaks[-1] + h, X))
-        xp, wp = ck.panels(breaks, 16)
-        xs = np.concatenate([a + uq ** 2, xp])
-        ws = np.concatenate([np.sqrt(h0) / 2 * wg * 2 * uq, wp])
-        # both sides in one off-strip pass: the mirror nodes share |x|
-        g = self._boundary_data(np.concatenate([xs, -xs]))
-        # column-major: each W[:, j] is a contiguous vector for the products
-        W = np.empty((2, len(xs)), dtype=complex).T
-        W[:, 0] = ws * g[:len(xs)]
-        W[:, 1] = np.conj(ws * g[len(xs):])
-        self._banks[key] = (xs, W)
-        return xs, W
+    def _cut_columns(self):
+        """(lambda, W) on the cut nodes, built on first use."""
+        if self._cut is None:
+            a, k0 = self.cfg.a, complex(self.cfg.k0)
+            if k0.imag <= 0:
+                raise ValueError(f"half-line transforms need Im k0 > 0, got k0 = {k0}")
+            c = self.density.coeffs
+            # the density's series and e^{i k0 d} turn at most len(c) + |k0| a
+            # radians per radian of theta
+            th, w = _theta_rule(a, min(0.1, 20.0 / (len(c) + abs(k0) * a)))
+            d = 2 * a * np.sin(th / 2) ** 2
+            antisym = self.parity is Parity.ANTISYMMETRIC
+            # dt = a sin(theta) dtheta; mu carries a further a sin(theta)
+            w = w * (a * np.sin(th)) ** 2 if antisym else w * a * np.sin(th)
+            P = self.density.poly(np.concatenate([np.cos(th), -np.cos(th)])).reshape(2, -1)
+            V = np.ascontiguousarray((w * np.exp(1j * k0 * d) * P).T)
+            # G+ and G- as real products: V's real and imaginary parts are its float view
+            G = (np.exp(-np.outer(_CUT_S, d)) @ V.view(float)).view(complex)
+            xi_c = np.sqrt(_CUT_S) * np.sqrt(_CUT_S - 2j * k0)
+            J = 2.0 * xi_c if antisym else 2.0 / xi_c
+            self._cut = (k0 + 1j * _CUT_S, (1j / (4 * np.pi)) * (_CUT_W * J)[:, None] * G)
+        return self._cut
 
     def f_check_plus(self, k):
-        """Truncated transform of the off-strip data on x > a."""
+        """The transform of the off-strip data on x > a, as a cut integral."""
         karr = np.atleast_1d(np.asarray(k, dtype=complex))
-        xs, W = self._bank(float(np.max(np.abs(karr.real))), float(np.min(karr.imag)))
-        out = _phase(karr, xs) @ W[:, 0]
+        lam, W = self._cut_columns()
+        out = np.exp(1j * self.cfg.a * karr) * ((1.0 / (lam + karr[:, None])) @ W[:, 0])
         return out if np.ndim(k) else complex(out[0])
 
     def f_check_minus(self, k):
-        """Truncated transform of the off-strip data on x < -a."""
+        """The transform of the off-strip data on x < -a, as a cut integral."""
         karr = np.atleast_1d(np.asarray(k, dtype=complex))
-        xs, W = self._bank(float(np.max(np.abs(karr.real))), float(np.min(-karr.imag)))
-        out = np.conj(_phase(np.conj(karr), xs) @ W[:, 1])
+        lam, W = self._cut_columns()
+        out = np.exp(-1j * self.cfg.a * karr) * ((1.0 / (lam - karr[:, None])) @ W[:, 1])
         return out if np.ndim(k) else complex(out[0])
 
-    def _pole_term(self, karr, side: int):
+    def pole_term(self, k, side: int):
         """The k_* pole term of F+ (side +1) or F- (side -1): F = Fcheck + term."""
+        karr = np.asarray(k, dtype=complex)
         ks = self.cfg.k_star
         phase = np.exp(side * 1j * (karr - ks) * self.cfg.a)
         return side * self.pole_residue / (karr - ks) * phase
@@ -212,14 +203,14 @@ class SpectralBundle:
         """U+(k) or V+(k): upper-half-plane function with the k_* pole."""
         karr = np.atleast_1d(np.asarray(k, dtype=complex))
         _warn_near_pole((self,), karr, f"F+ ({self.parity.value})")
-        out = np.atleast_1d(self.f_check_plus(karr)) + self._pole_term(karr, +1)
+        out = np.atleast_1d(self.f_check_plus(karr)) + self.pole_term(karr, +1)
         return out if np.ndim(k) else complex(out[0])
 
     def f_minus(self, k):
         """U-(k) or V-(k): lower-half-plane function."""
         karr = np.atleast_1d(np.asarray(k, dtype=complex))
         _warn_near_pole((self,), karr, f"F- ({self.parity.value})")
-        out = np.atleast_1d(self.f_check_minus(karr)) + self._pole_term(karr, -1)
+        out = np.atleast_1d(self.f_check_minus(karr)) + self.pole_term(karr, -1)
         return out if np.ndim(k) else complex(out[0])
 
 
@@ -235,27 +226,12 @@ def _warn_near_pole(bundles, karr, stage: str) -> None:
 
 
 def real_axis_halflines(bundles, k) -> list:
-    """[(F-(k), F+(k)) of each bundle] on a real k grid, from one phase matrix.
-
-    For real k, E(conj k) = E(k), so one E = exp(i k xs) and one product
-    with the stacked bank columns serve both sides of every bundle.  The
-    bundles must share their bank nodes, as the two parities of one
-    `Scattering` do (one cfg and tail_tol).  Complex k needs E(k) and
-    E(conj k) apart: use f_plus / f_minus.
-    """
-    karr = np.atleast_1d(np.asarray(k))
-    if np.iscomplexobj(karr):
-        if np.any(karr.imag != 0):
-            raise ValueError("real_axis_halflines takes real k; use f_plus / f_minus")
-        karr = karr.real
-    banks = [b._bank(float(np.max(np.abs(karr))), 0.0) for b in bundles]
-    xs = banks[0][0]
-    if not all(np.array_equal(xs, x) for x, _ in banks[1:]):
-        raise ValueError("bundles do not share their bank nodes")
+    """[(F-(k), F+(k)) of each bundle] on a real k grid, with one
+    pole-proximity warning between the bundles."""
+    karr = np.atleast_1d(np.asarray(k, dtype=complex))
     _warn_near_pole(bundles, karr, "real-axis half-line transforms")
-    P = _phase(karr, xs) @ np.hstack([W for _, W in banks])
-    return [(np.conj(P[:, 2 * i + 1]) + b._pole_term(karr, -1),
-             P[:, 2 * i] + b._pole_term(karr, +1)) for i, b in enumerate(bundles)]
+    return [(b.f_check_minus(karr) + b.pole_term(karr, -1),
+             b.f_check_plus(karr) + b.pole_term(karr, +1)) for b in bundles]
 
 
 def functional_residual(bundle: SpectralBundle, k_grid) -> float:
@@ -318,20 +294,20 @@ def bistatic_map(cfg: ProblemConfig, theta, theta_in, N: int = 64) -> np.ndarray
 
 class Scattering:
     """Both parities solved for one configuration: the densities, their
-    diagnostics and their spectral bundles (whose banks are built on first use).
+    diagnostics and their spectral bundles (whose cut columns are built on
+    first use).
 
     This is the one place where the antisymmetric and symmetric solutions
-    of one incidence are paired.  `tail_tol` is the bundles' truncation
-    tolerance.
+    of one incidence are paired.
     """
 
-    def __init__(self, cfg: ProblemConfig, N: int = 64, tail_tol: float = DEFAULT_TAIL_TOL):
+    def __init__(self, cfg: ProblemConfig, N: int = 64):
         self.cfg = cfg
         self.da, self.diag_a = solve_antisymmetric(cfg, N)
         self.ds, self.diag_s = solve_symmetric(cfg, N)
         warned = [False]
-        self.bundles = (SpectralBundle(cfg, self.da, tail_tol, _pole_warned=warned),
-                        SpectralBundle(cfg, self.ds, tail_tol, _pole_warned=warned))
+        self.bundles = (SpectralBundle(cfg, self.da, _pole_warned=warned),
+                        SpectralBundle(cfg, self.ds, _pole_warned=warned))
 
     def directivity(self, theta_grid) -> DirectivityTable:
         return directivity(*self.bundles, theta_grid)
@@ -442,12 +418,12 @@ def growth_scan(bundle: SpectralBundle, which: str, ray: str, t_grid,
     elif which == "+":
         if ray != "upper-imaginary":
             raise ValueError("F+ is only regular along the upper ray")
-        vals = np.abs(np.array([bundle.f_plus(1j * tt) for tt in t]))
+        vals = np.abs(bundle.f_plus(1j * t))
         comp = vals * t ** p * np.exp(t * a)
     elif which == "-":
         if ray != "lower-imaginary":
             raise ValueError("F- is only regular along the lower ray")
-        vals = np.abs(np.array([bundle.f_minus(-1j * tt) for tt in t]))
+        vals = np.abs(bundle.f_minus(-1j * t))
         comp = vals * t ** p * np.exp(t * a)
     else:
         raise ValueError(f"unknown function tag {which!r}")

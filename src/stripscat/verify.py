@@ -20,7 +20,6 @@ from .bie import solve_symmetric
 from .core import Parity, ProblemConfig
 from .edge import local_expansion_fit
 from .spectral import (
-    DEFAULT_TAIL_TOL,
     Scattering,
     cauchy_analyticity_test,
     contour_integral_rect,
@@ -63,7 +62,6 @@ class RunConfig:
     eta: complex
     theta_in_deg: float
     N: int = 64
-    tail_tol: float = DEFAULT_TAIL_TOL
     cut_radius_factor: float = 50.0
     n_theta: int = 73
     k_grid_factor: float = 3.0
@@ -73,8 +71,6 @@ class RunConfig:
     def __post_init__(self):
         if not 4 <= self.N <= 1024:
             raise ValueError(f"N must lie in [4, 1024], got {self.N}")
-        if not 0 < self.tail_tol < 1:
-            raise ValueError(f"tail_tol must lie in (0, 1), got {self.tail_tol}")
         if self.n_theta < 1 or self.n_k < 1:
             raise ValueError("grids must be non-empty")
         if not (np.isfinite(self.k_grid_factor) and self.k_grid_factor > 0):
@@ -107,7 +103,6 @@ class RunConfig:
             "theta_in_deg": float(self.theta_in_deg),
             "numerics": {
                 "N": self.N,
-                "tail_tol": self.tail_tol,
                 "cut_radius_factor": self.cut_radius_factor,
             },
             "grids": {
@@ -132,7 +127,6 @@ class RunConfig:
             eta=complex(d["eta"]["re"], d["eta"]["im"]),
             theta_in_deg=float(d["theta_in_deg"]),
             N=int(num.get("N", 64)),
-            tail_tol=float(num.get("tail_tol", DEFAULT_TAIL_TOL)),
             cut_radius_factor=float(num.get("cut_radius_factor", 50.0)),
             n_theta=int(grids.get("n_theta", 73)),
             k_grid_factor=float(grids.get("k_grid_factor", 3.0)),
@@ -187,7 +181,7 @@ class _Ctx:
     def __init__(self, rc: RunConfig):
         self.rc = rc
         self.cfg = rc.problem()
-        self.sc = Scattering(self.cfg, rc.N, rc.tail_tol)
+        self.sc = Scattering(self.cfg, rc.N)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +198,7 @@ def check_self_convergence(rc: RunConfig, sc: Scattering) -> CheckResult:
     and of the suite.  A zero field (eta = 0 at grazing incidence) reads 0."""
     th = rc.theta_grid()
     S1 = sc.directivity(th).S
-    S2 = Scattering(sc.cfg, 2 * rc.N, rc.tail_tol).directivity(th).S
+    S2 = Scattering(sc.cfg, 2 * rc.N).directivity(th).S
     val = float(np.max(np.abs(S1 - S2)) / max(np.max(np.abs(S2)), 1e-300))
     return _chk("directivity-self-convergence", val, 1e-8, N=rc.N, N2=2 * rc.N)
 
@@ -232,7 +226,8 @@ def check_pole_residue(ctx: _Ctx, parity: Parity) -> CheckResult:
     ks = ctx.cfg.k_star
     w = 0.35 * abs(ctx.cfg.k0)
     rect = (ks.real - w, ks.real + w, 0.3 * ks.imag, ks.imag + w)
-    loop = contour_integral_rect(lambda z: np.atleast_1d(b.f_plus(z)), rect,
+    # F+ without the pole warning: the contour refines toward k_* by design
+    loop = contour_integral_rect(lambda z: b.f_check_plus(z) + b.pole_term(z, +1), rect,
                                  refine_near=ks)
     res = loop / (2j * np.pi)
     target = b.pole_residue
@@ -246,7 +241,7 @@ def check_cauchy_minus(ctx: _Ctx) -> CheckResult:
     ba, _ = ctx.sc.bundles
     k0 = abs(ctx.cfg.k0)
     rect = (-1.1 * k0, 1.2 * k0, -0.45 * k0, -0.3 * complex(ctx.cfg.k0).imag)
-    val = cauchy_analyticity_test(lambda z: np.atleast_1d(ba.f_minus(z)), rect,
+    val = cauchy_analyticity_test(lambda z: ba.f_check_minus(z) + ba.pole_term(z, -1), rect,
                                   refine_near=ctx.cfg.k_star)
     return _chk("cauchy-rectangle-minus", val, 1e-6, rect=list(rect))
 

@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stripscat.bie import (
-    off_strip_normal_derivative,
-    off_strip_trace,
     scattered_field,
     solve_antisymmetric,
     solve_symmetric,
@@ -132,16 +130,6 @@ class TestFieldEvaluation:
         assert v == pytest.approx(da(np.array([0.2]))[0] / 2)
         assert scattered_field(da, ref_cfg, 0.2, 1e-7) == pytest.approx(v, rel=1e-5)
 
-    def test_off_strip_normal_derivative_vs_fd(self, ref_cfg, ref_solves):
-        da, _, _, _ = ref_solves
-        x = 1.5 * A
-        d = 1e-4
-        # u_a odd in y: centered difference uses the reflection
-        fd = (scattered_field(da, ref_cfg, x, d)
-              - (-scattered_field(da, ref_cfg, x, d))) / (2 * d)
-        got = off_strip_normal_derivative(da, ref_cfg, x)
-        assert got == pytest.approx(fd, rel=1e-6)
-
     def test_sym_off_strip_normal_derivative_vanishes(self, ref_cfg, ref_solves):
         _, ds, _, _ = ref_solves
         d = 5e-4
@@ -149,21 +137,10 @@ class TestFieldEvaluation:
         fd = (scattered_field(ds, ref_cfg, x, d) - scattered_field(ds, ref_cfg, x, -d)) / (2 * d)
         assert abs(fd) < 1e-6 * abs(scattered_field(ds, ref_cfg, x, d))
 
-    def test_off_strip_trace_continuity(self, ref_cfg, ref_solves):
-        _, ds, _, _ = ref_solves
-        x = 1.3 * A
-        u0 = off_strip_trace(ds, ref_cfg, x)
-        uy = scattered_field(ds, ref_cfg, x, 1e-6)
-        assert u0 == pytest.approx(uy, rel=1e-5)
-
     def test_domain_guards(self, ref_cfg, ref_solves):
-        da, ds, _, _ = ref_solves
+        da, _, _, _ = ref_solves
         with pytest.raises(ValueError):
             strip_trace(da, ref_cfg, 1.2)
-        with pytest.raises(ValueError):
-            off_strip_normal_derivative(da, ref_cfg, 0.5)
-        with pytest.raises(ValueError):
-            off_strip_trace(ds, ref_cfg, -0.5)
 
 
 # field targets off the open strip: above it, beyond both edges (near and
@@ -674,9 +651,11 @@ class TestGalerkin:
             assert np.max(np.abs(B[:, j] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def _off_strip_quad(dens, cfg, x):
+def _off_strip_quad(dens, cfg, x, epsrel=1e-13):
     """Reference: int rho(t) K(|x - t|) dt by adaptive Gauss-Kronrod
-    quadrature in t = a cos(theta), where the integrand is smooth.
+    quadrature in t = a cos(theta), where the integrand is smooth: the
+    off-strip boundary data d u_a/dy (antisymmetric) or u_s (symmetric) at
+    |x| > a, at one target or at an array of them (one adaptive rule for all).
 
     (Scalar `quad` on the real and imaginary parts separately stalls on its
     roundoff detection at 1e-10 relative for these oscillatory densities.)
@@ -695,106 +674,40 @@ def _off_strip_quad(dens, cfg, x):
         def f(th):
             r = abs(x - a * np.cos(th))
             return a * np.sin(th) * (np.cos(n * th) @ dens.coeffs) * 0.25j * hankel1(0, k0 * r)
-    val, _ = quad_vec(f, 0.0, np.pi, epsabs=0, epsrel=1e-13, limit=2000)
+    val, _ = quad_vec(f, 0.0, np.pi, epsabs=0, epsrel=epsrel, limit=2000)
     return val
 
 
-class TestGrafEvaluator:
-    """The multipole series for |x| > 1.5a against adaptive quadrature."""
+class TestCutIntegrals:
+    """The half-line transforms of `SpectralBundle`, integrals along the
+    branch cut from k0, against the definition: x-quadrature of the layer
+    potential's boundary data on |x| > a (from `_off_strip_quad`)."""
 
-    X = np.array([1.5 + 1e-9, 3.0, 50.0])
+    CFG = ProblemConfig(2 + 0.4j, A, ETA, THETA)
+    # real k, and complex k on both sides of the real axis with Im k > -Im k0
+    K = np.array([-3.7, -0.4, 1.3, 4.9, 0.8 + 0.9j, -1.5 - 0.1j])
 
-    @staticmethod
-    def _check(cfg, xs):
-        for dens, evaluate in ((solve_antisymmetric(cfg, 64)[0], off_strip_normal_derivative),
-                               (solve_symmetric(cfg, 64)[0], off_strip_trace)):
-            got = evaluate(dens, cfg, xs)
-            assert np.all(np.isfinite(got))
-            ref = np.array([_off_strip_quad(dens, cfg, x) for x in xs])
-            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
-
-    # at |k0| a = 0.005, H_m(k0 1.5a) overflows before the series converges there
-    @pytest.mark.parametrize("k0a", [0.005, 0.05, 2.0, 16.0])
-    @pytest.mark.parametrize("im_k0", [0.0, 0.05, 0.4])
-    def test_against_adaptive_quadrature(self, k0a, im_k0):
-        cfg = ProblemConfig(k0a + 1j * im_k0, A, ETA, THETA)
-        self._check(cfg, np.concatenate([self.X, -self.X]) * A)
-
-    def test_too_few_orders(self, monkeypatch):
-        # as at |k0| a in the hundreds: the computed orders end before the
-        # terms reach roundoff, so those targets take the direct rule
-        from stripscat import bie
-        monkeypatch.setattr(bie, "_GRAF_EXTRA_ORDERS", 3)
-        cfg = ProblemConfig(2.0 + 0.05j, A, ETA, THETA)
-        self._check(cfg, np.concatenate([self.X, -self.X]) * A)
-
-    def test_bank_memory(self, ref_bundles):
-        # the dense far-field rule held a (nodes x ~600) complex matrix:
-        # several hundred MiB for this bank
-        import tracemalloc
+    @pytest.mark.parametrize("parity", list(Parity))
+    def test_against_layer_potential(self, parity):
+        from stripscat import chebkit as ck
         from stripscat.spectral import SpectralBundle
-        for b in ref_bundles:
-            bundle = SpectralBundle(b.cfg, b.density)
-            tracemalloc.start()
-            try:
-                bundle._bank(3 * abs(K0), 0.0)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 32 * 2 ** 20
-
-
-class TestTwoSidedEvaluation:
-    """One off-strip call serves x and -x from the kernel values at |x|; its
-    values must be those of one call per target, and the data at -x those
-    of the mirrored density at |x| (P(-s) has the coefficients (-1)^n c_n)."""
-
-    # +-x pairs, a repeated radius, near (|x| <= 1.5a) and far targets
-    X = np.array([1.1, -1.1, 1.3, -1.5, 1.5, 3.0, -3.0, 3.0, 50.0, -50.0, -1.3])
-
-    @staticmethod
-    def _check(ref_solves, xs):
-        da, ds, _, _ = ref_solves
-        cfg = ProblemConfig(K0, A, ETA, THETA)
-        for dens, evaluate in ((da, off_strip_normal_derivative), (ds, off_strip_trace)):
-            got = evaluate(dens, cfg, xs)
-            ref = np.array([evaluate(dens, cfg, x) for x in xs])
-            assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
-            # the mirrored density's Graf moments round differently (its
-            # quadrature nodes are not bitwise symmetric), and the far-field
-            # series cancels to 1e-4 of its terms at 50a: a norm-wise bound
-            mirror = replace(dens, coeffs=dens.coeffs * (-1.0) ** np.arange(len(dens.coeffs)))
-            ref = np.where(xs > 0, ref, evaluate(mirror, cfg, np.abs(xs)))
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-    @pytest.mark.parametrize("extra_orders", [None, 3])
-    def test_array_matches_single_targets(self, ref_solves, extra_orders, monkeypatch):
-        # with 3 extra orders the far targets take the _direct_eval fallback
-        from stripscat import bie
-        if extra_orders is not None:
-            monkeypatch.setattr(bie, "_GRAF_EXTRA_ORDERS", extra_orders)
-        self._check(ref_solves, self.X * A)
-
-    @settings(max_examples=20, deadline=None)
-    @given(targets=st.lists(st.tuples(st.floats(1.001, 60.0), st.sampled_from([1, -1, 0])),
-                            min_size=1, max_size=12))
-    def test_random_mixed_sign_targets(self, ref_solves, targets):
-        # sign 0 puts both x and -x in the set
-        xs = [s * r for r, sign in targets for s in ((1, -1) if sign == 0 else (sign,))]
-        self._check(ref_solves, np.array(xs) * A)
-
-    def test_one_pass_per_bank(self, ref_bundles, monkeypatch):
-        # both sides of a bank come from one set of Graf moments and one
-        # density quadrature
-        from stripscat import bie
-        from stripscat.spectral import SpectralBundle
-        counts = {"_graf_coeffs": 0, "density_quadrature": 0}
-        for name in counts:
-            def counted(*args, _fn=getattr(bie, name), _name=name, **kwargs):
-                counts[_name] += 1
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(bie, name, counted)
-        for b in ref_bundles:
-            counts.update(dict.fromkeys(counts, 0))
-            SpectralBundle(b.cfg, b.density)._bank(3 * abs(K0), 0.0)
-            assert counts == {"_graf_coeffs": 1, "density_quadrature": 1}
+        cfg, k = self.CFG, self.K
+        solve = solve_antisymmetric if parity is Parity.ANTISYMMETRIC else solve_symmetric
+        b = SpectralBundle(cfg, solve(cfg, 64)[0])
+        # x = a + u^2 on [a, 2a], where the data go like (x - a)^{-1/2}
+        # (antisymmetric) or have a (x - a)^{1/2} term; Gauss panels beyond,
+        # up to where e^{-(Im k0 + Im k) x} is below 1e-11
+        u, wu = ck.panels([0.0, 0.2, 0.5, 1.0], 12)
+        xf, wf = ck.panels(np.arange(1.0, 92.0, 2.0), 16)
+        x, w = A + np.concatenate([u * u, A * xf]), np.concatenate([2 * u * wu, A * wf])
+        # the rule's error bound is norm-wise: one rule per target near the
+        # edges, where the data span decades, and one for all the far targets
+        xn = np.concatenate([x[:len(u)], -x[:len(u)]])
+        near = np.array([_off_strip_quad(b.density, cfg, xx, epsrel=1e-11) for xx in xn])
+        far = _off_strip_quad(b.density, cfg, np.concatenate([x[len(u):], -x[len(u):]]),
+                              epsrel=1e-11)
+        g = np.concatenate([near.reshape(2, -1), far.reshape(2, -1)], axis=1)
+        ref_plus = np.exp(1j * np.outer(k, x)) @ (w * g[0])
+        ref_minus = np.exp(-1j * np.outer(np.conj(k), x)) @ (w * g[1])
+        for got, ref in ((b.f_check_plus(k), ref_plus), (b.f_check_minus(np.conj(k)), ref_minus)):
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))

@@ -4,7 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stripscat.core import BranchMode, Parity, ProblemConfig, incident_field, xi
-from stripscat.kernels import hyper_kernel, single_kernel
+from stripscat import kernels as kn
 
 K0 = 2 + 0.05j
 
@@ -131,8 +131,22 @@ class TestIncidentField:
             assert tot == pytest.approx(ref, rel=1e-13)
 
 
+def single_kernel(k0, r):
+    """(i/4) H0(k0 r) from the split P_s ln r + Q_s of stripscat.kernels."""
+    r = np.asarray(r, dtype=float)
+    p = kn.p_sym(k0, r * r)
+    return p * np.log(r) + kn.q_sym(k0, r * r, p)
+
+
+def hyper_kernel(k0, r):
+    """(i k0/4) H1(k0 r)/r from the split 1/(2 pi r^2) + P_a ln r + Q_a."""
+    r = np.asarray(r, dtype=float)
+    p = kn.p_antisym(k0, r * r)
+    return 1 / (2 * np.pi * r * r) + p * np.log(r) + kn.q_antisym(k0, r * r, p)
+
+
 class TestGreenKernels:
-    """The free-space kernels the solvers use (stripscat.kernels)."""
+    """The kernel splits the solvers expand reproduce the free-space kernels."""
 
     def test_reference_values(self):
         for r, ref in G_REF.items():

@@ -8,20 +8,31 @@ from stripscat import kernels as kn
 K0S = [2 + 0.05j, 2 + 1e-4j, 6.0 + 0.3j]
 
 
+def _hyper_kernel(k0, r):
+    """The full hypersingular kernel (i k0/4) H1(k0 r)/r."""
+    return 0.25j * k0 * kn.hankel1(1, k0 * r) / r
+
+
+def _single_kernel(k0, r):
+    """The full single-layer kernel (i/4) H0(k0 r)."""
+    return 0.25j * kn.hankel1(0, k0 * r)
+
+
 @pytest.mark.parametrize("k0", K0S)
 def test_hypersingular_split(k0):
     r = np.array([0.05, 0.3, 1.0, 1.7, 2.0])
-    lhs = kn.hyper_kernel(k0, r)
-    rhs = 1 / (2 * np.pi * r ** 2) + kn.p_antisym(k0, r * r) * np.log(r) \
-        + kn.q_antisym(k0, r * r)
+    lhs = _hyper_kernel(k0, r)
+    p = kn.p_antisym(k0, r * r)
+    rhs = 1 / (2 * np.pi * r ** 2) + p * np.log(r) + kn.q_antisym(k0, r * r, p)
     assert np.max(np.abs(lhs - rhs) / np.abs(lhs)) < 5e-13
 
 
 @pytest.mark.parametrize("k0", K0S)
 def test_single_layer_split(k0):
     r = np.array([0.05, 0.3, 1.0, 1.7, 2.0])
-    lhs = kn.single_kernel(k0, r)
-    rhs = kn.p_sym(k0, r * r) * np.log(r) + kn.q_sym(k0, r * r)
+    lhs = _single_kernel(k0, r)
+    p = kn.p_sym(k0, r * r)
+    rhs = p * np.log(r) + kn.q_sym(k0, r * r, p)
     assert np.max(np.abs(lhs - rhs) / np.abs(lhs)) < 5e-13
 
 
@@ -31,20 +42,20 @@ def test_series_direct_agreement_at_crossover():
     k0 = 2 + 0.05j
     r = kn.Z_SWITCH / abs(k0) * (1 - 1e-9)
     rho = np.array([r * r])
-    qa_series = kn.q_antisym(k0, rho)[0]
-    qa_direct = (kn.hyper_kernel(k0, np.array([r]))[0] - 1 / (2 * np.pi * r * r)
+    qa_series = kn.q_antisym(k0, rho, kn.p_antisym(k0, rho))[0]
+    qa_direct = (_hyper_kernel(k0, r) - 1 / (2 * np.pi * r * r)
                  - kn.p_antisym(k0, rho)[0] * np.log(r))
     assert abs(qa_series - qa_direct) < 1e-12 * abs(qa_series)
 
-    qs_series = kn.q_sym(k0, rho)[0]
-    qs_direct = kn.single_kernel(k0, np.array([r]))[0] - kn.p_sym(k0, rho)[0] * np.log(r)
+    qs_series = kn.q_sym(k0, rho, kn.p_sym(k0, rho))[0]
+    qs_direct = _single_kernel(k0, r) - kn.p_sym(k0, rho)[0] * np.log(r)
     assert abs(qs_series - qs_direct) < 1e-12 * abs(qs_series)
 
 
 def test_q_at_zero_is_finite_limit():
     k0 = 2 + 0.05j
-    q0 = kn.q_antisym(k0, np.array([0.0]))[0]
-    qeps = kn.q_antisym(k0, np.array([1e-20]))[0]
+    rho = np.array([0.0, 1e-20])
+    q0, qeps = kn.q_antisym(k0, rho, kn.p_antisym(k0, rho))
     assert q0 == pytest.approx(qeps, rel=1e-14)
 
 
