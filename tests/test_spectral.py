@@ -104,6 +104,16 @@ class TestFunctionalEquation:
         monkeypatch.setattr(spectral, "_CUT_W", spectral._CUT_W[:-48])
         assert functional_residual(SpectralBundle(ref_cfg, da), kg) > 100 * full
 
+    # |k0| a from the low-frequency end to the high, and Im k0 from the
+    # lossy media down to 1e-6, which the cut rule covers at one cost
+    @pytest.mark.parametrize("k0a", [0.05, 2.0, 16.0])
+    @pytest.mark.parametrize("im_k0", [1e-6, 0.05, 0.4])
+    def test_media_grid(self, k0a, im_k0):
+        cfg = ProblemConfig(k0a + 1j * im_k0, A, ETA, THETA)
+        kg = np.linspace(-3 * abs(cfg.k0), 3 * abs(cfg.k0), 41)
+        for b in Scattering(cfg, 64).bundles:
+            assert functional_residual(b, kg) <= 1e-7
+
     def test_requires_decaying_tails(self, ref_solves):
         da, _, _, _ = ref_solves
         cfg0 = ProblemConfig(2 + 0j, A, ETA, THETA)
@@ -112,9 +122,34 @@ class TestFunctionalEquation:
             b.f_check_plus(0.5)
 
 
+# the media of the benchmark's spectra workload (Im k0, eta, theta_in in degrees)
+# and the reference configuration
+SPECTRA_MEDIA = [(0.4, 1 - 1j, 60.0), (0.2, 0.5, 30.0), (0.1, 0.5 - 2j, 75.0),
+                 (0.05, -1 - 1j, 45.0), (0.05, ETA, 60.0)]
+
+
 class TestRealAxisHalflines:
     """F- and F+ of any set of bundles on a real k grid, one Cauchy-matrix
     product per side and bundle on the bundle's cached cut columns."""
+
+    @pytest.mark.parametrize("medium", SPECTRA_MEDIA)
+    def test_matches_per_side_formula(self, medium):
+        # F+- = F+-check +- res/(k - k_*) e^{+-i(k - k_*)a} for both parities
+        # of one medium, and with F0 they solve the functional equation
+        im_k0, eta, deg = medium
+        cfg = ProblemConfig(2 + 1j * im_k0, A, eta, np.deg2rad(deg))
+        k = np.linspace(-3 * abs(cfg.k0), 3 * abs(cfg.k0), 41)
+        bundles = Scattering(cfg, 64).bundles
+        ks = cfg.k_star
+        for b, (fm, fp) in zip(bundles, real_axis_halflines(bundles, k)):
+            res = b.pole_residue
+            ref_p = b.f_check_plus(k) + res / (k - ks) * np.exp(1j * (k - ks) * A)
+            ref_m = b.f_check_minus(k) - res / (k - ks) * np.exp(-1j * (k - ks) * A)
+            scale = max(np.max(np.abs(ref_p)), np.max(np.abs(ref_m)))
+            assert np.max(np.abs(fp - ref_p)) <= 1e-14 * scale
+            assert np.max(np.abs(fm - ref_m)) <= 1e-14 * scale
+            f0 = b.f0(k)
+            assert np.max(np.abs(fm + f0 + fp)) <= 1e-7 * max(scale, np.max(np.abs(f0)))
 
     def test_one_bundle_alone_and_mixed_media(self, ref_cfg, ref_bundles):
         # each pair is the bundle's own f_minus / f_plus; bundles of other
