@@ -62,34 +62,36 @@ def strip_transform(parity: Parity, a: float, coeffs: np.ndarray, k: np.ndarray)
 # ---------------------------------------------------------------------------
 # half-line transforms as integrals along the branch cut from k0
 # ---------------------------------------------------------------------------
-def _cut_rule():
+def _cut_rule(im_k0: float):
     """Nodes s and weights of int_0^inf ds along the cut lambda = k0 + i s.
 
-    s = u^2 on [0, 1e-4] and on 20 geometric u-panels up to U = 100, which
-    carry the s^{-1/2} end point of the symmetric integrand and the near
-    pole of 1/(lambda + k) at k = -Re k0, a distance Im k0 off the cut, down
-    to Im k0 ~ 1e-8.  The tail u > U is s = 1/v^2 on three panels of
-    (0, 1/U], where the integrands are analytic in v (G(s) expands in powers
-    of s^{-1/2}), so its s^{-3/2} decay costs no truncation.  16 Gauss points
-    a panel, 384 nodes.
+    s = u^2 on [0, u0] and on geometric u-panels of ratio about 2 from u0 up
+    to U = 100, which carry the s^{-1/2} end point of the symmetric
+    integrand and the near pole of 1/(lambda + k) at k = -Re k0: it lies a
+    distance Im k0 off the cut, width sqrt(Im k0) in u, so u0 =
+    min(1e-4, 0.1 sqrt(Im k0)) and the panels grow as log(1/Im k0) below
+    Im k0 = 1e-6 (20 panels above).  The tail u > U is s = 1/v^2 on three
+    panels of (0, 1/U], where the integrands are analytic in v (G(s)
+    expands in powers of s^{-1/2}), so its s^{-3/2} decay costs no
+    truncation.  16 Gauss points a panel, 384 nodes for Im k0 >= 1e-6.
     """
-    u, wu = ck.panels(np.concatenate([[0.0], np.geomspace(1e-4, 100.0, 21)]), 16)
+    u0 = min(1e-4, 0.1 * np.sqrt(im_k0))
+    n = 20 + int(np.ceil(np.log10(1e-4 / u0) / 0.3))
+    u, wu = ck.panels(np.concatenate([[0.0], np.geomspace(u0, 100.0, n + 1)]), 16)
     v, wv = ck.panels(np.linspace(0.0, 0.01, 4), 16)
     return np.concatenate([u * u, v ** -2.0]), np.concatenate([2 * u * wu, 2 * wv / v ** 3])
 
 
-_CUT_S, _CUT_W = _cut_rule()
-
-
-def _theta_rule(a: float, width: float):
+def _theta_rule(a: float, width: float, s_max: float):
     """Nodes theta in [0, pi] and weights for the density integrals G(s).
 
     e^{-s d(theta)} with d = 2a sin^2(theta/2) concentrates within
     1/sqrt(s a) of theta = 0, so panels halve toward 0 down to
-    0.25/sqrt(s_max a); elsewhere they are at most `width` wide.
+    0.25/sqrt(s_max a), s_max the cut rule's largest node; elsewhere they
+    are at most `width` wide.
     """
     edges = [0.0]
-    t = 0.25 / np.sqrt(_CUT_S.max() * a)
+    t = 0.25 / np.sqrt(s_max * a)
     while t < width:
         edges.append(t)
         t *= 2.0
@@ -162,9 +164,10 @@ class SpectralBundle:
             if k0.imag <= 0:
                 raise ValueError(f"half-line transforms need Im k0 > 0, got k0 = {k0}")
             c = self.density.coeffs
+            s, ws = _cut_rule(k0.imag)
             # the density's series and e^{i k0 d} turn at most len(c) + |k0| a
             # radians per radian of theta
-            th, w = _theta_rule(a, min(0.1, 20.0 / (len(c) + abs(k0) * a)))
+            th, w = _theta_rule(a, min(0.1, 20.0 / (len(c) + abs(k0) * a)), s.max())
             d = 2 * a * np.sin(th / 2) ** 2
             antisym = self.parity is Parity.ANTISYMMETRIC
             # dt = a sin(theta) dtheta; mu carries a further a sin(theta)
@@ -172,10 +175,10 @@ class SpectralBundle:
             P = self.density.poly(np.concatenate([np.cos(th), -np.cos(th)])).reshape(2, -1)
             V = np.ascontiguousarray((w * np.exp(1j * k0 * d) * P).T)
             # G+ and G- as real products: V's real and imaginary parts are its float view
-            G = (np.exp(-np.outer(_CUT_S, d)) @ V.view(float)).view(complex)
-            xi_c = np.sqrt(_CUT_S) * np.sqrt(_CUT_S - 2j * k0)
+            G = (np.exp(-np.outer(s, d)) @ V.view(float)).view(complex)
+            xi_c = np.sqrt(s) * np.sqrt(s - 2j * k0)
             J = 2.0 * xi_c if antisym else 2.0 / xi_c
-            self._cut = (k0 + 1j * _CUT_S, (1j / (4 * np.pi)) * (_CUT_W * J)[:, None] * G)
+            self._cut = (k0 + 1j * s, (1j / (4 * np.pi)) * (ws * J)[:, None] * G)
         return self._cut
 
     def f_check_plus(self, k):
