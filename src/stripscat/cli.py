@@ -20,8 +20,9 @@ import numpy as np
 
 from . import rhstructure as rh
 from .bie import SingularSystemError
+from .core import Parity
 from .edge import extract_c, extract_d
-from .spectral import Scattering, forward_amplitude, real_axis_halflines
+from .spectral import Scattering, forward_amplitude, pointwise_residual, real_axis_halflines
 from .verify import RunConfig, check_self_convergence, run_suite
 
 logger = logging.getLogger(__name__)
@@ -71,30 +72,21 @@ def _spectral_config_ok(rc: RunConfig, command: str) -> bool:
     return False
 
 
-def _directivity_table(sc: Scattering, rc: RunConfig):
-    """Directivity on the CLI's theta grid and its CSV rows."""
-    tab = sc.directivity(rc.theta_grid())
-    rows = [(np.degrees(t), S.real, S.imag, Sa.real, Sa.imag, Ss.real, Ss.imag)
-            for t, S, Sa, Ss in zip(tab.theta, tab.S, tab.S_a, tab.S_s)]
-    return tab, rows
-
-
-DIRECTIVITY_HEADER = ["theta_deg", "S_re", "S_im", "Sa_re", "Sa_im", "Ss_re", "Ss_im"]
+def _write_directivity(path: Path, theta, S_a, S_s) -> None:
+    """directivity.csv of one incidence's S_a and S_s on theta."""
+    _write_csv(path, ["theta_deg", "S_re", "S_im", "Sa_re", "Sa_im", "Ss_re", "Ss_im"],
+               [(np.degrees(t), (Sa + Ss).real, (Sa + Ss).imag, Sa.real, Sa.imag,
+                 Ss.real, Ss.imag) for t, Sa, Ss in zip(theta, S_a, S_s)])
 
 
 def cmd_solve(args) -> int:
     rc = _load_config(args.config)
     out = Path(args.out or rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        sc = Scattering(rc.problem(), rc.N)
-        conv = check_self_convergence(rc, sc)
-    except NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-
-    _, rows = _directivity_table(sc, rc)
-    _write_csv(out / "directivity.csv", DIRECTIVITY_HEADER, rows)
+    sc = Scattering(rc.problem(), rc.N)
+    conv = check_self_convergence(rc, sc)
+    tab = sc.directivity(rc.theta_grid())
+    _write_directivity(out / "directivity.csv", tab.theta, tab.S_a, tab.S_s)
 
     xg = sc.cfg.a * np.cos(np.pi * (2 * np.arange(201) + 1) / 402)
     mu = sc.da(xg)
@@ -125,37 +117,19 @@ def cmd_spectra(args) -> int:
         return EXIT_CONFIG
     out = Path(args.out or rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        ba, bs = Scattering(rc.problem(), rc.N).bundles
-    except NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-
+    ba, bs = Scattering(rc.problem(), rc.N).bundles
     kg = rc.k_grid()
-
-    header = ["k_re", "k_im"]
-    for fam in ("U", "V"):
-        for nm in ("m", "0", "p", "0t"):
-            header += [f"{fam}{nm}_re", f"{fam}{nm}_im"]
-        header += [f"res_{fam.lower()}"]
-    rows = []
-    data = {}
-    halflines = real_axis_halflines((ba, bs), kg)
-    for fam, b, (fm, fp) in zip(("U", "V"), (ba, bs), halflines):
+    header, columns = ["k_re", "k_im"], [kg, np.zeros_like(kg)]
+    for fam, b, (fm, fp) in zip("UV", (ba, bs), real_axis_halflines((ba, bs), kg)):
         # one strip transform per family: F0 = P(xi) F0~, as SpectralBundle.f0
         f0t = np.atleast_1d(b.f0_tilde(kg))
         f0 = b.prefactor(kg) * f0t
-        res = np.abs(fp + fm + f0) / np.max(np.maximum(np.maximum(np.abs(fp), np.abs(fm)),
-                                                       np.abs(f0)))
-        data[fam] = (fm, f0, fp, f0t, res)
-    for i, k in enumerate(kg):
-        row = [float(k), 0.0]
-        for fam in ("U", "V"):
-            fm, f0, fp, f0t, res = data[fam]
-            row += [fm[i].real, fm[i].imag, f0[i].real, f0[i].imag,
-                    fp[i].real, fp[i].imag, f0t[i].real, f0t[i].imag, res[i]]
-        rows.append(row)
-    _write_csv(out / "spectra.csv", header, rows)
+        for nm, f in (("m", fm), ("0", f0), ("p", fp), ("0t", f0t)):
+            header += [f"{fam}{nm}_re", f"{fam}{nm}_im"]
+            columns += [f.real, f.imag]
+        header.append(f"res_{fam.lower()}")
+        columns.append(pointwise_residual(fm, f0, fp))
+    _write_csv(out / "spectra.csv", header, np.column_stack(columns))
     return EXIT_OK
 
 
@@ -165,11 +139,7 @@ def cmd_verify(args) -> int:
         return EXIT_CONFIG
     out = Path(args.out or rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        report, timings = run_suite(rc, args.suite)
-    except NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    report, timings = run_suite(rc, args.suite)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     (out / "timings.json").write_text(
         json.dumps({k: round(v, 3) for k, v in timings.items()},
@@ -200,45 +170,51 @@ def cmd_sweep(args) -> int:
     out = Path(args.out or rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    summary = []
+    summary = {}
+
+    def failed(iv, exc):  # per-point failures recorded, sweep continues
+        logger.warning("sweep point %s=%g failed: %s", args.param, values[iv], exc)
+        summary[iv] = (values[iv], 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, f"error:{exc}")
+
+    media = {}  # (k0, a, eta) -> [(index of the value, its ProblemConfig)]
     for iv, v in enumerate(values):
         d = rc.to_dict()
         if args.param == "theta_in":
             d["theta_in_deg"] = v
-        elif args.param == "eta_re":
-            d["eta"]["re"] = v
-        elif args.param == "eta_im":
-            d["eta"]["im"] = v
-        else:
+        elif args.param == "k0a":
             scale = v / (abs(complex(d["k0"]["re"], d["k0"]["im"])) * d["a"])
             d["k0"]["re"] *= scale
             d["k0"]["im"] *= scale
+        else:
+            d["eta"][args.param[4:]] = v          # eta_re, eta_im
         try:
-            rci = RunConfig.from_dict(d)
-            sc = Scattering(rci.problem(), rci.N)
-            cfg = sc.cfg
-            tab, rows = _directivity_table(sc, rci)
-            _write_csv(out / f"directivity_{iv:03d}.csv", DIRECTIVITY_HEADER, rows)
-            fwd = forward_amplitude(*sc.bundles)
-            c_plus = extract_c(sc.da, cfg, "+")
-            d_plus = extract_d(sc.ds, cfg, "+")
-            summary.append((
-                v,
-                fwd.real, fwd.imag,
-                float(np.mean(np.abs(tab.S) ** 2)),
-                c_plus.real, c_plus.imag,
-                d_plus.real, d_plus.imag,
-                int(rh.deformation_needed(cfg)),
-                "ok",
-            ))
-        except Exception as exc:  # per-point failures recorded, sweep continues
-            logger.warning("sweep point %s=%g failed: %s", args.param, v, exc)
-            summary.append((v, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, f"error:{exc}"))
+            cfg = RunConfig.from_dict(d).problem()
+            media.setdefault((cfg.k0, cfg.a, cfg.eta), []).append((iv, cfg))
+        except Exception as exc:
+            failed(iv, exc)
+
+    # the values of one medium share one Scattering, a column per incidence
+    for points in media.values():
+        try:
+            sc = Scattering(points[0][1], rc.N, [cfg.theta_in for _, cfg in points])
+            tab, fwd = sc.directivity(rc.theta_grid()), forward_amplitude(sc)
+            for j, (iv, cfg) in enumerate(points):
+                _write_directivity(out / f"directivity_{iv:03d}.csv", tab.theta,
+                                   tab.S_a[:, j], tab.S_s[:, j])
+                c_plus = extract_c(sc.density(Parity.ANTISYMMETRIC, j), cfg, "+")
+                d_plus = extract_d(sc.density(Parity.SYMMETRIC, j), cfg, "+")
+                summary[iv] = (values[iv], fwd[j].real, fwd[j].imag,
+                               float(np.mean(np.abs(tab.S[:, j]) ** 2)),
+                               c_plus.real, c_plus.imag, d_plus.real, d_plus.imag,
+                               int(rh.deformation_needed(cfg)), "ok")
+        except Exception as exc:
+            for iv in [iv for iv, _ in points if iv not in summary]:
+                failed(iv, exc)
     _write_csv(out / "sweep_summary.csv",
                ["value", "S_forward_re", "S_forward_im", "mean_abs_S2",
                 "c_plus_re", "c_plus_im", "d_plus_re", "d_plus_im",
                 "deformation_needed", "status"],
-               summary)
+               [summary[iv] for iv in range(len(values))])
     return EXIT_OK
 
 
@@ -278,6 +254,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except NUMERICAL_ERRORS as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -25,12 +25,13 @@ reciprocity, and the power balance).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import bie
 from . import chebkit as ck
-from .bie import Density, solve_antisymmetric, solve_block, solve_symmetric
+from .bie import Density, SolveDiagnostics
 from .core import Parity, ProblemConfig, xi
 
 logger = logging.getLogger(__name__)
@@ -237,12 +238,17 @@ def real_axis_halflines(bundles, k) -> list:
              b.f_check_plus(karr) + b.pole_term(karr, +1)) for b in bundles]
 
 
-def functional_residual(bundle: SpectralBundle, k_grid) -> float:
-    """max_k |F-(k) + F0(k) + F+(k)| / max(|F-|, |F0|, |F+|) on a real grid."""
-    (fm, fp), = real_axis_halflines((bundle,), k_grid)
-    f0 = bundle.f0(k_grid)
+def pointwise_residual(fm, f0, fp) -> np.ndarray:
+    """|F-(k) + F0(k) + F+(k)| / max(|F-|, |F0|, |F+|) at each k of a grid,
+    the maximum taken over the grid."""
     scale = np.maximum(np.maximum(np.abs(fp), np.abs(fm)), np.abs(f0))
-    return float(np.max(np.abs(fp + fm + f0) / np.max(scale)))
+    return np.abs(fp + fm + f0) / np.max(scale)
+
+
+def functional_residual(bundle: SpectralBundle, k_grid) -> float:
+    """The largest `pointwise_residual` on a real grid."""
+    (fm, fp), = real_axis_halflines((bundle,), k_grid)
+    return float(np.max(pointwise_residual(fm, bundle.f0(k_grid), fp)))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +259,6 @@ class DirectivityTable:
     theta: np.ndarray
     S_a: np.ndarray
     S_s: np.ndarray
-    cfg: ProblemConfig
 
     @property
     def S(self) -> np.ndarray:
@@ -264,9 +269,9 @@ def directivity_part(parity: Parity, cfg: ProblemConfig, coeffs: np.ndarray, the
     """S_a or S_s on theta in [0, pi] of a coefficient vector, or of a block
     with one incidence per column (rows theta): the one place the far-field
     normalisation is written."""
-    th = np.asarray(theta, dtype=float)
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
     k0 = cfg.k0
-    k = np.atleast_1d(np.asarray(-k0 * np.cos(th), dtype=complex))
+    k = np.asarray(-k0 * np.cos(th), dtype=complex)
     f0t = strip_transform(parity, cfg.a, coeffs, k)
     if np.ndim(coeffs) == 2:
         th = th[:, None]
@@ -280,40 +285,47 @@ def directivity(bundle_a: SpectralBundle, bundle_s: SpectralBundle, theta_grid) 
     if bundle_a.cfg != bundle_s.cfg:
         raise ValueError("bundles must share one ProblemConfig")
     th = np.asarray(theta_grid, dtype=float)
-    cfg = bundle_a.cfg
-    S_a, S_s = (directivity_part(b.parity, cfg, b.density.coeffs, th) for b in (bundle_a, bundle_s))
-    return DirectivityTable(th, S_a, S_s, cfg)
-
-
-def bistatic_map(cfg: ProblemConfig, theta, theta_in, N: int = 64) -> np.ndarray:
-    """M[i, j] = S(theta[i]; theta_in[j]) on the medium of cfg.
-
-    Every incidence is a right-hand-side column of one block solve per
-    parity (`bie.solve_block`); cfg.theta_in is not used.
-    """
-    return sum(directivity_part(parity, cfg, solve_block(cfg, parity, theta_in, N)[0], theta)
-               for parity in Parity)
+    return DirectivityTable(th, *(directivity_part(b.parity, b.cfg, b.density.coeffs, th)
+                                  for b in (bundle_a, bundle_s)))
 
 
 class Scattering:
-    """Both parities solved for one configuration: the densities, their
-    diagnostics and their spectral bundles (whose cut columns are built on
-    first use).
+    """Both parities solved on the medium and strip of cfg for a block of
+    incidences theta_in (default cfg.theta_in): one `bie.solve_block` per
+    parity, whose coefficient columns are the incidences.
 
     This is the one place where the antisymmetric and symmetric solutions
-    of one incidence are paired.
+    are paired.  A sequence theta_in gives a directivity column per
+    incidence, a scalar one vector.  `cfg` carries the first incidence, and
+    `da`, `ds`, their diagnostics and their spectral bundles (whose cut
+    columns are built on first use) belong to it.
     """
 
-    def __init__(self, cfg: ProblemConfig, N: int = 64):
-        self.cfg = cfg
-        self.da, self.diag_a = solve_antisymmetric(cfg, N)
-        self.ds, self.diag_s = solve_symmetric(cfg, N)
+    def __init__(self, cfg: ProblemConfig, N: int = 64, theta_in=None):
+        th = cfg.theta_in if theta_in is None else theta_in
+        self.theta_in = np.atleast_1d(np.asarray(th, dtype=float))
+        # a scalar incidence reads column 0 of each table, a block all columns
+        self._cols = 0 if np.ndim(th) == 0 else slice(None)
+        self.cfg = replace(cfg, theta_in=float(self.theta_in[0]))
+        # parity -> (coeffs, aug_amp, condition, kernel_tail)
+        self.blocks = {p: bie.solve_block(self.cfg, p, self.theta_in, N) for p in Parity}
+        self.diag_a, self.diag_s = (SolveDiagnostics(N, *self.blocks[p][2:]) for p in Parity)
+        self.da, self.ds = (self.density(p) for p in Parity)
         warned = [False]
-        self.bundles = (SpectralBundle(cfg, self.da, _pole_warned=warned),
-                        SpectralBundle(cfg, self.ds, _pole_warned=warned))
+        self.bundles = tuple(SpectralBundle(self.cfg, d, _pole_warned=warned)
+                             for d in (self.da, self.ds))
+
+    def density(self, parity: Parity, j: int = 0) -> Density:
+        """The density of incidence theta_in[j]."""
+        coeffs, amp = self.blocks[parity][:2]
+        return Density(parity, self.cfg.a, coeffs[:, j],
+                       aug_amp=(complex(amp[0, j]), complex(amp[1, j])))
 
     def directivity(self, theta_grid) -> DirectivityTable:
-        return directivity(*self.bundles, theta_grid)
+        """S_a and S_s on theta_grid, one product per parity for every incidence."""
+        th = np.asarray(theta_grid, dtype=float)
+        return DirectivityTable(th, *(directivity_part(p, self.cfg, c, th)[:, self._cols]
+                                      for p, (c, *_) in self.blocks.items()))
 
 
 def directivity_full_circle(bundle_a: SpectralBundle, bundle_s: SpectralBundle, m: int = 720):
@@ -366,16 +378,16 @@ def _edge_graded_unit(nlev: int, nper: int):
 # ---------------------------------------------------------------------------
 # embedding checks
 # ---------------------------------------------------------------------------
-def embedding_rank_test(cfg: ProblemConfig, parity: Parity, incidences, k_points, N: int = 64):
-    """Pair antisymmetry and sigma3/sigma1 of the embedding kernels of one medium.
+def embedding_rank_test(sc: Scattering, parity: Parity, k_points):
+    """Pair antisymmetry and sigma3/sigma1 of the embedding kernels of the
+    block of incidences of sc.
 
     W(k; kappa) = (k - kappa) F0~(k; kappa) / C for the incidence with
     k_* = kappa, where C = xi(kappa) for the antisymmetric family and i*eta
     for the symmetric one.  With these normalizations P[i, j] = W(kappa_i;
-    kappa_j) is antisymmetric and W on a k grid has separable rank 2.  All
-    incidences come from one block solve.
+    kappa_j) is antisymmetric and W on a k grid has separable rank 2.
     """
-    theta_in = np.asarray(list(incidences), dtype=float)
+    cfg, theta_in = sc.cfg, sc.theta_in
     if len(theta_in) < 3:
         return {"status": "insufficient data", "n_incidences": len(theta_in)}
     if parity is Parity.SYMMETRIC and cfg.eta == 0:
@@ -383,8 +395,7 @@ def embedding_rank_test(cfg: ProblemConfig, parity: Parity, incidences, k_points
     kap = cfg.k0 * np.cos(theta_in)
     fac = _xi(kap, cfg.k0) if parity is Parity.ANTISYMMETRIC else 1j * cfg.eta
     k = np.concatenate([np.asarray(k_points, dtype=complex), kap])
-    coeffs = solve_block(cfg, parity, theta_in, N)[0]
-    W = (k[:, None] - kap) * strip_transform(parity, cfg.a, coeffs, k) / fac
+    W = (k[:, None] - kap) * strip_transform(parity, cfg.a, sc.blocks[parity][0], k) / fac
     W, P = W[:-len(kap)], W[-len(kap):]
 
     sv = np.linalg.svd(W, compute_uv=False)
@@ -496,16 +507,19 @@ def cauchy_analyticity_test(f, rect, n_per_side: int = 32, refine_near=None) -> 
 # physics cross-checks
 # ---------------------------------------------------------------------------
 def reciprocity_check(cfg: ProblemConfig, theta, N: int = 64) -> float:
-    """max |M - M^T| / max |M| of the square bistatic map M[i, j] = S(theta_i; theta_j)."""
-    M = bistatic_map(cfg, theta, theta, N)
+    """max |M - M^T| / max |M| of the square bistatic map M[i, j] = S(theta_i; theta_j),
+    the directivity of the incidences theta on the medium of cfg."""
+    M = Scattering(cfg, N, theta).directivity(theta).S
     return float(np.max(np.abs(M - M.T)) / max(np.max(np.abs(M)), 1e-300))
 
 
-def forward_amplitude(bundle_a: SpectralBundle, bundle_s: SpectralBundle) -> complex:
-    """S(theta_in + pi), the forward direction, reflected into (0, pi) by
+def forward_amplitude(sc: Scattering):
+    """S(theta_in + pi) of each incidence of sc (a number for a scalar
+    incidence), the forward direction, reflected into (0, pi) by
     S_a(2pi - t) = -S_a(t), S_s(2pi - t) = S_s(t)."""
-    fwd = directivity(bundle_a, bundle_s, [2 * np.pi - (bundle_a.cfg.theta_in + np.pi)])
-    return complex(-fwd.S_a[0] + fwd.S_s[0])
+    fwd = sc.directivity(2 * np.pi - (sc.theta_in + np.pi))
+    S = -fwd.S_a + fwd.S_s
+    return complex(S[0]) if S.ndim == 1 else np.diagonal(S)
 
 
 def energy_balance(cfg: ProblemConfig, N: int = 64, m_theta: int = 720):
@@ -515,10 +529,10 @@ def energy_balance(cfg: ProblemConfig, N: int = 64, m_theta: int = 720):
     extinction = -2 Re[e^{i pi/4} S(theta_in + pi)]  (forward direction),
     absorbed = extinction - P_scat.
     """
-    ba, bs = Scattering(cfg, N).bundles
-    th, S = directivity_full_circle(ba, bs, m_theta)
+    sc = Scattering(cfg, N)
+    th, S = directivity_full_circle(*sc.bundles, m_theta)
     p_scat = float(np.mean(np.abs(S) ** 2))
-    extinction = float(-2 * np.real(np.exp(1j * np.pi / 4) * forward_amplitude(ba, bs)))
+    extinction = float(-2 * np.real(np.exp(1j * np.pi / 4) * forward_amplitude(sc)))
     return {
         "p_scat": p_scat,
         "extinction": extinction,

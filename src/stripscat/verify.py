@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -183,6 +184,11 @@ class _Ctx:
         self.cfg = rc.problem()
         self.sc = Scattering(self.cfg, rc.N)
 
+    @cached_property
+    def embedding(self) -> Scattering:
+        """Both parities for the embedding checks' four incidences."""
+        return Scattering(self.cfg, self.rc.N, np.deg2rad([30.0, 45.0, 60.0, 75.0]))
+
 
 # ---------------------------------------------------------------------------
 # individual checks
@@ -247,9 +253,8 @@ def check_cauchy_minus(ctx: _Ctx) -> CheckResult:
 
 
 def check_embedding(ctx: _Ctx, parity: Parity) -> CheckResult:
-    incs = [np.deg2rad(d) for d in (30, 45, 60, 75)]
     kpts = np.linspace(-2.5 * abs(ctx.cfg.k0), 2.5 * abs(ctx.cfg.k0), 40)
-    r = embedding_rank_test(ctx.cfg, parity, incs, kpts, N=ctx.rc.N)
+    r = embedding_rank_test(ctx.embedding, parity, kpts)
     val = max(r["antisymmetry"], r["s3_over_s1"])
     return _chk(f"embedding-{parity.value}", val, 1e-6,
                 antisymmetry=r["antisymmetry"], s3_over_s1=r["s3_over_s1"])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from stripscat.core import Parity
-from stripscat.spectral import directivity, embedding_rank_test
+from stripscat.spectral import Scattering, directivity, embedding_rank_test
 from stripscat.verify import RunConfig, run_suite
 
 RC = RunConfig(2 + 0.05j, 1.0, 1 - 1j, 60.0, N=64)
@@ -94,9 +94,10 @@ def test_criterion_5_embedding():
     cfg = RC.problem()
     incs6 = [np.deg2rad(d) for d in (15, 30, 45, 60, 75, 85)]
     kpts = np.linspace(-2.5 * abs(cfg.k0), 2.5 * abs(cfg.k0), 40)
+    sc = Scattering(cfg, RC.N, incs6)
     for parity, nm in ((Parity.ANTISYMMETRIC, "antisymmetric"),
                        (Parity.SYMMETRIC, "symmetric")):
-        r = embedding_rank_test(cfg, parity, incs6, kpts, N=RC.N)
+        r = embedding_rank_test(sc, parity, kpts)
         _line(5, f"embedding antisymmetry ({nm})", r["antisymmetry"], 1e-6,
               r["antisymmetry"] < 1e-6)
         _line(5, f"embedding rank-2 s3/s1, 40x6 ({nm})", r["s3_over_s1"], 1e-6,

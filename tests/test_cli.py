@@ -358,6 +358,47 @@ class TestSweep:
         assert solo == swept
 
 
+    def test_incidence_sweep_is_one_block_solve(self, tmp_path, cfg_file, monkeypatch):
+        # every theta_in value shares the medium, so each parity is solved once
+        from stripscat import bie, cli
+        solve_block = bie.solve_block
+        calls = []
+
+        def counted(cfg, parity, theta_in, N):
+            calls.append(parity)
+            return solve_block(cfg, parity, theta_in, N)
+
+        monkeypatch.setattr(bie, "solve_block", counted)
+        assert cli.main(["sweep", "--config", str(cfg_file), "--param", "theta_in",
+                         "--values", "20,50,80"]) == 0
+        assert sorted(p.value for p in calls) == ["antisymmetric", "symmetric"]
+        with open(tmp_path / "out" / "sweep_summary.csv", newline="") as fh:
+            assert [r["status"] for r in csv.DictReader(fh)] == ["ok", "ok", "ok"]
+
+    def test_bad_value_keeps_its_own_row(self, tmp_path, cfg_file):
+        # 95 deg fails its config; 30 and 60 still share one block, and their
+        # files match single-value sweeps to roundoff
+        from stripscat import cli
+
+        def sweep(values, out):
+            assert cli.main(["sweep", "--config", str(cfg_file), "--param", "theta_in",
+                             "--values", values, "--out", str(out)]) == 0
+            with open(out / "sweep_summary.csv", newline="") as fh:
+                return [r["status"] for r in csv.DictReader(fh)]
+
+        def table(path):
+            with open(path, newline="") as fh:
+                return np.array(list(csv.reader(fh))[1:], dtype=float)
+
+        status = sweep("30,95,60", tmp_path / "block")
+        assert status[0] == "ok" and status[1].startswith("error:") and status[2] == "ok"
+        assert not (tmp_path / "block" / "directivity_001.csv").exists()
+        for iv, value in ((0, "30"), (2, "60")):
+            assert sweep(value, tmp_path / value) == ["ok"]
+            got = table(tmp_path / "block" / f"directivity_{iv:03d}.csv")
+            ref = table(tmp_path / value / "directivity_000.csv")
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
     def test_error_message_stays_one_field(self, tmp_path, cfg_file, run_cli):
         # k0a = 0 fails with "Re(k0) must be > 0, got 0j", which holds a comma
         r = run_cli("sweep", "--config", str(cfg_file), "--param", "k0a",

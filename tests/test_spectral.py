@@ -11,7 +11,6 @@ from stripscat.core import Parity, ProblemConfig
 from stripscat.spectral import (
     Scattering,
     SpectralBundle,
-    bistatic_map,
     cauchy_analyticity_test,
     contour_integral_rect,
     directivity,
@@ -360,29 +359,26 @@ class TestFullCircle:
 
 class TestEmbedding:
     def test_pair_antisymmetry(self, ref_cfg):
-        incs = [np.deg2rad(d) for d in (30, 45, 60, 75)]
-        r = embedding_rank_test(ref_cfg, Parity.ANTISYMMETRIC, incs,
-                                np.linspace(-4, 4, 40), N=48)
+        sc = Scattering(ref_cfg, 48, np.deg2rad([30.0, 45.0, 60.0, 75.0]))
+        r = embedding_rank_test(sc, Parity.ANTISYMMETRIC, np.linspace(-4, 4, 40))
         assert r["antisymmetry"] < 1e-6
         assert r["s3_over_s1"] < 1e-6
 
     def test_symmetric_variant(self, ref_cfg):
-        incs = [np.deg2rad(d) for d in (30, 45, 60, 75)]
-        r = embedding_rank_test(ref_cfg, Parity.SYMMETRIC, incs,
-                                np.linspace(-4, 4, 40), N=48)
+        sc = Scattering(ref_cfg, 48, np.deg2rad([30.0, 45.0, 60.0, 75.0]))
+        r = embedding_rank_test(sc, Parity.SYMMETRIC, np.linspace(-4, 4, 40))
         assert r["antisymmetry"] < 1e-6
         assert r["s3_over_s1"] < 1e-6
 
     def test_insufficient_incidences(self, ref_cfg):
-        r = embedding_rank_test(ref_cfg, Parity.ANTISYMMETRIC,
-                                [0.4, 0.9], np.linspace(-2, 2, 10))
+        r = embedding_rank_test(Scattering(ref_cfg, 64, [0.4, 0.9]), Parity.ANTISYMMETRIC,
+                                np.linspace(-2, 2, 10))
         assert r["status"] == "insufficient data"
 
     def test_eta_zero_degenerate(self):
-        cfg = ProblemConfig(K0, A, 0.0, THETA)
+        sc = Scattering(ProblemConfig(K0, A, 0.0, THETA), 16, [0.4, 0.9, 1.2])
         with pytest.raises(ZeroDivisionError):
-            embedding_rank_test(cfg, Parity.SYMMETRIC, [0.4, 0.9, 1.2], np.linspace(-2, 2, 10),
-                                N=16)
+            embedding_rank_test(sc, Parity.SYMMETRIC, np.linspace(-2, 2, 10))
 
 
 class TestGrowth:
@@ -425,10 +421,10 @@ class TestPhysics:
         assert reciprocity_check(ref_cfg, [np.deg2rad(55)], N=32) == 0
 
     def test_map_columns_are_scattering_tables(self, ref_cfg):
-        # column j of the map is the directivity of the incidence theta_in[j]
+        # column j of a block's directivity is that of the incidence theta_in[j] alone
         th = np.linspace(0.1, np.pi - 0.1, 9)
         incs = np.deg2rad([20.0, 60.0, 90.0])
-        M = bistatic_map(ref_cfg, th, incs, N=48)
+        M = Scattering(ref_cfg, 48, incs).directivity(th).S
         for j, t in enumerate(incs):
             S = Scattering(ProblemConfig(K0, A, ETA, t), 48).directivity(th).S
             assert np.max(np.abs(M[:, j] - S)) < 1e-14 * np.max(np.abs(S))
@@ -439,7 +435,7 @@ class TestPhysics:
     def test_map_reciprocity_and_x_parity(self, k0_re, k0_im, eta_re, eta_im):
         cfg = ProblemConfig(complex(k0_re, k0_im), A, complex(eta_re, eta_im), THETA)
         th = np.deg2rad(np.linspace(7.5, 90.0, 12))
-        M = bistatic_map(cfg, np.concatenate([th, np.pi - th]), th, N=64)
+        M = Scattering(cfg, 64, th).directivity(np.concatenate([th, np.pi - th])).S
         square = M[:12]
         assert np.max(np.abs(square - square.T)) <= 1e-9 * np.max(np.abs(square))
         # normal incidence is even in x: S(pi - theta; pi/2) = S(theta; pi/2)
