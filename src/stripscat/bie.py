@@ -326,29 +326,24 @@ def sym_trace_on_strip(dens: Density, cfg: ProblemConfig, x):
 # ---------------------------------------------------------------------------
 # field and trace evaluation
 # ---------------------------------------------------------------------------
-def _strip_theta_quad(s0: float, dist: float, nper: int = 20):
+def _strip_theta_quad(s0: float, dist: float):
     """Theta nodes/weights on [0, pi] resolving a kernel feature at s = s0,
     distance `dist` away, plus the density's edge-log structure at both
-    endpoints (all in scaled units)."""
+    endpoints (all in scaled units).
+
+    The innermost panel widths are snapped to powers of two, so the layout
+    is locally constant in the target (keeps finite-difference stencils of
+    evaluated fields noise-free).  Beyond an edge the feature scale is
+    sqrt(dist) in theta, toward theta = 0 (mirrored for s0 <= -1).
+    """
     if abs(s0) >= 1.0:
-        th, w = ck.theta_graded(dist, nper=nper)
-        if s0 < 0:
-            return np.pi - th, w
-        return th, w
+        th_min = max(0.25 * np.sqrt(max(dist, 1e-14)), 1e-7)
+        th, w = ck.graded_panels(0.0, np.pi, [(0.0, 2.0 ** np.floor(np.log2(th_min)))], 20)
+        return (np.pi - th, w) if s0 < 0 else (th, w)
     th0 = np.arccos(np.clip(s0, -1, 1))
     width = max(dist / max(np.sin(th0), np.sqrt(dist) if dist > 0 else 1e-7), 1e-7)
     width = 2.0 ** np.floor(np.log2(width / 4))
-    breaks = {0.0, np.pi, th0}
-    for center, size in ((th0, width), (0.0, 2.0 ** -16), (np.pi, 2.0 ** -16)):
-        t = size
-        while t < np.pi:
-            for cand in (center - t, center + t):
-                if 1e-12 < cand < np.pi - 1e-12:
-                    breaks.add(cand)
-            t *= 2.0
-    edges = np.array(sorted(breaks))
-    keep = np.concatenate([[True], np.diff(edges) > 1e-12])
-    return ck.panels(edges[keep], nper)
+    return ck.graded_panels(0.0, np.pi, [(th0, width), (0.0, 2.0 ** -16), (np.pi, 2.0 ** -16)], 20)
 
 
 # quadrature nodes per batched field evaluation.  A target near the strip

@@ -246,27 +246,8 @@ def edge_log_u_tail_sum(n_from: int, alternating: bool) -> float:
 
 
 # ---------------------------------------------------------------------------
-# edge-graded quadrature in the theta variable
+# Gauss-Legendre panels
 # ---------------------------------------------------------------------------
-def theta_graded(dist: float, nper: int = 20, ratio: float = 2.0):
-    """Panelized Gauss nodes on theta in [0, pi], geometric toward theta = 0.
-
-    Resolves integrands on s = cos(theta) whose nearest feature is at
-    distance `dist` beyond the s = +1 endpoint (feature scale sqrt(dist)
-    in theta).  The innermost panel size is snapped to a power of two so
-    the layout is locally constant in `dist` (keeps finite-difference
-    stencils of evaluated fields noise-free).  Returns (theta_nodes, weights).
-    """
-    th_min = max(0.25 * np.sqrt(max(dist, 1e-14)), 1e-7)
-    th_min = 2.0 ** np.floor(np.log2(th_min))
-    edges = [0.0, th_min]
-    t = th_min
-    while t < np.pi:
-        t = min(t * ratio, np.pi)
-        edges.append(t)
-    return panels(edges, nper)
-
-
 @lru_cache(maxsize=None)
 def gauss_legendre(n: int):
     """The n-point Gauss-Legendre rule on [-1, 1]: (nodes, weights), computed
@@ -285,3 +266,33 @@ def panels(breaks, n: int):
     b = np.asarray(breaks, dtype=float)
     lo, hi = b[:-1, None], b[1:, None]
     return (lo + (xg + 1) / 2 * (hi - lo)).ravel(), (wg * (hi - lo) / 2).ravel()
+
+
+def graded_panels(lo: float, hi: float, points, n: int, widest: float = np.inf):
+    """Gauss-Legendre rule with n nodes a panel on [lo, hi], graded toward
+    the points (c, h), h > 0: the package's one graded layout.
+
+    The breaks are lo, hi, and for each (c, h) the point c itself and
+    c -+ h 2^j while h 2^j < min(hi - lo, widest).  A break within 1e-12 of
+    an end or of the previous break is dropped, so every break lies in
+    [lo, hi].  A gap still wider than `widest` is then split into equal
+    panels.  Returns (nodes, weights), panel after panel.
+    """
+    tol = 1e-12
+    top = min(hi - lo, widest)
+    inner_lo, inner_hi = lo + tol, hi - tol
+    breaks = {lo, hi}
+    for c, h in points:
+        cand = [c]
+        t = h
+        while t < top:
+            cand += (c - t, c + t)
+            t *= 2.0
+        breaks.update(x for x in cand if inner_lo < x < inner_hi)
+    b = sorted(breaks)
+    # plain floats: NumPy's per-call cost outweighs these few dozen breaks
+    b = b[:1] + [y for x, y in zip(b, b[1:]) if y - x > tol]
+    if widest < np.inf:
+        b = np.concatenate([b[:1]] + [np.linspace(x0, x1, int(np.ceil((x1 - x0) / widest)) + 1)[1:]
+                              for x0, x1 in zip(b, b[1:])])
+    return panels(b, n)

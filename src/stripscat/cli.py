@@ -60,8 +60,9 @@ def _load_config(path: str) -> RunConfig:
 
 
 def _spectral_config_ok(rc: RunConfig, command: str) -> bool:
-    """The spectral functions need Im(k0) > 0 (the half-line integrals decay
-    like e^{-Im(k0) x}) and eta != 0; report a config error if not."""
+    """The spectral functions need Im(k0) > 0 (at real k0 the cut rule has no
+    first panel and `xi` takes the wrong limit; ROADMAP direction 5) and
+    eta != 0; report a config error if not."""
     if complex(rc.k0).imag <= 0:
         need = "Im(k0) > 0"
     elif rc.eta == 0:

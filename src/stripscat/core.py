@@ -57,8 +57,9 @@ class ProblemConfig:
     Parameters
     ----------
     k0 : complex
-        Wavenumber, Im(k0) >= 0.  A strictly positive imaginary part is
-        required by the semi-infinite spectral integrals.
+        Wavenumber, Im(k0) >= 0.  The spectral functions need Im(k0) > 0:
+        at real k0 the cut rule has no first panel and `xi` takes the wrong
+        limit (ROADMAP direction 5).
     a : float
         Strip half-length, a > 0.  The strip is -a < x < a, y = 0.
     eta : complex

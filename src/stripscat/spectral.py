@@ -83,23 +83,6 @@ def _cut_rule(im_k0: float):
     return np.concatenate([u * u, v ** -2.0]), np.concatenate([2 * u * wu, 2 * wv / v ** 3])
 
 
-def _theta_rule(a: float, width: float, s_max: float):
-    """Nodes theta in [0, pi] and weights for the density integrals G(s).
-
-    e^{-s d(theta)} with d = 2a sin^2(theta/2) concentrates within
-    1/sqrt(s a) of theta = 0, so panels halve toward 0 down to
-    0.25/sqrt(s_max a), s_max the cut rule's largest node; elsewhere they
-    are at most `width` wide.
-    """
-    edges = [0.0]
-    t = 0.25 / np.sqrt(s_max * a)
-    while t < width:
-        edges.append(t)
-        t *= 2.0
-    n = int(np.ceil((np.pi - edges[-1]) / width))
-    return ck.panels(np.concatenate([edges, np.linspace(edges[-1], np.pi, n + 1)[1:]]), 16)
-
-
 @dataclass
 class SpectralBundle:
     """Evaluators for one parity's spectral function family.
@@ -116,9 +99,10 @@ class SpectralBundle:
     a -+ t = d(theta), so one real table exp(-s d) gives G+ and G- of the
     density; the bundle caches the weighted columns, and any set of k costs
     one Cauchy-matrix product.  The integrals continue F+check analytically
-    to the plane cut along k = -k0 - i s (F-check along k0 + i s).  They need
-    Im k0 > 0: for real k0 the functional equation's half-line integrals do
-    not converge.
+    to the plane cut along k = -k0 - i s (F-check along k0 + i s).  They
+    converge at real k0 too, but the bundle needs Im k0 > 0: the cut rule's
+    first panel width u0 is 0 there, and `core.xi` takes the wrong limit
+    (ROADMAP direction 5).
     """
 
     cfg: ProblemConfig
@@ -166,9 +150,13 @@ class SpectralBundle:
                 raise ValueError(f"half-line transforms need Im k0 > 0, got k0 = {k0}")
             c = self.density.coeffs
             s, ws = _cut_rule(k0.imag)
-            # the density's series and e^{i k0 d} turn at most len(c) + |k0| a
-            # radians per radian of theta
-            th, w = _theta_rule(a, min(0.1, 20.0 / (len(c) + abs(k0) * a)), s.max())
+            # e^{-s d} with d = 2a sin^2(theta/2) concentrates within
+            # 1/sqrt(s a) of theta = 0: panels halve toward 0 down to
+            # 0.25/sqrt(s_max a).  The density's series and e^{i k0 d} turn
+            # at most len(c) + |k0| a radians per radian of theta, which
+            # bounds the panel width elsewhere.
+            th, w = ck.graded_panels(0.0, np.pi, [(0.0, 0.25 / np.sqrt(s.max() * a))], 16,
+                                     widest=min(0.1, 20.0 / (len(c) + abs(k0) * a)))
             d = 2 * a * np.sin(th / 2) ** 2
             antisym = self.parity is Parity.ANTISYMMETRIC
             # dt = a sin(theta) dtheta; mu carries a further a sin(theta)
@@ -355,24 +343,11 @@ def farfield_oracle(dens: Density, cfg: ProblemConfig, theta) -> np.ndarray | co
         out = np.exp(-1j * np.pi / 4) * k0 * np.sin(th) * 0.5 * I
     else:
         # sigma is bounded with edge-log corrections: edge-graded panels
-        xs, ws = _edge_graded_unit(10, 24)
+        xs, ws = ck.graded_panels(-1.0, 1.0, [(-1.0, 2.0 ** -10), (1.0, 2.0 ** -10)], 24)
         P = dens.poly(xs)
         I = np.exp(-1j * np.outer(kc, a * xs)) @ (ws * P) * a
         out = -1j * np.exp(-1j * np.pi / 4) * (-0.5) * I
     return out if np.ndim(theta) else complex(out[0])
-
-
-def _edge_graded_unit(nlev: int, nper: int):
-    """Panels on [-1, 1] geometrically refined toward both endpoints."""
-    edges = [0.0]
-    t = 2.0 ** (-nlev)
-    while t < 1.0:
-        edges.append(t)
-        t *= 2
-    edges.append(1.0)
-    be = np.array(edges)
-    segs = np.sort(np.unique(np.concatenate([-1 + be, 1 - be])))
-    return ck.panels(segs, nper)
 
 
 # ---------------------------------------------------------------------------
@@ -472,19 +447,11 @@ def contour_integral_rect(f, rect, n_per_side: int = 32, refine_near=None) -> co
     for z0, z1 in zip(corners, corners[1:] + corners[:1]):
         d = z1 - z0
         lateral = np.inf if refine_near is None else abs(np.imag((refine_near - z0) / d))
-        if refine_near is None or lateral > 0.3:
-            breaks = np.array([0.0, 1.0])
-        else:
+        grade = []
+        if lateral <= 0.3:
             tstar = float(np.clip(np.real((refine_near - z0) / d), 0.0, 1.0))
-            tmin = max(lateral / 4.0, 1e-6)
-            lad = [tmin]
-            while lad[-1] < 1.0:
-                lad.append(lad[-1] * 2.0)
-            lad = np.array(lad)
-            breaks = np.unique(np.clip(np.concatenate(
-                [[0.0, 1.0, tstar], tstar + lad, tstar - lad]), 0.0, 1.0))
-            breaks = breaks[np.concatenate([[True], np.diff(breaks) >= 1e-15])]
-        tq, wq = ck.panels(breaks, n_per_side)
+            grade = [(tstar, max(lateral / 4.0, 1e-6))]
+        tq, wq = ck.graded_panels(0.0, 1.0, grade, n_per_side)
         total += d * np.sum(wq * np.atleast_1d(f(z0 + tq * d)))
     return complex(total)
 

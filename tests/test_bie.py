@@ -153,6 +153,14 @@ class TestFieldEvaluation:
         uy = scattered_field(ds, ref_cfg, x, 1e-6)
         assert uy == pytest.approx(_off_strip_quad(ds, ref_cfg, x), rel=1e-5)
 
+    @pytest.mark.parametrize("x, y", [(300.0, 0.5), (-300.0, 2.0), (1.5, 400.0)])
+    def test_far_targets(self, ref_cfg, ref_solves, x, y):
+        # beyond an edge at scaled distance >= 256 the innermost theta panel
+        # is 4 or wider: the rule must still end at theta = pi
+        for dens in ref_solves[:2]:
+            ref = _fine_field(dens, ref_cfg, x * A, y * A)
+            assert abs(scattered_field(dens, ref_cfg, x * A, y * A) - ref) <= 1e-5 * abs(ref)
+
     def test_domain_guards(self, ref_cfg, ref_solves):
         da, _, _, _ = ref_solves
         with pytest.raises(ValueError):
@@ -541,7 +549,15 @@ class TestLogSumToeplitz:
         ref = _log_sum_slice_add(L, R, Pi, rmax)
         got = bie._log_sum_rect(L, R, Pi, rmax)
         assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= 4e-15 * np.max(np.abs(ref))
+        # each entry on the scale of its terms: the sum of their magnitudes,
+        # the same sum on |L|, |R|, |Pi|.  Cancelling terms leave entries far
+        # below max|ref| (a draw's 0.25 from terms of 45.6 in magnitude)
+        scale = np.abs(_log_sum_slice_add(np.abs(L), np.abs(R), np.abs(Pi), rmax))
+        assert np.all(np.abs(got - ref) <= 4e-15 * scale)
+        # negative control: the weight k_1 of r = 1 scaled by 1 + 1e-12 adds
+        # 1e-12 times the r = 1 term, which the bound rejects
+        bad = got + 1e-12 * _log_sum_slice_add(L, R, Pi, 1)
+        assert np.any(np.abs(bad - ref) > 4e-15 * scale)
 
     @pytest.mark.parametrize("k0, a", _SWEEP_MEDIA + [(0.01, 1.0), (64.0, 1.0)])
     def test_odd_parity_coefficients_vanish(self, k0, a):
@@ -694,6 +710,29 @@ def _off_strip_quad(dens, cfg, x, epsrel=1e-13):
             return a * np.sin(th) * (np.cos(n * th) @ dens.coeffs) * 0.25j * hankel1(0, k0 * r)
     val, _ = quad_vec(f, 0.0, np.pi, epsabs=0, epsrel=epsrel, limit=2000)
     return val
+
+
+def _fine_field(dens, cfg, x, y):
+    """Reference: the layer potential at (x, y) by a fixed fine theta rule,
+    24-point Gauss panels no wider than 0.02, graded by halving to 2^-30
+    at both ends (t = a cos(theta))."""
+    from scipy.special import hankel1
+    a, k0 = cfg.a, cfg.k0
+    ladder = 2.0 ** -np.arange(30, 5, -1)                 # 2^-30 .. 2^-6
+    inner = np.linspace(ladder[-1], np.pi - ladder[-1],
+                        int(np.ceil((np.pi - 2 * ladder[-1]) / 0.02)) + 1)
+    b = np.concatenate([[0.0], ladder[:-1], inner, np.pi - ladder[-2::-1], [np.pi]])
+    xg, wg = np.polynomial.legendre.leggauss(24)
+    th = (b[:-1, None] + (xg + 1) / 2 * np.diff(b)[:, None]).ravel()
+    w = (wg * np.diff(b)[:, None] / 2).ravel()
+    n = np.arange(len(dens.coeffs))
+    R = np.hypot(x - a * np.cos(th), y)
+    if dens.parity is Parity.ANTISYMMETRIC:
+        # a^2 sin^2(theta) P(cos theta) = a^2 sin(theta) sum b_n sin((n+1) theta)
+        rho = a * a * np.sin(th) * (np.sin(np.outer(th, n + 1)) @ dens.coeffs)
+        return np.sum(w * rho * 0.25j * k0 * hankel1(1, k0 * R) * y / R)
+    rho = a * np.sin(th) * (np.cos(np.outer(th, n)) @ dens.coeffs)
+    return np.sum(w * rho * 0.25j * hankel1(0, k0 * R))
 
 
 @functools.lru_cache(maxsize=None)

@@ -251,16 +251,57 @@ def test_edge_log_t_coeffs():
     assert np.allclose(b[10:390], 2.0 / (j * (j ** 2 - 1)), rtol=1e-10)
 
 
-def test_theta_graded_resolves_near_singularity():
-    # integral of sqrt(1-t^2)/((s0-t)^2+eps^2)-type sharp feature
+def test_graded_panels_resolve_near_singularity():
+    # integral of sqrt(1-t^2)/((s0-t)^2+eps^2)-type sharp feature, on the
+    # layout of the field rule beyond an edge: graded toward theta = 0 from
+    # a power of two near sqrt(s0 - 1)/4
     s0, eps = 1.0005, 5e-4
-    th, w = ck.theta_graded(s0 - 1.0)
+    th_min = 2.0 ** np.floor(np.log2(0.25 * np.sqrt(s0 - 1.0)))
+    th, w = ck.graded_panels(0.0, np.pi, [(0.0, th_min)], 20)
     tau = np.cos(th)
     val = np.sum(w * np.sin(th) ** 2 / ((s0 - tau) ** 2 + eps ** 2))
     import scipy.integrate as si
     ref = si.quad(lambda t: np.sqrt(1 - t * t) / ((s0 - t) ** 2 + eps ** 2), -1, 1,
                   points=[1.0 - 5e-4], limit=400)[0]
     assert val == pytest.approx(ref, rel=1e-9)
+
+
+def test_graded_panels_layouts():
+    # the breaks of the package's graded layouts, written out
+    lad = 2.0 ** -np.arange(10, 0, -1)
+    x, w = ck.graded_panels(-1.0, 1.0, [(-1.0, 2.0 ** -10), (1.0, 2.0 ** -10)], 24)
+    ref = ck.panels(np.concatenate([[-1.0], -1 + lad, [0.0], 1 - lad[::-1], [1.0]]), 24)
+    assert np.array_equal(x, ref[0]) and np.array_equal(w, ref[1])
+    # the ladder stops below hi - lo; the centre's break is kept
+    x, w = ck.graded_panels(0.0, np.pi, [(1.0, 0.25), (0.0, 0.5)], 4)
+    ref = ck.panels([0.0, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0, np.pi], 4)
+    assert np.array_equal(x, ref[0]) and np.array_equal(w, ref[1])
+    # beyond the ladder, equal panels no wider than `widest`
+    x, w = ck.graded_panels(0.0, np.pi, [(0.0, 2.0 ** -5)], 16, widest=0.1)
+    ref = ck.panels(np.concatenate([[0.0, 2.0 ** -5], np.linspace(2.0 ** -4, np.pi, 32)]), 16)
+    assert np.array_equal(x, ref[0]) and np.array_equal(w, ref[1])
+    # a width past hi - lo adds no break: the rule still ends at hi
+    for h in (4.0, 16.0):
+        x, w = ck.graded_panels(0.0, np.pi, [(0.0, h)], 20)
+        assert np.array_equal(x, ck.panels([0.0, np.pi], 20)[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.floats(-10.0, 10.0), length=st.floats(1e-3, 10.0),
+       points=st.lists(st.tuples(st.floats(-1.0, 2.0), st.floats(-12.0, 2.0)), max_size=3),
+       n=st.integers(1, 8), widest=st.none() | st.floats(1e-3, 2.0))
+def test_graded_panels_properties(lo, length, points, n, widest):
+    # centres from below lo to past hi, widths 1e-12 to 100 (h >= hi - lo
+    # included), relative to [lo, hi]
+    hi = lo + length
+    pts = [(lo + u * length, 10.0 ** e) for u, e in points]
+    cap = np.inf if widest is None else widest * length
+    x, w = ck.graded_panels(lo, hi, pts, n, widest=cap)
+    assert np.all((lo <= x) & (x <= hi))
+    assert np.sum(w) == pytest.approx(hi - lo, rel=1e-14)
+    # a panel's width is a difference of breaks, each rounded on the scale of |lo|, |hi|
+    slack = 4 * np.finfo(float).eps * max(abs(lo), abs(hi))
+    assert np.all(np.sum(w.reshape(-1, n), axis=1) <= cap * (1 + 1e-14) + slack)
 
 
 def test_panels_match_per_panel_rule():
@@ -331,6 +372,9 @@ _coeffs = arrays(complex, st.integers(0, 300),
                  elements=st.complex_numbers(max_magnitude=1e3, allow_nan=False,
                                              allow_infinity=False))
 _points = arrays(float, st.integers(1, 12), elements=st.floats(-1.0, 1.0))
+# coefficients of magnitude 5e-324 give errors of one subnormal ulp, while
+# the relative bounds 1e-13 sum|c_n| underflow to 0
+_SUBNORMAL_FLOOR = 4 * np.finfo(float).smallest_subnormal
 
 
 class TestSeriesEvaluation:
@@ -351,11 +395,11 @@ class TestSeriesEvaluation:
         c = np.append(coef, 0).astype(np.clongdouble)
         ref = np.polynomial.chebyshev.chebval(s.astype(np.longdouble), c)
         err = np.max(np.abs(ck.eval_series(coef, s, "T") - ref.astype(complex)))
-        assert err <= 1e-13 * np.sum(np.abs(coef))
+        assert err <= 1e-13 * np.sum(np.abs(coef)) + _SUBNORMAL_FLOOR
         # and the closed form cos(n t)
         ref = _long_double_sum(coef, _basis_long_double(len(coef), s, "T"))
         err = np.max(np.abs(ck.eval_series(coef, s, "T") - ref))
-        assert err <= 1e-13 * np.sum(np.abs(coef))
+        assert err <= 1e-13 * np.sum(np.abs(coef)) + _SUBNORMAL_FLOOR
 
     @settings(max_examples=60, deadline=None)
     @given(coef=_coeffs, s=_points)
@@ -365,7 +409,8 @@ class TestSeriesEvaluation:
         # s = 1 - 2^-53.  The bound is 1e-13 per unit of |c_n| (n+1)^2.
         ref = _long_double_sum(coef, _basis_long_double(len(coef), s, "U"))
         err = np.max(np.abs(ck.eval_series(coef, s, "U") - ref))
-        assert err <= 1e-13 * np.sum(np.abs(coef) * np.arange(1, len(coef) + 1) ** 2)
+        assert err <= (1e-13 * np.sum(np.abs(coef) * np.arange(1, len(coef) + 1) ** 2)
+                       + _SUBNORMAL_FLOOR)
 
     def test_u_bound_is_attained_near_the_edge(self):
         # the (n+1)^2 allowance is needed: a single order-299 term at
