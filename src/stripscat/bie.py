@@ -41,7 +41,7 @@ from scipy.special import hankel1, jv
 
 from . import chebkit as ck
 from .core import Parity, ProblemConfig
-from .kernels import kernel_expansion, kernel_order
+from .kernels import kernel_expansion, kernel_order, memo
 
 
 class SingularSystemError(RuntimeError):
@@ -142,8 +142,9 @@ def _log_sum_rect(Lbig: np.ndarray, Rbig: np.ndarray, Pi: np.ndarray, rmax: int)
     return S[0] + 1j * S[1]
 
 
-def _galerkin(cfg: ProblemConfig, parity: Parity, Ntest: int, Ntr: int):
-    """The Galerkin matrix of one parity's boundary operator.
+def _galerkin(k0: complex, a: float, eta: complex, parity: Parity, Ntest: int, Ntr: int):
+    """The Galerkin matrix of one parity's boundary operator on the medium
+    and strip (k0, a, eta).
 
     Both parities are static + c (L K R^T + log sum), with the kernel's
     smooth part K = (ln a - ln 2) Pi + Q and the log-kernel sum of
@@ -158,7 +159,6 @@ def _galerkin(cfg: ProblemConfig, parity: Parity, Ntest: int, Ntr: int):
     Returns the Ntest x Ntr matrix, the trial family's coefficients of the
     edge function (1 - s) ln(1 - s), and the kernel expansion.
     """
-    k0, a, eta = cfg.k0, cfg.a, cfg.eta
     antisym = parity is Parity.ANTISYMMETRIC
     Np = max(kernel_order(k0, a), Ntest + 4)
     ker = kernel_expansion(k0, a, antisym, Np)
@@ -212,26 +212,19 @@ def _rhs(cfg: ProblemConfig, parity: Parity, theta_in, Ntest: int) -> np.ndarray
     return cfg.eta * cfg.a * np.pi * ck.i_pow(m) * jv(m, z)
 
 
-# (k0, a, eta, parity, N) -> (augmented matrix, condition estimate, edge-tail
-# vectors with their norms, kernel tail mass).  The operator does not depend
-# on the incidence angle, so every incidence on one medium reuses the entry.
-_OPERATOR_CACHE: dict = {}
-
-
-def _operator(cfg: ProblemConfig, parity: Parity, N: int):
-    key = (complex(cfg.k0), float(cfg.a), complex(cfg.eta), parity, N)
-    entry = _OPERATOR_CACHE.get(key)
-    if entry is None:
-        O, edge, ker = _galerkin(cfg, parity, N + 2, max(192, N + 96))
-        tails = _edge_tails(edge, N)
-        A = np.column_stack([O[:, :N], O @ tails[0], O @ tails[1]])
-        cond = float(np.linalg.cond(A))
-        if not np.isfinite(cond) or cond > 1e13:
-            raise SingularSystemError(f"{parity.value} system condition {cond:.2e}")
-        if len(_OPERATOR_CACHE) > 32:
-            _OPERATOR_CACHE.clear()
-        entry = _OPERATOR_CACHE[key] = (A, cond, tails, ker.tail_mass())
-    return entry
+@memo
+def _operator(k0: complex, a: float, eta: complex, parity: Parity, N: int):
+    """(augmented matrix, condition estimate, edge-tail vectors with their
+    norms, kernel tail mass) of one parity on the medium (k0, a, eta).  The
+    incidence is no argument: every incidence on one medium reuses the entry.
+    A singular system raises and is not memoized."""
+    O, edge, ker = _galerkin(k0, a, eta, parity, N + 2, max(192, N + 96))
+    tails = _edge_tails(edge, N)
+    A = np.column_stack([O[:, :N], O @ tails[0], O @ tails[1]])
+    cond = float(np.linalg.cond(A))
+    if not np.isfinite(cond) or cond > 1e13:
+        raise SingularSystemError(f"{parity.value} system condition {cond:.2e}")
+    return A, cond, tails, ker.tail_mass()
 
 
 def solve_block(cfg: ProblemConfig, parity: Parity, theta_in, N: int):
@@ -246,7 +239,7 @@ def solve_block(cfg: ProblemConfig, parity: Parity, theta_in, N: int):
     """
     if N < 4:
         raise ValueError("N must be >= 4")
-    A, cond, (vp, vm, norm_p, norm_m), ker_tail = _operator(cfg, parity, N)
+    A, cond, (vp, vm, norm_p, norm_m), ker_tail = _operator(cfg.k0, cfg.a, cfg.eta, parity, N)
     sol = np.linalg.solve(A, _rhs(cfg, parity, theta_in, N + 2))
     coeffs = np.zeros((len(vp), sol.shape[1]), dtype=complex)
     coeffs[:N] = sol[:N]

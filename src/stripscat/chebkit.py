@@ -93,15 +93,15 @@ def plain_t_moments(n: int) -> np.ndarray:
     return J
 
 
-def plain_t_transform_matrix(nmax: int, z, extra: int = 48) -> np.ndarray:
+def plain_t_transform_matrix(nmax: int, z) -> np.ndarray:
     """Matrix E[i, n] = int_{-1}^{1} T_n(s) e^{i z_i s} ds.
 
     Via e^{izs} = J_0(z) + 2 sum_m i^m J_m(z) T_m(s) and the exact product
     moments int T_m T_n ds (`c3_matrix`); the m-series is truncated once
-    J_m(z) is below roundoff (m > |z| + extra).
+    J_m(z) is below roundoff (m > |z| + 48).
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    mmax = int(np.max(np.abs(z))) + extra
+    mmax = int(np.max(np.abs(z))) + 48
     m = np.arange(mmax + 1)
     Jm = jv(m[None, :], z[:, None])          # (nz, mmax+1)
     wts = np.where(m == 0, 1.0, 2.0) * i_pow(m)

@@ -27,8 +27,12 @@ import numpy as np
 from .bie import Density, scattered_field, strip_trace
 from .core import Parity, ProblemConfig, incident_field
 
-DEFAULT_RADII_FACTORS = tuple(np.geomspace(1e-3, 3e-2, 8))
-DEFAULT_N_ANGLES = 16
+# distances from the edge, in units of a: the three trace samples of
+# extract_d and the radii of local_expansion_fit's polar fans, with the
+# number of fan angles over (-pi, pi)
+D_RHO_FACTORS = (1e-3, 5e-4, 2.5e-4)
+RADII_FACTORS = tuple(np.geomspace(1e-3, 3e-2, 8))
+N_ANGLES = 16
 
 
 def extract_c(dens_a: Density, cfg: ProblemConfig, side: str) -> complex:
@@ -57,8 +61,7 @@ def extract_c(dens_a: Density, cfg: ProblemConfig, side: str) -> complex:
     return complex(np.sqrt(2 * cfg.a) * pval / (2 * np.sqrt(complex(cfg.k0))))
 
 
-def extract_d(dens_s: Density, cfg: ProblemConfig, side: str,
-              rho_factors=(1e-3, 5e-4, 2.5e-4)) -> complex:
+def extract_d(dens_s: Density, cfg: ProblemConfig, side: str) -> complex:
     """Symmetric edge constant d_side by extrapolating the total strip trace.
 
     Model t(rho) = d + alpha rho ln(k0 rho) + beta rho fitted through three
@@ -67,7 +70,7 @@ def extract_d(dens_s: Density, cfg: ProblemConfig, side: str,
     if dens_s.parity is not Parity.SYMMETRIC:
         raise ValueError("extract_d needs the symmetric density")
     a = cfg.a
-    rho = np.asarray(rho_factors, dtype=float) * a
+    rho = np.asarray(D_RHO_FACTORS, dtype=float) * a
     x = (a - rho) if side == "+" else (-a + rho)
     tot = strip_trace(dens_s, cfg, x) + incident_field(cfg, Parity.SYMMETRIC, x, 0.0)
     M = np.column_stack([np.ones(3), rho * np.log(np.abs(cfg.k0) * rho), rho])
@@ -86,9 +89,7 @@ def _edge_points(cfg: ProblemConfig, side: str, rho: float, phi: np.ndarray):
     return -cfg.a - rho * np.cos(phi), rho * np.sin(phi)
 
 
-def local_expansion_fit(dens: Density, cfg: ProblemConfig, side: str = "+",
-                        radii_factors=DEFAULT_RADII_FACTORS,
-                        n_angles: int = DEFAULT_N_ANGLES) -> dict:
+def local_expansion_fit(dens: Density, cfg: ProblemConfig, side: str = "+") -> dict:
     """Blind least-squares fit of the edge expansion to sampled total fields.
 
     Samples the total field on polar fans around the chosen edge, extending
@@ -98,8 +99,8 @@ def local_expansion_fit(dens: Density, cfg: ProblemConfig, side: str = "+",
     consistency (symmetric).
     """
     a, k0, eta = cfg.a, cfg.k0, cfg.eta
-    radii = np.asarray(radii_factors, dtype=float) * a
-    phi_up = np.linspace(0.12, np.pi - 0.12, n_angles // 2)
+    radii = np.asarray(RADII_FACTORS, dtype=float) * a
+    phi_up = np.linspace(0.12, np.pi - 0.12, N_ANGLES // 2)
     phis = np.concatenate([-phi_up[::-1], phi_up])
     # every fan in one field evaluation: row i is the fan at radii[i]
     fans = _total_field(dens, cfg, *_edge_points(cfg, side, radii[:, None], phi_up))

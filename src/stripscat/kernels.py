@@ -17,6 +17,8 @@ parts is benign); the two paths agree to ~1e-13 at the switch radius.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.special import hankel1, jv
 
@@ -25,6 +27,26 @@ from .chebkit import cheb_coeffs_2d
 EULER_GAMMA = 0.5772156649015328606
 Z_SWITCH = 6.0
 _NTERMS = 42
+
+
+class _Memos(dict):
+    """The package's memoized builders by name.  `clear()` empties every memo
+    and keeps the registry: perfbench/worker.py empties the module dicts
+    named *CACHE* before each pass, so each pass starts as cold as a fresh
+    process."""
+
+    def clear(self):
+        for cached in self.values():
+            cached.cache_clear()
+
+
+MEMO_CACHE = _Memos()
+
+
+def memo(fn):
+    """fn behind `functools.lru_cache(maxsize=32)`, listed in MEMO_CACHE."""
+    MEMO_CACHE[f"{fn.__module__}.{fn.__qualname__}"] = cached = lru_cache(maxsize=32)(fn)
+    return cached
 
 
 def _harmonic(n: int) -> float:
@@ -150,16 +172,7 @@ def kernel_order(k0: complex, a: float) -> int:
     return int(max(72, 24 + 10 * np.ceil(abs(k0) * a)))
 
 
-_KER_CACHE: dict = {}
-
-
+@memo
 def kernel_expansion(k0: complex, a: float, parity_antisym: bool, order: int) -> KernelExpansion:
     """Memoized KernelExpansion (the DCTs are reused heavily downstream)."""
-    key = (complex(k0), float(a), bool(parity_antisym), int(order))
-    ker = _KER_CACHE.get(key)
-    if ker is None:
-        ker = KernelExpansion(k0, a, parity_antisym, order)
-        if len(_KER_CACHE) > 32:
-            _KER_CACHE.clear()
-        _KER_CACHE[key] = ker
-    return ker
+    return KernelExpansion(k0, a, parity_antisym, order)

@@ -76,8 +76,8 @@ def _cut_sgrid(cfg: ProblemConfig, radius: float, n: int) -> np.ndarray:
     return np.concatenate([[0.0], geo, lin[1:]])
 
 
-def build_cut(cfg: ProblemConfig, which: str, radius: float, n_nodes: int = 400) -> Contour:
-    """Cut polyline from +-k0 to the truncation radius.
+def build_cut(cfg: ProblemConfig, which: str, radius: float) -> Contour:
+    """Cut polyline of 400 nodes from +-k0 to the truncation radius.
 
     Node density grows near the branch point (geometric parameter ladder);
     every node satisfies the defining locus Im(k0^2 - k^2) = 0,
@@ -85,7 +85,7 @@ def build_cut(cfg: ProblemConfig, which: str, radius: float, n_nodes: int = 400)
     """
     if which not in ("G1", "G2"):
         raise ValueError("which must be 'G1' or 'G2'")
-    s = _cut_sgrid(cfg, radius, n_nodes)
+    s = _cut_sgrid(cfg, radius, 400)
     nodes = _cut_param(cfg, s)
     if which == "G1":
         nodes = -nodes
@@ -182,7 +182,7 @@ def _point_in_polygon(z: complex, poly: np.ndarray) -> bool:
     return inside
 
 
-def _deformed_g2(cfg: ProblemConfig, radius: float, n_nodes: int):
+def _deformed_g2(cfg: ProblemConfig, radius: float):
     """Original and detoured G2 node sets plus the lens polygon between them.
 
     The first stretch of the cut is replaced by an arc winding around k'
@@ -190,7 +190,7 @@ def _deformed_g2(cfg: ProblemConfig, radius: float, n_nodes: int):
     direction is fixed by requiring the lens between old and new pieces to
     enclose k'.
     """
-    g2 = build_cut(cfg, "G2", radius, n_nodes)
+    g2 = build_cut(cfg, "G2", radius)
     nodes = g2.nodes
     kp = k_prime(cfg).k
     dist0 = abs(nodes[0] - kp)
@@ -221,7 +221,7 @@ def _deformed_g2(cfg: ProblemConfig, radius: float, n_nodes: int):
     raise DeformationError("no detour arc encloses k'")
 
 
-def k_prime_reclassified(cfg: ProblemConfig, radius: float = None) -> SheetPoint:
+def k_prime_reclassified(cfg: ProblemConfig) -> SheetPoint:
     """Sheet of the zero pair +-k' relative to the deformed cut layout.
 
     Crossing into a deformation lens flips the sheet relative to the
@@ -231,8 +231,7 @@ def k_prime_reclassified(cfg: ProblemConfig, radius: float = None) -> SheetPoint
     base = k_prime(cfg)
     if not deformation_needed(cfg):
         return base
-    radius = radius if radius is not None else 50.0 * abs(cfg.k0)
-    nodes, deformed, lens = _deformed_g2(cfg, radius, 400)
+    nodes, deformed, lens = _deformed_g2(cfg, 50 * abs(cfg.k0))
     flip = _point_in_polygon(base.k, lens) or _point_in_polygon(-base.k, -lens)
     if not flip:
         raise DeformationError("k' not enclosed by the deformation lens")

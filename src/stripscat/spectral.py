@@ -39,10 +39,6 @@ logger = logging.getLogger(__name__)
 POLE_EXCLUSION_FACTOR = 1e-2
 
 
-def _xi(k, k0):
-    return xi(k, k0=k0)
-
-
 def xi_prefactor(parity: Parity, eta: complex, x):
     """P(xi) of F0 = P(xi) F0~: eta - i xi (U family) or i (eta - i xi)/(eta xi) (V)."""
     if parity is Parity.ANTISYMMETRIC:
@@ -133,7 +129,7 @@ class SpectralBundle:
     def prefactor(self, k) -> np.ndarray:
         """P(xi(k)) of F0 = P(xi) F0~, on an array of k."""
         karr = np.atleast_1d(np.asarray(k, dtype=complex))
-        return xi_prefactor(self.parity, self.cfg.eta, _xi(karr, self.cfg.k0))
+        return xi_prefactor(self.parity, self.cfg.eta, xi(karr, k0=self.cfg.k0))
 
     def f0(self, k):
         """U0(k) or V0(k): the strip transform with its xi prefactor."""
@@ -316,10 +312,15 @@ class Scattering:
                                       for p, (c, *_) in self.blocks.items()))
 
 
-def directivity_full_circle(bundle_a: SpectralBundle, bundle_s: SpectralBundle, m: int = 720):
-    """S on a uniform grid over (0, 2pi), from the ceil(m/2) grid angles in
-    (0, pi] and the parity reflections S_a(2pi - t) = -S_a(t), S_s(2pi - t) =
-    S_s(t): grid angle m - 1 - j is the mirror image of grid angle j."""
+FULL_CIRCLE_ANGLES = 720
+
+
+def directivity_full_circle(bundle_a: SpectralBundle, bundle_s: SpectralBundle):
+    """S on `energy_balance`'s uniform grid of m = FULL_CIRCLE_ANGLES angles
+    over (0, 2pi), from the ceil(m/2) grid angles in (0, pi] and the parity
+    reflections S_a(2pi - t) = -S_a(t), S_s(2pi - t) = S_s(t): grid angle
+    m - 1 - j is the mirror image of grid angle j."""
+    m = FULL_CIRCLE_ANGLES
     th = 2 * np.pi * (np.arange(m) + 0.5) / m
     h = (m + 1) // 2
     tab = directivity(bundle_a, bundle_s, th[:h])
@@ -368,7 +369,7 @@ def embedding_rank_test(sc: Scattering, parity: Parity, k_points):
     if parity is Parity.SYMMETRIC and cfg.eta == 0:
         raise ZeroDivisionError("symmetric embedding kernel degenerate at eta = 0")
     kap = cfg.k0 * np.cos(theta_in)
-    fac = _xi(kap, cfg.k0) if parity is Parity.ANTISYMMETRIC else 1j * cfg.eta
+    fac = xi(kap, k0=cfg.k0) if parity is Parity.ANTISYMMETRIC else 1j * cfg.eta
     k = np.concatenate([np.asarray(k_points, dtype=complex), kap])
     W = (k[:, None] - kap) * strip_transform(parity, cfg.a, sc.blocks[parity][0], k) / fac
     W, P = W[:-len(kap)], W[-len(kap):]
@@ -433,7 +434,7 @@ def growth_scan(bundle: SpectralBundle, which: str, ray: str, t_grid,
 # ---------------------------------------------------------------------------
 # Cauchy / contour machinery
 # ---------------------------------------------------------------------------
-def contour_integral_rect(f, rect, n_per_side: int = 32, refine_near=None) -> complex:
+def contour_integral_rect(f, rect, refine_near=None) -> complex:
     """Counterclockwise contour integral of f over the rectangle
     [re0, re1] x [im0, im1].
 
@@ -451,16 +452,16 @@ def contour_integral_rect(f, rect, n_per_side: int = 32, refine_near=None) -> co
         if lateral <= 0.3:
             tstar = float(np.clip(np.real((refine_near - z0) / d), 0.0, 1.0))
             grade = [(tstar, max(lateral / 4.0, 1e-6))]
-        tq, wq = ck.graded_panels(0.0, 1.0, grade, n_per_side)
+        tq, wq = ck.graded_panels(0.0, 1.0, grade, 32)
         total += d * np.sum(wq * np.atleast_1d(f(z0 + tq * d)))
     return complex(total)
 
 
-def cauchy_analyticity_test(f, rect, n_per_side: int = 32, refine_near=None) -> float:
+def cauchy_analyticity_test(f, rect, refine_near=None) -> float:
     """|contour integral| / (perimeter * max |f|) over the rectangle boundary."""
     re0, re1, im0, im1 = rect
-    loop = contour_integral_rect(f, rect, n_per_side, refine_near=refine_near)
-    xg, _ = ck.gauss_legendre(n_per_side)
+    loop = contour_integral_rect(f, rect, refine_near=refine_near)
+    xg, _ = ck.gauss_legendre(32)
     samples = []
     corners = [re0 + 1j * im0, re1 + 1j * im0, re1 + 1j * im1, re0 + 1j * im1]
     for z0, z1 in zip(corners, corners[1:] + corners[:1]):
@@ -489,7 +490,7 @@ def forward_amplitude(sc: Scattering):
     return complex(S[0]) if S.ndim == 1 else np.diagonal(S)
 
 
-def energy_balance(cfg: ProblemConfig, N: int = 64, m_theta: int = 720):
+def energy_balance(cfg: ProblemConfig, N: int = 64):
     """Scattered power, extinction, and absorbed power in the S-convention.
 
     P_scat = (1/2pi) int_0^{2pi} |S|^2 dtheta,
@@ -497,7 +498,7 @@ def energy_balance(cfg: ProblemConfig, N: int = 64, m_theta: int = 720):
     absorbed = extinction - P_scat.
     """
     sc = Scattering(cfg, N)
-    th, S = directivity_full_circle(*sc.bundles, m_theta)
+    th, S = directivity_full_circle(*sc.bundles)
     p_scat = float(np.mean(np.abs(S) ** 2))
     extinction = float(-2 * np.real(np.exp(1j * np.pi / 4) * forward_amplitude(sc)))
     return {

@@ -63,7 +63,6 @@ class RunConfig:
     eta: complex
     theta_in_deg: float
     N: int = 64
-    cut_radius_factor: float = 50.0
     n_theta: int = 73
     k_grid_factor: float = 3.0
     n_k: int = 41
@@ -76,10 +75,6 @@ class RunConfig:
             raise ValueError("grids must be non-empty")
         if not (np.isfinite(self.k_grid_factor) and self.k_grid_factor > 0):
             raise ValueError(f"k_grid_factor must be finite and > 0, got {self.k_grid_factor}")
-        # the cut radius cut_radius_factor*|k0| must exceed the branch point |k0|
-        if not (np.isfinite(self.cut_radius_factor) and self.cut_radius_factor > 1):
-            raise ValueError(
-                f"cut_radius_factor must be finite and > 1, got {self.cut_radius_factor}")
         self.problem()  # validates the physical fields
 
     def problem(self) -> ProblemConfig:
@@ -102,10 +97,7 @@ class RunConfig:
             "a": float(self.a),
             "eta": {"re": complex(self.eta).real, "im": complex(self.eta).imag},
             "theta_in_deg": float(self.theta_in_deg),
-            "numerics": {
-                "N": self.N,
-                "cut_radius_factor": self.cut_radius_factor,
-            },
+            "numerics": {"N": self.N},
             "grids": {
                 "n_theta": self.n_theta,
                 "k_grid_factor": self.k_grid_factor,
@@ -122,17 +114,17 @@ class RunConfig:
         grids = d.get("grids", {})
         if not (isinstance(num, dict) and isinstance(grids, dict)):
             raise TypeError("config sections 'numerics' and 'grids' must be JSON objects")
+        # only the keys present, so the dataclass holds the defaults; the
+        # retired numerics keys tail_tol and cut_radius_factor are ignored
+        optional = {key: conv(sec[key]) for sec, key, conv in (
+            (num, "N", int), (grids, "n_theta", int), (grids, "k_grid_factor", float),
+            (grids, "n_k", int), (d, "out_dir", str)) if key in sec}
         return cls(
             k0=complex(d["k0"]["re"], d["k0"]["im"]),
             a=float(d["a"]),
             eta=complex(d["eta"]["re"], d["eta"]["im"]),
             theta_in_deg=float(d["theta_in_deg"]),
-            N=int(num.get("N", 64)),
-            cut_radius_factor=float(num.get("cut_radius_factor", 50.0)),
-            n_theta=int(grids.get("n_theta", 73)),
-            k_grid_factor=float(grids.get("k_grid_factor", 3.0)),
-            n_k=int(grids.get("n_k", 41)),
-            out_dir=str(d.get("out_dir", "out")),
+            **optional,
         )
 
     @classmethod
@@ -300,7 +292,7 @@ def check_growth(ctx: _Ctx):
 
 def check_jump_algebra(ctx: _Ctx):
     cfg = ctx.cfg
-    g2 = rh.build_cut(cfg, "G2", ctx.rc.cut_radius_factor * abs(cfg.k0))
+    g2 = rh.build_cut(cfg, "G2", 50 * abs(cfg.k0))
     rng = np.random.default_rng(1234)
     idx = rng.integers(3, len(g2.nodes) - 1, size=100)
     det_err = 0.0

@@ -319,12 +319,12 @@ class TestOperatorReuse:
             return assemble(*args)
 
         monkeypatch.setattr(bie, "_galerkin", counted)
-        bie._OPERATOR_CACHE.clear()
+        bie._operator.cache_clear()
         cfgs = [ProblemConfig(K0, A, ETA, t) for t in self.INCIDENCES]
         reused = [solve(c, 24) for c in cfgs]
         assert len(calls) == 1
         for c, (dens, diag) in zip(cfgs, reused):
-            bie._OPERATOR_CACHE.clear()
+            bie._operator.cache_clear()
             fresh, fresh_diag = solve(c, 24)
             assert np.array_equal(dens.coeffs, fresh.coeffs)
             assert dens.aug_amp == fresh.aug_amp
@@ -344,6 +344,22 @@ class TestOperatorReuse:
             assert np.array_equal(dens.coeffs, coeffs[:, j])
             assert dens.aug_amp == (amp[0, j], amp[1, j])
 
+    def test_benchmark_reset_empties_the_memos(self, monkeypatch):
+        # perfbench/worker.py empties the module dicts named *CACHE* before
+        # each pass, so that every pass builds what a fresh process builds
+        import importlib
+        from pathlib import Path
+        from stripscat import bie, kernels
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        reset_caches = importlib.import_module("worker").reset_caches
+        solve_antisymmetric(ProblemConfig(K0, A, ETA, THETA), 24)
+        memos = (bie._operator, kernels.kernel_expansion)
+        assert set(kernels.MEMO_CACHE.values()) == set(memos)
+        assert all(m.cache_info().currsize > 0 for m in memos)
+        reset_caches()
+        assert all(m.cache_info().currsize == 0 for m in memos)
+        assert set(kernels.MEMO_CACHE.values()) == set(memos)
+
     def test_singular_medium_is_not_cached(self, monkeypatch):
         from stripscat import bie
         from stripscat.bie import SingularSystemError
@@ -356,13 +372,13 @@ class TestOperatorReuse:
             return np.zeros_like(O), edge, ker
 
         monkeypatch.setattr(bie, "_galerkin", degenerate)
-        bie._OPERATOR_CACHE.clear()
+        bie._operator.cache_clear()
         cfg = ProblemConfig(K0, A, ETA, THETA)
         for _ in range(2):
             with pytest.raises(SingularSystemError):
                 solve_antisymmetric(cfg, 24)
         assert len(calls) == 2
-        assert not bie._OPERATOR_CACHE
+        assert bie._operator.cache_info().currsize == 0
 
 
 class TestConvergenceVerdict:
@@ -389,11 +405,13 @@ class TestConvergenceVerdict:
         # the verdict is a diagnostic of `solve` and `verify`, not of a solve
         from stripscat import bie
         from stripscat.spectral import Scattering
-        bie._OPERATOR_CACHE.clear()
+        bie._operator.cache_clear()
         Scattering(ref_cfg, 64)
-        assert sorted(key[3].value for key in bie._OPERATOR_CACHE) == ["antisymmetric",
-                                                                       "symmetric"]
-        assert {key[4] for key in bie._OPERATOR_CACHE} == {64}
+        assert bie._operator.cache_info().misses == 2
+        # the two entries are the parities at N = 64: asking for them again hits
+        for parity in Parity:
+            bie._operator(ref_cfg.k0, ref_cfg.a, ref_cfg.eta, parity, 64)
+        assert bie._operator.cache_info()[:2] == (2, 2)
 
 
 def _sym_trace_loop(dens, cfg, x):
@@ -468,8 +486,7 @@ class TestLogSumRect:
             return calls[-1][1]
 
         monkeypatch.setattr(bie, "_log_sum_rect", recorded)
-        bie._galerkin(ProblemConfig(k0a * np.exp(0.025j), A, ETA, THETA), parity,
-                      N + 2, max(192, N + 96))
+        bie._galerkin(k0a * np.exp(0.025j), A, ETA, parity, N + 2, max(192, N + 96))
         (Lbig, Rbig, Pi, rmax), got = calls[0]
         assert rmax > Pi.shape[0]                    # the |p - r| fold wraps
         rows, cols = slice(None), slice(None)
@@ -528,11 +545,19 @@ class TestLogSumToeplitz:
     @given(Np=st.integers(4, 80), left=st.sampled_from("WV"), right=st.sampled_from("WC"),
            seed=st.integers(0, 2 ** 32 - 1), data=st.data())
     def test_matches_slice_add_loop(self, Np, left, right, seed, data):
-        from stripscat import bie
-        from stripscat import chebkit as ck
         # the sizes and rmax as `_galerkin` sets them
         Ntest = data.draw(st.integers(1, max(1, Np - 4)), label="Ntest")
         Ntr = data.draw(st.integers(1, 250), label="Ntr")
+        self._check(Np, left, right, seed, Ntest, Ntr)
+
+    def test_control_sees_a_draw_with_a_small_first_order(self):
+        # the draw on which a defect planted at r = 1 stayed below the bound
+        self._check(33, "W", "W", 0, 1, 1)
+
+    @staticmethod
+    def _check(Np, left, right, seed, Ntest, Ntr):
+        from stripscat import bie
+        from stripscat import chebkit as ck
         rmax = min(Ntest, Ntr) + Np + 2
         big = Np + rmax + 3
         if left == "W":
@@ -554,9 +579,15 @@ class TestLogSumToeplitz:
         # below max|ref| (a draw's 0.25 from terms of 45.6 in magnitude)
         scale = np.abs(_log_sum_slice_add(np.abs(L), np.abs(R), np.abs(Pi), rmax))
         assert np.all(np.abs(got - ref) <= 4e-15 * scale)
-        # negative control: the weight k_1 of r = 1 scaled by 1 + 1e-12 adds
-        # 1e-12 times the r = 1 term, which the bound rejects
-        bad = got + 1e-12 * _log_sum_slice_add(L, R, Pi, 1)
+        # negative control: a weight k_r scaled by 1 + 1e-12 adds 1e-12 times
+        # the order-r term, which the bound rejects.  It is planted at the
+        # order r <= 4 whose term is the largest part of an entry's scale: the
+        # r = 1 term alone can be 3e-3 of it (Np = 33, Ntest = Ntr = 1), and
+        # 1e-12 of that is below the bound
+        partial = [_log_sum_slice_add(L, R, Pi, r) for r in range(5)]
+        terms = [hi - lo for lo, hi in zip(partial, partial[1:])]
+        term = max(terms, key=lambda t: np.max(np.abs(t) / np.where(scale > 0, scale, np.inf)))
+        bad = got + 1e-12 * term
         assert np.any(np.abs(bad - ref) > 4e-15 * scale)
 
     @pytest.mark.parametrize("k0, a", _SWEEP_MEDIA + [(0.01, 1.0), (64.0, 1.0)])
@@ -575,12 +606,11 @@ class TestLogSumToeplitz:
         # slice-add form peaked at 7.3 MiB, all diagonals in one product at 12 MiB
         import tracemalloc
         from stripscat import bie
-        cfg = ProblemConfig(16.0, A, ETA, THETA)
         for parity in Parity:
-            bie._galerkin(cfg, parity, 130, 224)        # the kernel expansion, once
+            bie._galerkin(16.0, A, ETA, parity, 130, 224)        # the kernel expansion, once
             tracemalloc.start()
             try:
-                bie._galerkin(cfg, parity, 130, 224)
+                bie._galerkin(16.0, A, ETA, parity, 130, 224)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -672,7 +702,7 @@ class TestGalerkin:
         from stripscat import bie
         cfg = ProblemConfig(k0a * np.exp(0.025j), A, ETA, THETA)
         Ntest, Ntr = N + 2, max(192, N + 96)
-        O, edge, _ = bie._galerkin(cfg, parity, Ntest, Ntr)
+        O, edge, _ = bie._galerkin(cfg.k0, cfg.a, cfg.eta, parity, Ntest, Ntr)
         ref = (_galerkin_antisym_ref if parity is Parity.ANTISYMMETRIC
                else _galerkin_sym_ref)(cfg, Ntest, Ntr)
         assert np.max(np.abs(O - ref)) <= 1e-14 * np.max(np.abs(ref))

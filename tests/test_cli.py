@@ -32,6 +32,22 @@ def run_cli(cli_env):
 
 
 @pytest.fixture()
+def main_cli(capsys):
+    """`stripscat` in this process: (exit code, stderr) of `cli.main`.  A
+    usage error leaves argparse's SystemExit, which `python -m` turns into
+    the exit code."""
+    from stripscat import cli
+
+    def run(*args):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().err
+    return run
+
+
+@pytest.fixture()
 def cfg_file(tmp_path):
     p = tmp_path / "cfg.json"
     cfg = dict(SMALL_CFG)
@@ -77,11 +93,11 @@ class TestSolve:
         second = (tmp_path / "out" / "directivity.csv").read_bytes()
         assert first == second
 
-    def test_config_parse_error_exit_2(self, tmp_path, run_cli):
+    def test_config_parse_error_exit_2(self, tmp_path, main_cli):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
-        r = run_cli("solve", "--config", str(p), cwd=tmp_path)
-        assert r.returncode == 2
+        code, _ = main_cli("solve", "--config", str(p))
+        assert code == 2
 
     # section None replaces the whole config, key None the whole section
     @pytest.mark.parametrize("section,key,value", [
@@ -92,11 +108,9 @@ class TestSolve:
         ("grids", None, [1]),
         ("grids", "k_grid_factor", 1e400),
         ("grids", "k_grid_factor", 0.0),
-        ("numerics", "cut_radius_factor", float("nan")),
-        ("numerics", "cut_radius_factor", 0.5),
         ("numerics", "N", 1025),
     ])
-    def test_invalid_values_exit_2(self, tmp_path, run_cli, section, key, value):
+    def test_invalid_values_exit_2(self, tmp_path, main_cli, section, key, value):
         cfg = json.loads(json.dumps(SMALL_CFG))
         if section is None:
             cfg = value
@@ -106,18 +120,18 @@ class TestSolve:
             cfg[section][key] = value
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
-        r = run_cli("solve", "--config", str(p), cwd=tmp_path)
-        assert r.returncode == 2
-        assert r.stderr.startswith("config error:") and "Traceback" not in r.stderr
+        code, err = main_cli("solve", "--config", str(p))
+        assert code == 2
+        assert err.startswith("config error:") and "Traceback" not in err
 
-    def test_gain_violating_eta_rejected(self, tmp_path, run_cli):
+    def test_gain_violating_eta_rejected(self, tmp_path, main_cli):
         cfg = dict(SMALL_CFG)
         cfg["eta"] = {"re": 1.0, "im": 0.5}   # Im eta > 0: gain, rejected
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
-        r = run_cli("solve", "--config", str(p), cwd=tmp_path)
-        assert r.returncode == 2
-        assert "eta" in r.stderr.lower() or "dissipation" in r.stderr.lower()
+        code, err = main_cli("solve", "--config", str(p))
+        assert code == 2
+        assert "eta" in err.lower() or "dissipation" in err.lower()
 
 
 REF_CFG = dict(SMALL_CFG, numerics={"N": 64}, grids={})
@@ -177,11 +191,19 @@ class TestVerify:
             return np.zeros_like(O), edge, ker
 
         monkeypatch.setattr(bie, "_galerkin", degenerate)
-        bie._OPERATOR_CACHE.clear()
+        bie._operator.cache_clear()
         assert cli.main(["verify", "--config", str(cfg_file)]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("numerical failure:")
         assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_module_entry_point_exit_code(self, tmp_path, run_cli):
+        # `python -m stripscat.cli verify` exits with the code cli.main returns
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(dict(SMALL_CFG, k0={"re": 2.0, "im": 0.0})))
+        r = run_cli("verify", "--config", str(p), cwd=tmp_path)
+        assert r.returncode == 2
+        assert r.stderr.count("\n") == 1 and r.stderr.startswith("config error:")
 
 
 class TestLinAlgError:
@@ -294,12 +316,12 @@ class TestSpectralPreconditions:
     @pytest.mark.parametrize("command", ["spectra", "verify"])
     @pytest.mark.parametrize("key,value", [("k0", {"re": 2.0, "im": 0.0}),
                                            ("eta", {"re": 0.0, "im": 0.0})])
-    def test_config_error(self, tmp_path, run_cli, command, key, value):
+    def test_config_error(self, tmp_path, main_cli, command, key, value):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(dict(SMALL_CFG, out_dir=str(tmp_path / "out"), **{key: value})))
-        r = run_cli(command, "--config", str(p), cwd=tmp_path)
-        assert r.returncode == 2
-        assert r.stderr.count("\n") == 1 and r.stderr.startswith("config error:")
+        code, err = main_cli(command, "--config", str(p))
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("config error:")
         assert not (tmp_path / "out").exists()       # rejected before solving
 
 
@@ -314,10 +336,10 @@ class TestSweep:
         flags = [row.split(",")[idx] for row in lines[1:]]
         assert flags == ["0", "1"]
 
-    def test_bad_param_exit_2(self, tmp_path, cfg_file, run_cli):
-        r = run_cli("sweep", "--config", str(cfg_file), "--param", "bogus",
-                    "--values", "1.0", cwd=tmp_path)
-        assert r.returncode == 2
+    def test_bad_param_exit_2(self, cfg_file, main_cli):
+        code, _ = main_cli("sweep", "--config", str(cfg_file), "--param", "bogus",
+                           "--values", "1.0")
+        assert code == 2
 
     def test_forward_column_is_forward_amplitude(self, tmp_path, monkeypatch):
         # S_forward is S(theta_in + pi), the amplitude whose projection
@@ -399,11 +421,11 @@ class TestSweep:
             ref = table(tmp_path / value / "directivity_000.csv")
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
-    def test_error_message_stays_one_field(self, tmp_path, cfg_file, run_cli):
+    def test_error_message_stays_one_field(self, tmp_path, cfg_file, main_cli):
         # k0a = 0 fails with "Re(k0) must be > 0, got 0j", which holds a comma
-        r = run_cli("sweep", "--config", str(cfg_file), "--param", "k0a",
-                    "--values", "0,1", cwd=tmp_path)
-        assert r.returncode == 0, r.stderr
+        code, err = main_cli("sweep", "--config", str(cfg_file), "--param", "k0a",
+                             "--values", "0,1")
+        assert code == 0, err
         with open(tmp_path / "out" / "sweep_summary.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert [len(row) for row in rows] == [10, 10, 10]
@@ -421,11 +443,21 @@ class TestConfigRoundtrip:
         assert RunConfig.from_dict(rc.to_dict()) == rc
 
     def test_retired_tail_tol_key_loads(self):
-        # configs written for the half-line banks still load; the key is ignored
+        # configs written for the half-line banks, or with the cut radius
+        # factor that is now 50 |k0| everywhere, still load; the keys are ignored
         from stripscat.verify import RunConfig
         assert "tail_tol" in SMALL_CFG["numerics"]
-        rc = RunConfig.from_dict(SMALL_CFG)
-        assert rc.N == SMALL_CFG["numerics"]["N"] and "tail_tol" not in rc.to_dict()["numerics"]
+        for factor in (50.0, 0.5, float("nan")):
+            d = json.loads(json.dumps(SMALL_CFG))
+            d["numerics"]["cut_radius_factor"] = factor
+            rc = RunConfig.from_dict(d)
+            assert rc == RunConfig.from_dict(SMALL_CFG) and rc.N == SMALL_CFG["numerics"]["N"]
+            assert set(rc.to_dict()["numerics"]) == {"N"}
+
+    def test_required_keys_only_take_the_dataclass_defaults(self):
+        from stripscat.verify import RunConfig
+        d = {k: SMALL_CFG[k] for k in ("k0", "a", "eta", "theta_in_deg")}
+        assert RunConfig.from_dict(d) == RunConfig(2 + 0.05j, 1.0, 1 - 1j, 60.0)
 
     @given(k0=st.tuples(_NUMBER, _NUMBER), a=_NUMBER, eta=st.tuples(_NUMBER, _NUMBER),
            theta=_NUMBER, N=_NUMBER, factors=st.tuples(_NUMBER, _NUMBER))
@@ -446,5 +478,4 @@ class TestConfigRoundtrip:
         assert cfg.k0.real > 0 and cfg.k0.imag >= 0 and cfg.a > 0 and cfg.eta.imag <= 0
         assert 0 <= cfg.theta_in <= np.pi / 2 + 1e-14
         assert 4 <= rc.N <= 1024
-        assert math.isfinite(rc.cut_radius_factor) and rc.cut_radius_factor > 1
         assert math.isfinite(rc.k_grid_factor) and rc.k_grid_factor > 0

@@ -56,12 +56,14 @@ class TestExtractD:
         assert extract_d(ds, cfg, "+") == pytest.approx(extract_d(ds, cfg, "-"),
                                                         rel=1e-8)
 
-    def test_extrapolation_order(self, ref_cfg, ref_solves):
+    def test_extrapolation_order(self, ref_cfg, ref_solves, monkeypatch):
         # successively tighter ladders converge; the rho log rho model beats
         # naive last-point sampling by orders of magnitude
+        from stripscat import edge
         _, ds, _, _ = ref_solves
-        d_ref = extract_d(ds, ref_cfg, "+", rho_factors=(2e-4, 1e-4, 5e-5))
         d_mid = extract_d(ds, ref_cfg, "+")
+        monkeypatch.setattr(edge, "D_RHO_FACTORS", (2e-4, 1e-4, 5e-5))
+        d_ref = extract_d(ds, ref_cfg, "+")
         naive = strip_trace(ds, ref_cfg, A * (1 - 1e-3)) + \
             incident_field(ref_cfg, Parity.SYMMETRIC, A * (1 - 1e-3), 0.0)
         assert abs(d_mid - d_ref) < 1e-2 * abs(complex(naive) - d_ref)
@@ -100,12 +102,13 @@ class TestLocalFit:
         assert fit["rholog_coefficient"] == pytest.approx(
             fit["rholog_reference"], rel=0.1)
 
-    def test_ill_conditioned_radii_rejected(self, ref_cfg, ref_solves):
+    def test_ill_conditioned_radii_rejected(self, ref_cfg, ref_solves, monkeypatch):
+        from stripscat import edge
         da, _, _, _ = ref_solves
+        monkeypatch.setattr(edge, "RADII_FACTORS",
+                            (1e-3, 1.0000001e-3, 1.0000002e-3, 1.0000003e-3))
         with pytest.raises(ValueError):
-            local_expansion_fit(da, ref_cfg, "+",
-                                radii_factors=(1e-3, 1.0000001e-3, 1.0000002e-3,
-                                               1.0000003e-3))
+            local_expansion_fit(da, ref_cfg, "+")
 
 
 class TestMirrorRelation:

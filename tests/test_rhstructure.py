@@ -170,24 +170,24 @@ class TestDeformation:
     def test_endpoints_and_symmetry(self):
         # the detour keeps both ends of G2; G1 is its point reflection, so the
         # reflected lens encloses -k'
-        nodes, deformed, lens = rh._deformed_g2(CFG3, RADIUS, 400)
+        nodes, deformed, lens = rh._deformed_g2(CFG3, RADIUS)
         assert deformed[0] == K0
         assert deformed[-1] == nodes[-1] and abs(deformed[-1]) > 0.9 * RADIUS
         assert rh._point_in_polygon(-rh.k_prime(CFG3).k, -lens)
 
     def test_declassification(self):
-        sp = rh.k_prime_reclassified(CFG3, RADIUS)
+        sp = rh.k_prime_reclassified(CFG3)
         assert sp.sheet is rh.Sheet.UNPHYSICAL
 
     def test_noop_outside_third_quadrant(self):
         # no deformation, so the principal classification stands
         assert not rh.deformation_needed(CFG)
-        assert rh.k_prime_reclassified(CFG, RADIUS) == rh.k_prime(CFG)
+        assert rh.k_prime_reclassified(CFG) == rh.k_prime(CFG)
 
     def test_sheet_flip_is_involutive(self):
         # entering and leaving the lens restores the classification:
         # two lens-membership flips cancel
-        nodes, deformed, lens = rh._deformed_g2(CFG3, RADIUS, 400)
+        nodes, deformed, lens = rh._deformed_g2(CFG3, RADIUS)
         kp = rh.k_prime(CFG3).k
         inside = rh._point_in_polygon(kp, lens)
         far_point = kp + 10.0

@@ -320,10 +320,12 @@ def _full_circle_all_angles(bundle_a, bundle_s, m=720):
 
 class TestFullCircle:
     @pytest.mark.parametrize("m", [1, 7, 8, 720, 721])
-    def test_matches_all_angles(self, ref_bundles, m):
+    def test_matches_all_angles(self, ref_bundles, m, monkeypatch):
         # the mirrored grid angle 2 pi (m - j - 1/2)/m and 2 pi - theta_j differ
         # by up to 2 ulp of 2 pi, over which S moves by about |k0| a ulp
-        th, S = directivity_full_circle(*ref_bundles, m)
+        from stripscat import spectral
+        monkeypatch.setattr(spectral, "FULL_CIRCLE_ANGLES", m)
+        th, S = directivity_full_circle(*ref_bundles)
         th_ref, S_ref = _full_circle_all_angles(*ref_bundles, m)
         assert np.array_equal(th, th_ref)
         assert np.max(np.abs(S - S_ref)) <= 1e-15 * max(1.0, abs(K0) * A) * np.max(np.abs(S_ref))
@@ -339,7 +341,8 @@ class TestFullCircle:
             return transform(parity, a, coeffs, k)
 
         monkeypatch.setattr(spectral, "strip_transform", counted)
-        directivity_full_circle(*ref_bundles, m)
+        monkeypatch.setattr(spectral, "FULL_CIRCLE_ANGLES", m)
+        directivity_full_circle(*ref_bundles)
         assert len(seen) == 2 and dict(seen) == dict.fromkeys(Parity, (m + 1) // 2)
 
     @pytest.mark.parametrize("eta", [1.0, 1 - 1j, 0.0])
