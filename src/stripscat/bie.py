@@ -291,28 +291,39 @@ def _kernel_columns(ker: KernelExpansion, s):
     return T @ ker.pi_hat, T @ ker.q_hat          # (ns, Np) each
 
 
-def sym_trace_on_strip(dens: Density, cfg: ProblemConfig, x):
-    """(S sigma)(x) = u_s(x, 0) for |x| < a, product-integration accurate."""
-    assert dens.parity is Parity.SYMMETRIC
-    a, k0 = cfg.a, cfg.k0
-    c = dens.coeffs
-    N = len(c)
-    s = np.atleast_1d(np.asarray(x, dtype=float)) / a
+@memo
+def _sym_trace_rows(k0: complex, a: float, N: int, s: tuple) -> np.ndarray:
+    """W[i, n] = (S T_n(./a))(a s_i): the single-layer trace at the points s
+    (scaled, |s_i| < 1) as a linear map of the N Chebyshev coefficients of
+    sigma.  The incidence is no argument: every density on one medium reuses
+    the entry.
+
+    With the kernel factors' columns pi_q(s), q_q(s), the moments
+    C3 = int T_q T_n and Lam_m(s) = int ln|s - t| T_m(t) dt,
+    W = a [(pi ln a + q) C3 + (1/2) sum_q pi_q (Lam_{q+n} + Lam_{|q-n|})],
+    from T_q T_n = (T_{q+n} + T_{|q-n|})/2.
+    """
+    s = np.asarray(s, dtype=float)
     ker = kernel_expansion(k0, a, False, kernel_order(k0, a))
     Np = ker.order
-
-    C3 = ck.c3_matrix(Np, N)
-    mom = C3 @ c                                   # (Np,) moments int T_q sigma_poly
     pic, qc = _kernel_columns(ker, s)
-    smooth = (pic * np.log(a) + qc) @ mom
-
-    # T_q T_n = (T_{q+n} + T_{|q-n|})/2
     Lam = ck.log_point_plain_t(N + Np + 2, s)
     q = np.arange(Np)[:, None]
     n = np.arange(N)[None, :]
-    cols = (Lam[:, q + n] + Lam[:, np.abs(q - n)]) @ (0.5 * c)
-    logpart = np.sum(pic * cols, axis=1)
-    out = a * (smooth + logpart)
+    G = Lam[:, q + n] + Lam[:, np.abs(q - n)]       # (ns, Np, N), real
+    # one real product per point for both planes of pi_q(s)
+    logpart = np.stack([pic.real, pic.imag], axis=1) @ G
+    W = (pic * np.log(a) + qc) @ ck.c3_matrix(Np, N)
+    W += 0.5 * (logpart[:, 0] + 1j * logpart[:, 1])
+    return a * W
+
+
+def sym_trace_on_strip(dens: Density, cfg: ProblemConfig, x):
+    """(S sigma)(x) = u_s(x, 0) for |x| < a, product-integration accurate:
+    the memoized rows of `_sym_trace_rows` times the density's coefficients."""
+    assert dens.parity is Parity.SYMMETRIC
+    s = np.atleast_1d(np.asarray(x, dtype=float)) / cfg.a
+    out = _sym_trace_rows(cfg.k0, cfg.a, len(dens.coeffs), tuple(s.tolist())) @ dens.coeffs
     return out if np.ndim(x) else complex(out[0])
 
 

@@ -35,6 +35,13 @@ RADII_FACTORS = tuple(np.geomspace(1e-3, 3e-2, 8))
 N_ANGLES = 16
 
 
+def _edge_sign(side: str) -> float:
+    """+1 for the edge x = a ("+"), -1 for x = -a ("-"); any other side is an error."""
+    if side not in ("+", "-"):
+        raise ValueError(f"side must be '+' or '-', got {side!r}")
+    return 1.0 if side == "+" else -1.0
+
+
 def extract_c(dens_a: Density, cfg: ProblemConfig, side: str) -> complex:
     """Leading antisymmetric edge coefficient c_side, analytically from the basis.
 
@@ -45,8 +52,9 @@ def extract_c(dens_a: Density, cfg: ProblemConfig, side: str) -> complex:
     if dens_a.parity is not Parity.ANTISYMMETRIC:
         raise ValueError("extract_c needs the antisymmetric density")
     from .chebkit import edge_log_u_tail_sum
+    plus = _edge_sign(side) > 0
     n = np.arange(len(dens_a.coeffs))
-    sgn = 1.0 if side == "+" else (-1.0) ** n
+    sgn = 1.0 if plus else (-1.0) ** n
     pval = np.sum(dens_a.coeffs * sgn * (n + 1))
     # the folded edge-log tails continue beyond the stored coefficients;
     # add their exact remainders (telescoping/digamma closed forms)
@@ -54,7 +62,7 @@ def extract_c(dens_a: Density, cfg: ProblemConfig, side: str) -> complex:
     ntr = len(dens_a.coeffs)
     s_plain = edge_log_u_tail_sum(ntr, False)
     s_alt = edge_log_u_tail_sum(ntr, True)
-    if side == "+":
+    if plus:
         pval += ap * s_plain + am * s_alt
     else:
         pval += ap * s_alt + am * s_plain
@@ -71,7 +79,7 @@ def extract_d(dens_s: Density, cfg: ProblemConfig, side: str) -> complex:
         raise ValueError("extract_d needs the symmetric density")
     a = cfg.a
     rho = np.asarray(D_RHO_FACTORS, dtype=float) * a
-    x = (a - rho) if side == "+" else (-a + rho)
+    x = _edge_sign(side) * (a - rho)
     tot = strip_trace(dens_s, cfg, x) + incident_field(cfg, Parity.SYMMETRIC, x, 0.0)
     M = np.column_stack([np.ones(3), rho * np.log(np.abs(cfg.k0) * rho), rho])
     sol = np.linalg.solve(M, tot)
@@ -84,9 +92,7 @@ def _total_field(dens: Density, cfg: ProblemConfig, x, y):
 
 def _edge_points(cfg: ProblemConfig, side: str, rho: float, phi: np.ndarray):
     """Map local polar (rho, phi in (0, pi)) to (x, y); phi = 0 points off-strip."""
-    if side == "+":
-        return cfg.a + rho * np.cos(phi), rho * np.sin(phi)
-    return -cfg.a - rho * np.cos(phi), rho * np.sin(phi)
+    return _edge_sign(side) * (cfg.a + rho * np.cos(phi)), rho * np.sin(phi)
 
 
 def local_expansion_fit(dens: Density, cfg: ProblemConfig, side: str = "+") -> dict:

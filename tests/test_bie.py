@@ -344,16 +344,18 @@ class TestOperatorReuse:
             assert np.array_equal(dens.coeffs, coeffs[:, j])
             assert dens.aug_amp == (amp[0, j], amp[1, j])
 
-    def test_benchmark_reset_empties_the_memos(self, monkeypatch):
+    def test_benchmark_reset_empties_the_memos(self, monkeypatch, ref_cfg, ref_solves):
         # perfbench/worker.py empties the module dicts named *CACHE* before
         # each pass, so that every pass builds what a fresh process builds
         import importlib
         from pathlib import Path
         from stripscat import bie, kernels
+        from stripscat.edge import extract_d
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         reset_caches = importlib.import_module("worker").reset_caches
         solve_antisymmetric(ProblemConfig(K0, A, ETA, THETA), 24)
-        memos = (bie._operator, kernels.kernel_expansion)
+        extract_d(ref_solves[1], ref_cfg, "+")
+        memos = (bie._operator, bie._sym_trace_rows, kernels.kernel_expansion)
         assert set(kernels.MEMO_CACHE.values()) == set(memos)
         assert all(m.cache_info().currsize > 0 for m in memos)
         reset_caches()
@@ -436,6 +438,18 @@ def _sym_trace_loop(dens, cfg, x):
     return a * (smooth + logpart)
 
 
+# the reference medium and two with larger kernel orders (Np = 72, 114, 184)
+_MEDIA = ((K0, ETA), (8 + 0.05j, -1 - 1j), (16.0, 0.5 - 2j))
+_MEDIA_IDS = ("reference", "k0=8+0.05i", "k0=16")
+
+
+@functools.lru_cache(maxsize=None)
+def _sym_solve(k0, eta):
+    """(config, symmetric density at N = 64) of the medium (k0, a = 1, eta)."""
+    cfg = ProblemConfig(k0, A, eta, THETA)
+    return cfg, solve_symmetric(cfg, 64)[0]
+
+
 class TestVectorisedLogParts:
     """The indexed-product log parts equal the per-(q, n) loop sums."""
 
@@ -445,13 +459,27 @@ class TestVectorisedLogParts:
         rho = cfg.a * np.array([1e-3, 5e-4, 2.5e-4])   # extract_d's samples
         return [cfg.a * s, cfg.a - rho, -cfg.a + rho]
 
-    def test_sym_trace_on_strip(self, ref_cfg, ref_solves):
+    @pytest.mark.parametrize("medium", _MEDIA, ids=_MEDIA_IDS)
+    def test_sym_trace_on_strip(self, medium):
         from stripscat.bie import sym_trace_on_strip
-        _, ds, _, _ = ref_solves
-        for x in self._points(ref_cfg):
-            got = sym_trace_on_strip(ds, ref_cfg, x)
-            ref = _sym_trace_loop(ds, ref_cfg, x)
+        cfg, ds = _sym_solve(*medium)
+        for x in self._points(cfg):
+            got = sym_trace_on_strip(ds, cfg, x)
+            ref = _sym_trace_loop(ds, cfg, x)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("medium", _MEDIA, ids=_MEDIA_IDS)
+    def test_extract_d_is_the_fit_of_the_loop_trace(self, medium):
+        # extract_d's three-point fit, with the samples from the per-(q, n) sum
+        from stripscat import edge
+        from stripscat.core import incident_field
+        cfg, ds = _sym_solve(*medium)
+        rho = cfg.a * np.asarray(edge.D_RHO_FACTORS)
+        M = np.column_stack([np.ones(3), rho * np.log(abs(cfg.k0) * rho), rho])
+        for side, x in (("+", cfg.a - rho), ("-", -cfg.a + rho)):
+            tot = _sym_trace_loop(ds, cfg, x) + incident_field(cfg, Parity.SYMMETRIC, x, 0.0)
+            ref = np.linalg.solve(M, tot)[0]
+            assert abs(edge.extract_d(ds, cfg, side) - ref) <= 1e-14 * abs(ref)
 
 
 def _log_sum_loop(Lbig, Rbig, Pi, rmax):

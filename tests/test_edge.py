@@ -75,6 +75,15 @@ class TestExtractD:
             extract_d(d128, ref_cfg, "+"), rel=1e-8)
 
 
+class TestEdgeName:
+    @pytest.mark.parametrize("fn", [extract_c, extract_d, local_expansion_fit])
+    def test_bad_side_rejected(self, fn, ref_cfg, ref_solves):
+        da, ds, _, _ = ref_solves
+        dens = da if fn is extract_c else ds
+        with pytest.raises(ValueError, match="side"):
+            fn(dens, ref_cfg, "x")
+
+
 class TestLocalFit:
     def test_antisym_exponent_and_ratio(self, ref_cfg, ref_solves):
         da, _, _, _ = ref_solves
