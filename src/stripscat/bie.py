@@ -41,7 +41,7 @@ from scipy.special import hankel1, jv
 
 from . import chebkit as ck
 from .core import Parity, ProblemConfig
-from .kernels import kernel_expansion, kernel_order, memo
+from .kernels import kernel_expansion, memo
 
 
 class SingularSystemError(RuntimeError):
@@ -160,8 +160,8 @@ def _galerkin(k0: complex, a: float, eta: complex, parity: Parity, Ntest: int, N
     edge function (1 - s) ln(1 - s), and the kernel expansion.
     """
     antisym = parity is Parity.ANTISYMMETRIC
-    Np = max(kernel_order(k0, a), Ntest + 4)
-    ker = kernel_expansion(k0, a, antisym, Np)
+    ker = kernel_expansion(k0, a, antisym)
+    Np = ker.order
     rmax = min(Ntest, Ntr) + Np + 2
     big = Np + rmax + 3
     n = np.arange(Ntest)
@@ -304,7 +304,7 @@ def _sym_trace_rows(k0: complex, a: float, N: int, s: tuple) -> np.ndarray:
     from T_q T_n = (T_{q+n} + T_{|q-n|})/2.
     """
     s = np.asarray(s, dtype=float)
-    ker = kernel_expansion(k0, a, False, kernel_order(k0, a))
+    ker = kernel_expansion(k0, a, False)
     Np = ker.order
     pic, qc = _kernel_columns(ker, s)
     Lam = ck.log_point_plain_t(N + Np + 2, s)
@@ -321,7 +321,8 @@ def _sym_trace_rows(k0: complex, a: float, N: int, s: tuple) -> np.ndarray:
 def sym_trace_on_strip(dens: Density, cfg: ProblemConfig, x):
     """(S sigma)(x) = u_s(x, 0) for |x| < a, product-integration accurate:
     the memoized rows of `_sym_trace_rows` times the density's coefficients."""
-    assert dens.parity is Parity.SYMMETRIC
+    if dens.parity is not Parity.SYMMETRIC:
+        raise ValueError("sym_trace_on_strip needs the symmetric density")
     s = np.atleast_1d(np.asarray(x, dtype=float)) / cfg.a
     out = _sym_trace_rows(cfg.k0, cfg.a, len(dens.coeffs), tuple(s.tolist())) @ dens.coeffs
     return out if np.ndim(x) else complex(out[0])

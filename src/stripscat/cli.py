@@ -22,7 +22,7 @@ from . import rhstructure as rh
 from .bie import SingularSystemError
 from .core import Parity
 from .edge import extract_c, extract_d
-from .spectral import Scattering, forward_amplitude, pointwise_residual, real_axis_halflines
+from .spectral import Scattering, forward_amplitude, pointwise_residual, warn_near_pole
 from .verify import RunConfig, check_self_convergence, run_suite
 
 logger = logging.getLogger(__name__)
@@ -118,10 +118,12 @@ def cmd_spectra(args) -> int:
         return EXIT_CONFIG
     out = Path(args.out or rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ba, bs = Scattering(rc.problem(), rc.N).bundles
+    sc = Scattering(rc.problem(), rc.N)
     kg = rc.k_grid()
+    warn_near_pole(sc.cfg, kg)
     header, columns = ["k_re", "k_im"], [kg, np.zeros_like(kg)]
-    for fam, b, (fm, fp) in zip("UV", (ba, bs), real_axis_halflines((ba, bs), kg)):
+    for fam, b in zip("UV", sc.bundles):
+        fm, fp = b.f_minus(kg), b.f_plus(kg)
         # one strip transform per family: F0 = P(xi) F0~, as SpectralBundle.f0
         f0t = np.atleast_1d(b.f0_tilde(kg))
         f0 = b.prefactor(kg) * f0t

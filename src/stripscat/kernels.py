@@ -152,8 +152,6 @@ class KernelExpansion:
     """
 
     def __init__(self, k0: complex, a: float, parity_antisym: bool, order: int):
-        self.k0 = k0
-        self.a = a
         self.order = order
         funs = (p_antisym, q_antisym) if parity_antisym else (p_sym, q_sym)
         self.pi_hat, self.q_hat = cheb_coeffs_2d(_symmetric_grid(*funs, k0, a), order)
@@ -173,6 +171,8 @@ def kernel_order(k0: complex, a: float) -> int:
 
 
 @memo
-def kernel_expansion(k0: complex, a: float, parity_antisym: bool, order: int) -> KernelExpansion:
-    """Memoized KernelExpansion (the DCTs are reused heavily downstream)."""
-    return KernelExpansion(k0, a, parity_antisym, order)
+def kernel_expansion(k0: complex, a: float, parity_antisym: bool) -> KernelExpansion:
+    """The memoized KernelExpansion of one medium and parity at
+    `kernel_order(k0, a)`: the operator at every N and the symmetric trace
+    rows share it."""
+    return KernelExpansion(k0, a, parity_antisym, kernel_order(k0, a))

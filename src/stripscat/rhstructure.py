@@ -53,13 +53,6 @@ class SheetPoint:
     sheet: Sheet
 
 
-@dataclass(frozen=True)
-class Contour:
-    """Polyline from a branch point outward (orientation = increasing index)."""
-
-    nodes: np.ndarray
-
-
 def _cut_param(cfg: ProblemConfig, s: np.ndarray) -> np.ndarray:
     """G2 parametrization k(s) = i sqrt(s^2 - k0^2); k(0) = k0, k -> +i inf."""
     return 1j * np.sqrt(np.asarray(s, dtype=complex) ** 2 - complex(cfg.k0) ** 2)
@@ -76,8 +69,9 @@ def _cut_sgrid(cfg: ProblemConfig, radius: float, n: int) -> np.ndarray:
     return np.concatenate([[0.0], geo, lin[1:]])
 
 
-def build_cut(cfg: ProblemConfig, which: str, radius: float) -> Contour:
-    """Cut polyline of 400 nodes from +-k0 to the truncation radius.
+def build_cut(cfg: ProblemConfig, which: str, radius: float) -> np.ndarray:
+    """Cut polyline of 400 nodes from +-k0 to the truncation radius, in
+    order from the branch point outward.
 
     Node density grows near the branch point (geometric parameter ladder);
     every node satisfies the defining locus Im(k0^2 - k^2) = 0,
@@ -87,9 +81,7 @@ def build_cut(cfg: ProblemConfig, which: str, radius: float) -> Contour:
         raise ValueError("which must be 'G1' or 'G2'")
     s = _cut_sgrid(cfg, radius, 400)
     nodes = _cut_param(cfg, s)
-    if which == "G1":
-        nodes = -nodes
-    return Contour(nodes)
+    return -nodes if which == "G1" else nodes
 
 
 def xi_left_shore(k, cfg: ProblemConfig):
@@ -190,8 +182,7 @@ def _deformed_g2(cfg: ProblemConfig, radius: float):
     direction is fixed by requiring the lens between old and new pieces to
     enclose k'.
     """
-    g2 = build_cut(cfg, "G2", radius)
-    nodes = g2.nodes
+    nodes = build_cut(cfg, "G2", radius)
     kp = k_prime(cfg).k
     dist0 = abs(nodes[0] - kp)
 

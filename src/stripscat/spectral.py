@@ -103,9 +103,6 @@ class SpectralBundle:
 
     cfg: ProblemConfig
     density: Density
-    # [warned]: the pole-proximity warning's flag, one list shared by the
-    # bundles of a `Scattering`, so that they warn once between them
-    _pole_warned: list = field(default_factory=lambda: [False], repr=False)
     # (lambda, W): the cut nodes and the columns (i/4pi) w J G+ and (i/4pi) w J G-
     _cut: tuple | None = field(default=None, repr=False)
 
@@ -190,36 +187,24 @@ class SpectralBundle:
     def f_plus(self, k):
         """U+(k) or V+(k): upper-half-plane function with the k_* pole."""
         karr = np.atleast_1d(np.asarray(k, dtype=complex))
-        _warn_near_pole((self,), karr, f"F+ ({self.parity.value})")
-        out = np.atleast_1d(self.f_check_plus(karr)) + self.pole_term(karr, +1)
+        out = self.f_check_plus(karr) + self.pole_term(karr, +1)
         return out if np.ndim(k) else complex(out[0])
 
     def f_minus(self, k):
         """U-(k) or V-(k): lower-half-plane function."""
         karr = np.atleast_1d(np.asarray(k, dtype=complex))
-        _warn_near_pole((self,), karr, f"F- ({self.parity.value})")
-        out = np.atleast_1d(self.f_check_minus(karr)) + self.pole_term(karr, -1)
+        out = self.f_check_minus(karr) + self.pole_term(karr, -1)
         return out if np.ndim(k) else complex(out[0])
 
 
-def _warn_near_pole(bundles, karr, stage: str) -> None:
-    """Log once per set of bundles that `stage` evaluates within the pole
-    exclusion radius of k_*; the bundles of one `Scattering` share the flag."""
-    cfg = bundles[0].cfg
+def warn_near_pole(cfg: ProblemConfig, k) -> None:
+    """Log one warning if the real k grid a command chose comes within the
+    pole exclusion radius of k_*, where F+ and F- are each dominated by the
+    pole term.  The evaluators never log; a command calls this once."""
     r = POLE_EXCLUSION_FACTOR * abs(cfg.k0)
-    if not all(b._pole_warned[0] for b in bundles) and np.any(np.abs(karr - cfg.k_star) < r):
-        for b in bundles:
-            b._pole_warned[0] = True
-        logger.warning("%s: k within %.3g of the pole k_* = %s", stage, r, cfg.k_star)
-
-
-def real_axis_halflines(bundles, k) -> list:
-    """[(F-(k), F+(k)) of each bundle] on a real k grid, with one
-    pole-proximity warning between the bundles."""
-    karr = np.atleast_1d(np.asarray(k, dtype=complex))
-    _warn_near_pole(bundles, karr, "real-axis half-line transforms")
-    return [(b.f_check_minus(karr) + b.pole_term(karr, -1),
-             b.f_check_plus(karr) + b.pole_term(karr, +1)) for b in bundles]
+    if np.any(np.abs(np.asarray(k) - cfg.k_star) < r):
+        logger.warning("real-axis half-line transforms: k within %.3g of the pole k_* = %s",
+                       r, cfg.k_star)
 
 
 def pointwise_residual(fm, f0, fp) -> np.ndarray:
@@ -231,8 +216,8 @@ def pointwise_residual(fm, f0, fp) -> np.ndarray:
 
 def functional_residual(bundle: SpectralBundle, k_grid) -> float:
     """The largest `pointwise_residual` on a real grid."""
-    (fm, fp), = real_axis_halflines((bundle,), k_grid)
-    return float(np.max(pointwise_residual(fm, bundle.f0(k_grid), fp)))
+    return float(np.max(pointwise_residual(bundle.f_minus(k_grid), bundle.f0(k_grid),
+                                           bundle.f_plus(k_grid))))
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +280,7 @@ class Scattering:
         self.blocks = {p: bie.solve_block(self.cfg, p, self.theta_in, N) for p in Parity}
         self.diag_a, self.diag_s = (SolveDiagnostics(N, *self.blocks[p][2:]) for p in Parity)
         self.da, self.ds = (self.density(p) for p in Parity)
-        warned = [False]
-        self.bundles = tuple(SpectralBundle(self.cfg, d, _pole_warned=warned)
-                             for d in (self.da, self.ds))
+        self.bundles = tuple(SpectralBundle(self.cfg, d) for d in (self.da, self.ds))
 
     def density(self, parity: Parity, j: int = 0) -> Density:
         """The density of incidence theta_in[j]."""

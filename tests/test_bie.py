@@ -166,6 +166,14 @@ class TestFieldEvaluation:
         with pytest.raises(ValueError):
             strip_trace(da, ref_cfg, 1.2)
 
+    def test_sym_trace_rejects_antisymmetric_density(self, ref_cfg, ref_solves):
+        # a raise, not an assert, so that `python -O` keeps it: the U
+        # coefficients would otherwise be traced as T coefficients
+        from stripscat.bie import sym_trace_on_strip
+        da, _, _, _ = ref_solves
+        with pytest.raises(ValueError, match="symmetric density"):
+            sym_trace_on_strip(da, ref_cfg, 0.3)
+
 
 # field targets off the open strip: above it, beyond both edges (near and
 # far), at the edge points, and on y = 0 beyond the edges, where the
@@ -331,6 +339,26 @@ class TestOperatorReuse:
             assert diag == fresh_diag
         assert len(calls) == 1 + len(cfgs)
 
+    def test_one_kernel_expansion_per_medium_and_parity(self, monkeypatch, ref_cfg):
+        # the kernel factors depend on (k0, a) alone: the operator at every N
+        # and the trace rows behind extract_d share one expansion per parity
+        from stripscat import kernels
+        from stripscat.edge import extract_d
+        from stripscat.spectral import Scattering
+        built = []
+        expansion = kernels.KernelExpansion
+
+        def counted(k0, a, parity_antisym, order):
+            built.append(parity_antisym)
+            return expansion(k0, a, parity_antisym, order)
+
+        monkeypatch.setattr(kernels, "KernelExpansion", counted)
+        kernels.MEMO_CACHE.clear()
+        for N in (32, 64, 128):
+            sc = Scattering(ref_cfg, N)
+        extract_d(sc.ds, sc.cfg, "+")
+        assert sorted(built) == [False, True]
+
     @pytest.mark.parametrize("parity", [Parity.ANTISYMMETRIC, Parity.SYMMETRIC])
     def test_solves_are_columns_of_a_block(self, parity):
         # one incidence is the one-column case of the block solve, bit for bit
@@ -420,11 +448,11 @@ def _sym_trace_loop(dens, cfg, x):
     """Reference: sym_trace_on_strip with its log part summed per (q, n)."""
     from stripscat import chebkit as ck
     from stripscat.bie import _kernel_columns
-    from stripscat.kernels import kernel_expansion, kernel_order
+    from stripscat.kernels import kernel_expansion
     a, c = cfg.a, dens.coeffs
     N = len(c)
     s = np.asarray(x, dtype=float) / a
-    ker = kernel_expansion(cfg.k0, a, False, kernel_order(cfg.k0, a))
+    ker = kernel_expansion(cfg.k0, a, False)
     Np = ker.order
     pic, qc = _kernel_columns(ker, s)
     smooth = (pic * np.log(a) + qc) @ (ck.c3_matrix(Np, N) @ c)
@@ -621,7 +649,7 @@ class TestLogSumToeplitz:
     @pytest.mark.parametrize("k0, a", _SWEEP_MEDIA + [(0.01, 1.0), (64.0, 1.0)])
     def test_odd_parity_coefficients_vanish(self, k0, a):
         from stripscat.kernels import KernelExpansion, kernel_order
-        # the order of N = 64 and an odd one, N + 6 for odd N
+        # the order of every N, and an odd one: the class takes any order
         for order in (kernel_order(k0, a), kernel_order(k0, a) + 1):
             odd = np.add.outer(np.arange(order), np.arange(order)) % 2 == 1
             for antisym in (True, False):
@@ -650,10 +678,10 @@ def _galerkin_antisym_ref(cfg, Ntest, Ntr):
     (before `bie._galerkin` served both parities)."""
     from stripscat import bie
     from stripscat import chebkit as ck
-    from stripscat.kernels import kernel_expansion, kernel_order
+    from stripscat.kernels import kernel_expansion
     k0, a, eta = cfg.k0, cfg.a, cfg.eta
-    Np = max(kernel_order(k0, a), Ntest + 4)
-    ker = kernel_expansion(k0, a, True, Np)
+    ker = kernel_expansion(k0, a, True)
+    Np = ker.order
     rmax = min(Ntest, Ntr) + Np + 2
     big = Np + rmax + 3
     WL = ck.w_matrix(Ntest, big)
@@ -674,10 +702,10 @@ def _galerkin_sym_ref(cfg, Ntest, Ntr):
     assembler built S and its augmenter added the rest."""
     from stripscat import bie
     from stripscat import chebkit as ck
-    from stripscat.kernels import kernel_expansion, kernel_order
+    from stripscat.kernels import kernel_expansion
     k0, a = cfg.k0, cfg.a
-    Np = max(kernel_order(k0, a), Ntest + 4)
-    ker = kernel_expansion(k0, a, False, Np)
+    ker = kernel_expansion(k0, a, False)
+    Np = ker.order
     rmax = min(Ntest, Ntr) + Np + 2
     big = Np + rmax + 3
     vdiag = (np.pi / 2) * np.ones(Ntest)
@@ -686,7 +714,10 @@ def _galerkin_sym_ref(cfg, Ntest, Ntr):
     Vb[np.arange(Ntest), np.arange(Ntest)] = vdiag
     C3R = ck.c3_matrix(big, Ntr).T
     K = (np.log(a) - np.log(2.0)) * ker.pi_hat + ker.q_hat
-    D = vdiag[:, None] * (K[:Ntest] @ C3R[:, :Np].T)
+    # the test orders m >= Np meet no row of K
+    Kt = np.zeros((Ntest, Np), dtype=complex)
+    Kt[:Np] = K[:Ntest]
+    D = vdiag[:, None] * (Kt @ C3R[:, :Np].T)
     S = a * a * (D + bie._log_sum_rect(Vb, C3R, ker.pi_hat, rmax))
     M = -cfg.eta * S
     M[np.arange(Ntest), np.arange(Ntest)] += -0.5 * a * vdiag

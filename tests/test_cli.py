@@ -57,9 +57,9 @@ def cfg_file(tmp_path):
 
 
 class TestSolve:
-    def test_outputs_and_schema(self, tmp_path, cfg_file, run_cli):
-        r = run_cli("solve", "--config", str(cfg_file), cwd=tmp_path)
-        assert r.returncode == 0, r.stderr
+    def test_outputs_and_schema(self, tmp_path, cfg_file, main_cli):
+        code, err = main_cli("solve", "--config", str(cfg_file))
+        assert code == 0, err
         out = tmp_path / "out"
         header = (out / "directivity.csv").read_text().splitlines()[0]
         assert header == "theta_deg,S_re,S_im,Sa_re,Sa_im,Ss_re,Ss_im"
@@ -72,14 +72,14 @@ class TestSolve:
         assert set(diags["self_convergence"]) == {"value", "tol", "N2", "passed"}
         assert diags["self_convergence"]["N2"] == 2 * SMALL_CFG["numerics"]["N"]
 
-    def test_eta_zero_kills_ss_columns(self, tmp_path, run_cli):
+    def test_eta_zero_kills_ss_columns(self, tmp_path, main_cli):
         cfg = dict(SMALL_CFG)
         cfg["eta"] = {"re": 0.0, "im": 0.0}
         cfg["out_dir"] = str(tmp_path / "out")
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
-        r = run_cli("solve", "--config", str(p), cwd=tmp_path)
-        assert r.returncode == 0, r.stderr
+        code, err = main_cli("solve", "--config", str(p))
+        assert code == 0, err
         rows = (tmp_path / "out" / "directivity.csv").read_text().splitlines()[1:]
         ss = np.array([[float(v) for v in row.split(",")[5:7]] for row in rows])
         assert np.max(np.abs(ss)) == 0
@@ -109,6 +109,10 @@ class TestSolve:
         ("grids", "k_grid_factor", 1e400),
         ("grids", "k_grid_factor", 0.0),
         ("numerics", "N", 1025),
+        # int() would truncate these to N = 64, 7 angles and one k point
+        ("numerics", "N", 64.9),
+        ("grids", "n_theta", 7.5),
+        ("grids", "n_k", True),
     ])
     def test_invalid_values_exit_2(self, tmp_path, main_cli, section, key, value):
         cfg = json.loads(json.dumps(SMALL_CFG))
@@ -172,11 +176,11 @@ class TestSolveVerdict:
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1 and warnings[0].startswith("directivity self-convergence")
 
-    def test_zero_field_converged(self, tmp_path, run_cli):
+    def test_zero_field_converged(self, tmp_path, main_cli):
         # eta = 0 at grazing incidence scatters nothing: S = 0 at N and 2N
         p = _write_cfg(tmp_path, eta={"re": 0.0, "im": 0.0}, theta_in_deg=0.0)
-        r = run_cli("solve", "--config", str(p), "--strict", cwd=tmp_path)
-        assert r.returncode == 0, r.stderr
+        code, err = main_cli("solve", "--config", str(p), "--strict")
+        assert code == 0, err
         conv = json.loads((tmp_path / "out" / "diagnostics.json").read_text())["self_convergence"]
         assert conv["value"] == 0.0 and conv["passed"]
 
@@ -223,9 +227,9 @@ class TestLinAlgError:
 
 
 class TestSpectra:
-    def test_schema_and_residual_column(self, tmp_path, cfg_file, run_cli):
-        r = run_cli("spectra", "--config", str(cfg_file), cwd=tmp_path)
-        assert r.returncode == 0, r.stderr
+    def test_schema_and_residual_column(self, tmp_path, cfg_file, main_cli):
+        code, err = main_cli("spectra", "--config", str(cfg_file))
+        assert code == 0, err
         lines = (tmp_path / "out" / "spectra.csv").read_text().splitlines()
         cols = lines[0].split(",")
         assert cols[:2] == ["k_re", "k_im"]
@@ -309,6 +313,29 @@ class TestSpectra:
         assert all(r <= 2 * r0 for r, r0 in zip(res, ref))
 
 
+class TestPoleWarning:
+    """One pole-proximity warning per command, from the real k grid the
+    command chose; the half-line evaluators themselves never log."""
+
+    # theta_in = 90 deg puts k_* = k0 cos(theta_in) on the grids' row k = 0;
+    # the reference's k_* = 1.0003 + 0.025i lies 0.025 off every real k
+    @pytest.mark.parametrize("theta_in_deg,count", [(90.0, 1), (60.0, 0)],
+                             ids=["normal-incidence", "reference"])
+    @pytest.mark.parametrize("argv", [["spectra"], ["verify", "--suite", "fast"],
+                                      ["verify", "--suite", "full"]],
+                             ids=["spectra", "verify-fast", "verify-full"])
+    def test_one_warning_per_command(self, tmp_path, caplog, argv, theta_in_deg, count):
+        import logging
+        from stripscat import cli
+        p = _write_cfg(tmp_path, theta_in_deg=theta_in_deg)
+        with caplog.at_level(logging.WARNING):
+            assert cli.main([*argv, "--config", str(p)]) in (0, 1)
+        warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(warnings) == count
+        assert all(w.startswith("real-axis half-line transforms:") and "pole" in w
+                   for w in warnings)
+
+
 class TestSpectralPreconditions:
     """`spectra` and `verify` need Im(k0) > 0 and eta != 0, and say so in one
     line, with no traceback, before solving."""
@@ -326,10 +353,10 @@ class TestSpectralPreconditions:
 
 
 class TestSweep:
-    def test_eta_sweep_toggles_deformation_flag(self, tmp_path, cfg_file, run_cli):
-        r = run_cli("sweep", "--config", str(cfg_file), "--param", "eta_re",
-                    "--values", "1.0,-1.0", cwd=tmp_path)
-        assert r.returncode == 0, r.stderr
+    def test_eta_sweep_toggles_deformation_flag(self, tmp_path, cfg_file, main_cli):
+        code, err = main_cli("sweep", "--config", str(cfg_file), "--param", "eta_re",
+                             "--values", "1.0,-1.0")
+        assert code == 0, err
         lines = (tmp_path / "out" / "sweep_summary.csv").read_text().splitlines()
         cols = lines[0].split(",")
         idx = cols.index("deformation_needed")
@@ -369,13 +396,13 @@ class TestSweep:
         assert abs(column - fwd) <= 1e-14 * abs(fwd)
         assert eb["extinction"] == -2 * np.real(np.exp(1j * np.pi / 4) * fwd)
 
-    def test_single_value_matches_solve(self, tmp_path, cfg_file, run_cli):
-        r = run_cli("solve", "--config", str(cfg_file), cwd=tmp_path)
-        assert r.returncode == 0, r.stderr
+    def test_single_value_matches_solve(self, tmp_path, cfg_file, main_cli):
+        code, err = main_cli("solve", "--config", str(cfg_file))
+        assert code == 0, err
         solo = (tmp_path / "out" / "directivity.csv").read_bytes()
-        r = run_cli("sweep", "--config", str(cfg_file), "--param", "theta_in",
-                    "--values", "60.0", cwd=tmp_path)
-        assert r.returncode == 0, r.stderr
+        code, err = main_cli("sweep", "--config", str(cfg_file), "--param", "theta_in",
+                             "--values", "60.0")
+        assert code == 0, err
         swept = (tmp_path / "out" / "directivity_000.csv").read_bytes()
         assert solo == swept
 

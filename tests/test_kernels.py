@@ -60,7 +60,7 @@ def test_q_at_zero_is_finite_limit():
 
 
 def test_expansion_tail_is_negligible(ref_cfg):
-    ker = kn.kernel_expansion(ref_cfg.k0, ref_cfg.a, True, kn.kernel_order(ref_cfg.k0, ref_cfg.a))
+    ker = kn.kernel_expansion(ref_cfg.k0, ref_cfg.a, True)
     assert ker.tail_mass() < 1e-14
 
 
@@ -109,7 +109,7 @@ def _q_sym_both_branches(k0, rho):
 
 
 # |k0| a up to 8.5 keeps the grid below 16384 points; see the bound below.
-# The orders are even but for one: Np = N + 6 is odd for odd N
+# kernel_order is even; the class takes any order, so one case is odd
 @pytest.mark.parametrize("k0a, extra", [(0.01, 0), (2.0, 0), (2.0, 1), (8.5, 0), (16.0, 0)],
                          ids=["0.01", "2.0", "2.0-odd", "8.5", "16.0"])
 @pytest.mark.parametrize("antisym", [True, False])

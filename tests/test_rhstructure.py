@@ -14,23 +14,23 @@ RADIUS = 50 * abs(K0)
 
 class TestCuts:
     def test_first_node_is_branch_point(self):
-        assert rh.build_cut(CFG, "G2", RADIUS).nodes[0] == K0
-        assert rh.build_cut(CFG, "G1", RADIUS).nodes[0] == -K0
+        assert rh.build_cut(CFG, "G2", RADIUS)[0] == K0
+        assert rh.build_cut(CFG, "G1", RADIUS)[0] == -K0
 
     def test_defining_locus(self):
         g2 = rh.build_cut(CFG, "G2", RADIUS)
-        w = K0 ** 2 - g2.nodes ** 2
+        w = K0 ** 2 - g2 ** 2
         assert np.max(np.abs(w.imag)) < 1e-12
         assert np.min(w.real) >= 0
 
     def test_point_symmetry(self):
         g1 = rh.build_cut(CFG, "G1", RADIUS)
         g2 = rh.build_cut(CFG, "G2", RADIUS)
-        assert np.max(np.abs(g1.nodes + g2.nodes)) == 0
+        assert np.max(np.abs(g1 + g2)) == 0
 
     def test_tends_to_positive_imaginary(self):
         g2 = rh.build_cut(CFG, "G2", RADIUS)
-        tail = g2.nodes[-1]
+        tail = g2[-1]
         assert tail.imag > 0.95 * abs(tail)
 
     def test_near_real_limit_geometry(self):
@@ -38,10 +38,10 @@ class TestCuts:
         # axis (every node keeps k0^2 - k^2 real nonnegative)
         cfg = ProblemConfig(2 + 1e-9j, A, 1 - 1j, THETA)
         g2 = rh.build_cut(cfg, "G2", 10 * 2)
-        dist_to_axes = np.minimum(np.abs(g2.nodes.imag), np.abs(g2.nodes.real))
+        dist_to_axes = np.minimum(np.abs(g2.imag), np.abs(g2.real))
         assert np.max(dist_to_axes) < 1e-3
-        near_real = np.abs(g2.nodes.imag) <= np.abs(g2.nodes.real)
-        assert np.max(g2.nodes[near_real].real) <= 2 + 1e-9
+        near_real = np.abs(g2.imag) <= np.abs(g2.real)
+        assert np.max(g2[near_real].real) <= 2 + 1e-9
 
     def test_radius_guard(self):
         with pytest.raises(ValueError):
@@ -54,8 +54,8 @@ class TestJumpMatrices:
     def test_determinants(self, label, det_sign):
         g2 = rh.build_cut(CFG, "G2", RADIUS)
         rng = np.random.default_rng(7)
-        for i in rng.integers(2, len(g2.nodes), 25):
-            k = g2.nodes[i]
+        for i in rng.integers(2, len(g2), 25):
+            k = g2[i]
             x = rh.xi_left_shore(k, CFG)
             den = (CFG.eta - 1j * x) if det_sign > 0 else (1j * x - CFG.eta)
             assert np.linalg.det(rh.jump_matrix(label, k, CFG)) == pytest.approx(
@@ -63,7 +63,7 @@ class TestJumpMatrices:
 
     def test_structure_mirror(self):
         # M1 and M2 exchange under transposition with index swap
-        k = rh.build_cut(CFG, "G2", RADIUS).nodes[80]
+        k = rh.build_cut(CFG, "G2", RADIUS)[80]
         m1 = rh.jump_matrix("M1", k, CFG)
         m2 = rh.jump_matrix("M2", k, CFG)
         swap = np.array([[0, 1], [1, 0]])
@@ -71,11 +71,11 @@ class TestJumpMatrices:
 
     def test_large_eta_limit_identity(self):
         cfg = ProblemConfig(K0, A, 1e9 - 1e9j, THETA)
-        k = rh.build_cut(cfg, "G2", RADIUS).nodes[50]
+        k = rh.build_cut(cfg, "G2", RADIUS)[50]
         assert np.max(np.abs(rh.jump_matrix("M1", k, cfg) - np.eye(2))) < 1e-8
 
     def test_roundtrip(self):
-        k = rh.build_cut(CFG, "G2", RADIUS).nodes[60]
+        k = rh.build_cut(CFG, "G2", RADIUS)[60]
         m = rh.jump_matrix("M2", k, CFG)
         assert np.max(np.abs(m @ np.linalg.inv(m) - np.eye(2))) < 1e-14
 
@@ -94,17 +94,17 @@ class TestContinuation:
     def test_identity_antisym(self, ref_bundles):
         ba, _ = ref_bundles
         g2 = rh.build_cut(CFG, "G2", 10 * abs(K0))
-        for k in (g2.nodes[30], g2.nodes[150]):
+        for k in (g2[30], g2[150]):
             assert rh.continuation_identity_check(ba, k) < 1e-12
 
     def test_identity_sym(self, ref_bundles):
         _, bs = ref_bundles
         g2 = rh.build_cut(CFG, "G2", 10 * abs(K0))
-        assert rh.continuation_identity_check(bs, g2.nodes[60]) < 1e-12
+        assert rh.continuation_identity_check(bs, g2[60]) < 1e-12
 
     def test_wrong_shore_negative_control(self, ref_bundles):
         ba, _ = ref_bundles
-        k = rh.build_cut(CFG, "G2", 10 * abs(K0)).nodes[60]
+        k = rh.build_cut(CFG, "G2", 10 * abs(K0))[60]
         assert rh.continuation_identity_check(ba, k, wrong_shore=True) > 1e-3
 
     def test_wrong_jump_entry_detected(self, monkeypatch, ref_bundles):
@@ -121,7 +121,7 @@ class TestContinuation:
 
         monkeypatch.setattr(rh, "jump_matrix", wrong)
         g2 = rh.build_cut(CFG, "G2", 10 * abs(K0))
-        for k in (g2.nodes[60], g2.nodes[150]):
+        for k in (g2[60], g2[150]):
             assert rh.continuation_identity_check(ba, k) > 1e-3
 
 

@@ -20,8 +20,8 @@ from stripscat.spectral import (
     farfield_oracle,
     functional_residual,
     growth_scan,
-    real_axis_halflines,
     reciprocity_check,
+    warn_near_pole,
 )
 
 K0, A, ETA, THETA = 2 + 0.05j, 1.0, 1 - 1j, np.pi / 3
@@ -136,17 +136,22 @@ class TestFunctionalEquation:
 
 
 class TestRealAxisHalflines:
-    """F- and F+ of any set of bundles on a real k grid, one Cauchy-matrix
-    product per side and bundle on the bundle's cached cut columns."""
+    """F- and F+ of a bundle on a real k grid, one Cauchy-matrix product per
+    side on the bundle's cached cut columns."""
 
-    def test_one_bundle_alone_and_mixed_media(self, ref_cfg, ref_bundles):
-        # each pair is the bundle's own f_minus / f_plus; bundles of other
-        # media mix freely (no shared quadrature nodes)
+    def test_bundle_is_a_function_of_cfg_and_density(self, ref_bundles):
+        # a bundle holds no run state: a fresh bundle of the same cfg and
+        # density gives the same F- and F+ bit for bit, and evaluating a
+        # bundle of another medium in between changes nothing
         other = Scattering(ProblemConfig(2 + 0.4j, A, 0.5, np.deg2rad(30.0)), 32).bundles[1]
         k = np.linspace(-3 * abs(K0), 3 * abs(K0), 41)
-        for bundles in ((ref_bundles[0],), (ref_bundles[1], other)):
-            for b, (fm, fp) in zip(bundles, real_axis_halflines(bundles, k)):
-                assert np.array_equal(fp, b.f_plus(k)) and np.array_equal(fm, b.f_minus(k))
+        for b in ref_bundles:
+            fm, fp = b.f_minus(k), b.f_plus(k)
+            other.f_minus(k), other.f_plus(k)
+            fresh = SpectralBundle(b.cfg, b.density)
+            assert np.array_equal(fresh.f_plus(k), fp) and np.array_equal(fresh.f_minus(k), fm)
+            assert np.array_equal(b.f_plus(k), fp) and np.array_equal(b.f_minus(k), fm)
+            assert np.array_equal(fp, b.f_check_plus(k) + b.pole_term(k, +1))
 
     def test_one_exponential_table_per_residual(self, ref_cfg, ref_solves, phase_builds):
         da, _, _, _ = ref_solves
@@ -167,7 +172,7 @@ class TestRealAxisHalflines:
             k = np.linspace(-3 * abs(cfg.k0), 3 * abs(cfg.k0), 41)
             tracemalloc.start()
             try:
-                real_axis_halflines((b,), k)
+                b.f_minus(k), b.f_plus(k)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -239,22 +244,30 @@ class TestPoleStructure:
         assert len(calls) == 4 and sum(calls) > 4 * 32
         assert abs(loop - 2j * np.pi * np.exp(1j * pole)) < 1e-12
 
-    def test_one_pole_warning_per_scattering(self, ref_cfg, caplog):
-        # the bundles of one Scattering share the warning's flag
+    def test_evaluators_never_log(self, ref_cfg, ref_bundles, caplog):
+        # F+ and F- at k_*: the pole warning is the command's, on its own grid
         import logging
-        ba, bs = Scattering(ref_cfg, 64).bundles
         k = ref_cfg.k_star + 1e-5
+        with caplog.at_level(logging.DEBUG, logger="stripscat"):
+            for b in ref_bundles:
+                b.f_plus(k), b.f_minus(k), b.f_plus([k, 0.5]), b.f_minus([k, 0.5])
+        assert caplog.records == []
+
+    def test_pole_warning_is_stateless(self, ref_cfg, caplog):
+        # one warning per call on a grid within the exclusion radius of k_*,
+        # none on the reference spectra grid
+        import logging
+        near = np.array([-1.0, ref_cfg.k_star + 1e-3, 3.0])
+        reference = np.linspace(-3 * abs(K0), 3 * abs(K0), 41)
         with caplog.at_level(logging.WARNING, logger="stripscat.spectral"):
-            ba.f_plus(k)
-            bs.f_plus(k)
-            ba.f_plus(k)
-        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-        assert len(warnings) == 1 and warnings[0].startswith("F+ (antisymmetric):")
-        # a bundle made on its own keeps its own flag
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="stripscat.spectral"):
-            SpectralBundle(ref_cfg, bs.density).f_plus(k)
-        assert len([r for r in caplog.records if r.levelno == logging.WARNING]) == 1
+            warn_near_pole(ref_cfg, reference)
+            assert caplog.records == []
+            warn_near_pole(ref_cfg, near)
+            warn_near_pole(ref_cfg, near)
+        warnings = [r.getMessage() for r in caplog.records]
+        assert len(warnings) == 2
+        assert all(w.startswith("real-axis half-line transforms:") and "pole" in w
+                   for w in warnings)
 
     def test_cauchy_calibration_entire(self):
         rect = (-1.0, 1.0, -1.0, 1.0)
