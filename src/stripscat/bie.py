@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import hankel1, jv
+from scipy.special import hankel1
 
 from . import chebkit as ck
 from .core import Parity, ProblemConfig
@@ -95,8 +95,10 @@ class SolveDiagnostics:
 _LOG_SUM_BLOCK = 32
 
 
-def _log_sum_rect(Lbig: np.ndarray, Rbig: np.ndarray, Pi: np.ndarray, rmax: int) -> np.ndarray:
-    """-2 sum_r (1/r) Phi_L^(r) Pi Phi_R^(r)T.
+def _log_sum_rect(Lbig: np.ndarray, Rbig: np.ndarray, Pi: np.ndarray, rmax: int,
+                  K: np.ndarray) -> np.ndarray:
+    """L K R^T - 2 sum_r (1/r) Phi_L^(r) Pi Phi_R^(r)T, with L and R the
+    first Np = len(Pi) columns of Lbig and Rbig.
 
     Phi^(r) = B E_r, where E_r[j, p] = (d_{j,p+r} + d_{j,|p-r|})/2 encodes the
     product T_p T_r = (T_{p+r} + T_{|p-r|})/2 against the row family whose
@@ -109,7 +111,8 @@ def _log_sum_rect(Lbig: np.ndarray, Rbig: np.ndarray, Pi: np.ndarray, rmax: int)
     G[i, q] = sum_{0<|r|<=rmax} -Pi~[i - r, q - r] / (2|r|): a convolution
     along each diagonal of Pi~, so the diagonals times one real Toeplitz
     matrix give G.  Pi[p, q] = 0 for odd p + q (P(a^2 (s-t)^2) is even under
-    (s, t) -> (-s, -t)), so only the even diagonals are visited.
+    (s, t) -> (-s, -t)), so only the even diagonals are visited.  K's planes
+    are added to C's, so L K R^T takes no product of its own.
     """
     Np = Pi.shape[0]
     M = Np - 1                                    # Pi~ lives on |m|, |n| <= M
@@ -137,6 +140,9 @@ def _log_sum_rect(Lbig: np.ndarray, Rbig: np.ndarray, Pi: np.ndarray, rmax: int)
     H[:, :, 2 * M:4 * M + 1] += H[:, :, 2 * M::-1]        # G[i, q] + G[i, -q]
     C = H[:, :, 2 * M:]
     C[:, :, 1:] *= 2.0
+    n = min(nL, Np)
+    C[0, :n, :Np] += K[:n].real
+    C[1, :n, :Np] += K[:n].imag
     w = min(C.shape[2], Rbig.shape[1])
     S = Lbig[:, :nL] @ C[:, :, :w] @ Rbig[:, :w].T
     return S[0] + 1j * S[1]
@@ -147,7 +153,7 @@ def _galerkin(k0: complex, a: float, eta: complex, parity: Parity, Ntest: int, N
     and strip (k0, a, eta).
 
     Both parities are static + c (L K R^T + log sum), with the kernel's
-    smooth part K = (ln a - ln 2) Pi + Q and the log-kernel sum of
+    smooth part K = (ln a - ln 2) Pi + Q, both terms formed by
     `_log_sum_rect`; L and R are the test and trial families' coupling to
     T_p.  Only the data differ:
 
@@ -174,12 +180,11 @@ def _galerkin(k0: complex, a: float, eta: complex, parity: Parity, Ntest: int, N
         # U coefficients, from T_n = (U_n - U_{n-2})/2
         edge = np.concatenate([[beta[0] - beta[2] / 2], 0.5 * (beta[1:Ntr] - beta[3:Ntr + 2])])
     else:
-        L, R, c = np.zeros((Ntest, big)), ck.c3_matrix(big, Ntr).T, -eta * a * a
-        L[n, n] = np.where(n == 0, np.pi, np.pi / 2)
+        L, R, c = ck.v_matrix(Ntest, big), ck.c3_matrix(big, Ntr).T, -eta * a * a
         static[n, n] = -0.5 * a * L[n, n]
         edge = beta[:Ntr]
     K = (np.log(a) - np.log(2.0)) * ker.pi_hat + ker.q_hat
-    O = static + c * (L[:, :Np] @ K @ R[:, :Np].T + _log_sum_rect(L, R, ker.pi_hat, rmax))
+    O = static + c * _log_sum_rect(L, R, ker.pi_hat, rmax, K)
     return O, edge, ker
 
 
@@ -202,14 +207,13 @@ def _rhs(cfg: ProblemConfig, parity: Parity, theta_in, Ntest: int) -> np.ndarray
 
     The data are i k0 sin(theta_in) e^{-i k_* x} (antisymmetric, against
     sqrt(w)U_m) and eta e^{-i k_* x} (symmetric, against T_m/sqrt(w)), so
-    both are the transforms listed in chebkit, at z = -k_* a.
+    both are the test family's `chebkit.fourier_image` at z = -k_* a.
     """
     theta_in = np.asarray(theta_in, dtype=float)
     z = -complex(cfg.k0) * np.cos(theta_in) * cfg.a
     if parity is Parity.ANTISYMMETRIC:
-        return (1j * cfg.k0 * np.sin(theta_in) * cfg.a) * ck.u_transform_matrix(Ntest, z).T
-    m = np.arange(Ntest)[:, None]
-    return cfg.eta * cfg.a * np.pi * ck.i_pow(m) * jv(m, z)
+        return (1j * cfg.k0 * np.sin(theta_in) * cfg.a) * ck.fourier_image("U", Ntest, z).T
+    return cfg.eta * cfg.a * ck.fourier_image("V", Ntest, z).T
 
 
 @memo

@@ -4,9 +4,13 @@ Conventions on the reference interval [-1, 1], weight w(s) = 1 - s^2:
 
 * second kind:  int sqrt(w) U_m U_n ds = (pi/2) delta_mn
 * first kind:   int T_m T_n / sqrt(w) ds = (pi/2) delta_mn (1 + delta_m0)
-* transforms:   int sqrt(w) U_n(s) e^{izs} ds = pi i^n (n+1) J_{n+1}(z)/z
-                int T_n(s) e^{izs} / sqrt(w) ds = pi i^n J_n(z)
 * log kernel:   ln|s-t| = -ln 2 - 2 sum_{r>=1} T_r(s) T_r(t)/r
+* Fourier images: Jacobi-Anger, e^{izs} = sum_m eps_m i^m J_m(z) T_m(s)
+  (eps_0 = 1, else 2; DLMF 10.12.3), makes int f_n(s) e^{izs} ds the row
+  eps_m i^m J_m(z), cut at m = |z| + 48 where J_m(z) is below roundoff,
+  times the family's moments int f_n T_m ds: W^T for sqrt(w) U_n, giving
+  (pi/2) i^n (J_n + J_{n+2}) = pi i^n (n+1) J_{n+1}(z)/z; C3 for T_n; V for
+  T_n/sqrt(w), giving pi i^n J_n(z).
 
 All "closed-form" matrices below are exact rational/pi expressions derived
 from these identities; they carry the singular (hypersingular / log) parts
@@ -67,24 +71,6 @@ def i_pow(n) -> np.ndarray:
     return np.array([1, 1j, -1, -1j])[np.asarray(n) % 4]
 
 
-def bessel_ratio(n, z) -> np.ndarray:
-    """J_{n+1}(z)/z with the correct z -> 0 limit (1/2 for n = 0); the orders
-    n and the arguments z broadcast."""
-    n = np.asarray(n)
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < 1e-8
-    zsafe = np.where(small, 1.0, z)
-    out = jv(n + 1, zsafe) / zsafe
-    return np.where(small, np.where(n == 0, 0.5, 0.0), out)
-
-
-def u_transform_matrix(nmax: int, z) -> np.ndarray:
-    """Matrix F[i, n] = int sqrt(w) U_n(s) e^{i z_i s} ds = pi i^n (n+1) J_{n+1}(z_i)/z_i."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    n = np.arange(nmax)
-    return np.pi * i_pow(n) * (n + 1) * bessel_ratio(n, z[:, None])
-
-
 def plain_t_moments(n: int) -> np.ndarray:
     """J[j] = int_{-1}^{1} T_j(s) ds for j < n: 2/(1 - j^2) at even j, 0 at odd j."""
     J = np.zeros(n)
@@ -93,19 +79,18 @@ def plain_t_moments(n: int) -> np.ndarray:
     return J
 
 
-def plain_t_transform_matrix(nmax: int, z) -> np.ndarray:
-    """Matrix E[i, n] = int_{-1}^{1} T_n(s) e^{i z_i s} ds.
+def fourier_image(kind: str, nmax: int, z) -> np.ndarray:
+    """F[i, n] = int f_n(s) e^{i z_i s} ds, n < nmax, for the family f_n of
+    `kind`: "U" sqrt(w) U_n, "T" T_n, "V" T_n/sqrt(w).
 
-    Via e^{izs} = J_0(z) + 2 sum_m i^m J_m(z) T_m(s) and the exact product
-    moments int T_m T_n ds (`c3_matrix`); the m-series is truncated once
-    J_m(z) is below roundoff (m > |z| + 48).
-    """
+    The Jacobi-Anger row eps_m i^m J_m(z_i), m <= max|z| + 48, times the
+    family's T-moments (the module docstring)."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     mmax = int(np.max(np.abs(z))) + 48
     m = np.arange(mmax + 1)
-    Jm = jv(m[None, :], z[:, None])          # (nz, mmax+1)
-    wts = np.where(m == 0, 1.0, 2.0) * i_pow(m)
-    return (Jm * wts[None, :]) @ c3_matrix(mmax + 1, nmax)
+    row = jv(m[None, :], z[:, None]) * (np.where(m == 0, 1.0, 2.0) * i_pow(m))
+    return row @ (w_matrix(nmax, mmax + 1).T if kind == "U" else
+                  c3_matrix(mmax + 1, nmax) if kind == "T" else v_matrix(mmax + 1, nmax))
 
 
 # ---------------------------------------------------------------------------
@@ -113,13 +98,13 @@ def plain_t_transform_matrix(nmax: int, z) -> np.ndarray:
 # ---------------------------------------------------------------------------
 def w_matrix(nrow: int, ncol: int) -> np.ndarray:
     """W[m, p] = int sqrt(w) U_m T_p ds = (pi/4)[(1+d_p0) d_mp - d_{m+2,p}]."""
-    W = np.zeros((nrow, ncol))
-    for m in range(nrow):
-        if m < ncol:
-            W[m, m] = (np.pi / 4) * (2.0 if m == 0 else 1.0)
-        if m + 2 < ncol:
-            W[m, m + 2] = -np.pi / 4
-    return W
+    return (np.pi / 4) * (np.eye(nrow, ncol) * np.where(np.arange(ncol) == 0, 2.0, 1.0)
+                          - np.eye(nrow, ncol, 2))
+
+
+def v_matrix(nrow: int, ncol: int) -> np.ndarray:
+    """V[m, p] = int T_m T_p / sqrt(w) ds = (pi/2)(1+d_m0) d_mp."""
+    return np.eye(nrow, ncol) * np.where(np.arange(ncol) == 0, np.pi, np.pi / 2)
 
 
 def c3_matrix(nrow: int, ncol: int) -> np.ndarray:

@@ -52,8 +52,8 @@ def strip_transform(parity: Parity, a: float, coeffs: np.ndarray, k: np.ndarray)
     """U0~(k) (antisymmetric) or V0~(k) (symmetric) of a coefficient vector,
     or of a block with one density per column; entire in k."""
     if parity is Parity.ANTISYMMETRIC:
-        return 0.5 * a * a * (ck.u_transform_matrix(len(coeffs), k * a) @ coeffs)
-    return -0.5 * a * (ck.plain_t_transform_matrix(len(coeffs), k * a) @ coeffs)
+        return 0.5 * a * a * (ck.fourier_image("U", len(coeffs), k * a) @ coeffs)
+    return -0.5 * a * (ck.fourier_image("T", len(coeffs), k * a) @ coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -231,9 +231,11 @@ def check_pole_residue(ctx: _Ctx, parity: Parity) -> CheckResult:
     ba, bs = ctx.sc.bundles
     b = ba if parity is Parity.ANTISYMMETRIC else bs
     ks = ctx.cfg.k_star
+    # k_* at the centre, w from every side; in Re k, Im k >= -w it misses
+    # F+'s cut ray k = -k0 - is, as Re k0 or Im k0 is at least |k0|/sqrt(2)
     w = 0.35 * abs(ctx.cfg.k0)
-    rect = (ks.real - w, ks.real + w, 0.3 * ks.imag, ks.imag + w)
-    loop = contour_integral_rect(b.f_plus, rect, refine_near=ks)
+    rect = (ks.real - w, ks.real + w, ks.imag - w, ks.imag + w)
+    loop = contour_integral_rect(b.f_plus, rect)
     res = loop / (2j * np.pi)
     target = b.pole_residue
     val = abs(res - target) / abs(target)

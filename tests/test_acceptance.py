@@ -83,6 +83,17 @@ def test_criterion_4_pole_structure(full_report):
           c.value < 1e-6)
 
 
+@pytest.mark.parametrize("parity", list(Parity))
+def test_criterion_4_pole_residue_at_grazing_incidence(parity):
+    # at theta_in = 90 deg, Im k_* is 3e-18: a contour whose bottom edge sat
+    # at 0.3 Im k_* ran through the pole and read half the residue (0.5)
+    from stripscat import verify
+    ctx = verify._Ctx(RunConfig(2 + 0.05j, 1.0, 1 - 1j, 90.0, N=64))
+    c = verify.check_pole_residue(ctx, parity)
+    _line(4, f"contour residue at k_*, 90 deg ({parity.value})", c.value, 1e-4,
+          c.passed and c.tol <= 1e-4)
+
+
 def test_full_suite_logs_no_warning(full_report):
     # the pole-residue contour refines toward k_* by design: the suite reads
     # F+ there without the pole-proximity warning meant for a caller's own k

@@ -543,15 +543,18 @@ class TestLogSumRect:
 
         monkeypatch.setattr(bie, "_log_sum_rect", recorded)
         bie._galerkin(k0a * np.exp(0.025j), A, ETA, parity, N + 2, max(192, N + 96))
-        (Lbig, Rbig, Pi, rmax), got = calls[0]
-        assert rmax > Pi.shape[0]                    # the |p - r| fold wraps
+        (Lbig, Rbig, Pi, rmax, K), got = calls[0]
+        Np = Pi.shape[0]
+        assert rmax > Np                             # the |p - r| fold wraps
         rows, cols = slice(None), slice(None)
         if N > 100:
             # the loop takes seconds here; the sum is linear in the rows of
             # Lbig and of Rbig, so thinned rows give the same output entries
             rows = np.r_[0:Lbig.shape[0]:7, Lbig.shape[0] - 1]
             cols = np.r_[0:Rbig.shape[0]:7, Rbig.shape[0] - 1]
-        ref = _log_sum_loop(Lbig[rows], Rbig[cols], Pi, rmax)
+        # the smooth part K, folded into the same product
+        ref = (_log_sum_loop(Lbig[rows], Rbig[cols], Pi, rmax)
+               + Lbig[rows][:, :Np] @ K @ Rbig[cols][:, :Np].T)
         assert np.max(np.abs(got[rows][:, cols] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -628,7 +631,7 @@ class TestLogSumToeplitz:
         Pi = A + A.T
         Pi[np.add.outer(np.arange(Np), np.arange(Np)) % 2 == 1] = 0.0
         ref = _log_sum_slice_add(L, R, Pi, rmax)
-        got = bie._log_sum_rect(L, R, Pi, rmax)
+        got = bie._log_sum_rect(L, R, Pi, rmax, np.zeros_like(Pi))
         assert got.shape == ref.shape
         # each entry on the scale of its terms: the sum of their magnitudes,
         # the same sum on |L|, |R|, |Pi|.  Cancelling terms leave entries far
@@ -688,7 +691,7 @@ def _galerkin_antisym_ref(cfg, Ntest, Ntr):
     WR = ck.w_matrix(Ntr, big)
     D = WL[:, :Np] @ ker.pi_hat @ WR[:, :Np].T
     DQ = WL[:, :Np] @ ker.q_hat @ WR[:, :Np].T
-    Slog = bie._log_sum_rect(WL, WR, ker.pi_hat, rmax)
+    Slog = bie._log_sum_rect(WL, WR, ker.pi_hat, rmax, np.zeros_like(ker.pi_hat))
     M = np.zeros((Ntest, Ntr), dtype=complex)
     n = np.arange(min(Ntest, Ntr))
     M[n, n] = -a * np.pi * (n + 1) / 4.0
@@ -718,7 +721,7 @@ def _galerkin_sym_ref(cfg, Ntest, Ntr):
     Kt = np.zeros((Ntest, Np), dtype=complex)
     Kt[:Np] = K[:Ntest]
     D = vdiag[:, None] * (Kt @ C3R[:, :Np].T)
-    S = a * a * (D + bie._log_sum_rect(Vb, C3R, ker.pi_hat, rmax))
+    S = a * a * (D + bie._log_sum_rect(Vb, C3R, ker.pi_hat, rmax, np.zeros_like(K)))
     M = -cfg.eta * S
     M[np.arange(Ntest), np.arange(Ntest)] += -0.5 * a * vdiag
     return M
@@ -738,16 +741,16 @@ def _edge_log_ref(parity, Ntr):
 
 
 def _rhs_ref(cfg, parity, Ntest):
-    """Reference: one incidence's right-hand side, per order."""
+    """Reference: one incidence's right-hand side, per order, from the
+    closed forms pi i^m (m+1) J_{m+1}(z)/z and pi i^m J_m(z) at z = -k_* a
+    (k_* a is never 0 here: cos(pi/2) is 6e-17 in floating point)."""
     from scipy.special import jv
-    from stripscat import chebkit as ck
-    ks = cfg.k_star
+    x = cfg.k_star * cfg.a
     m = np.arange(Ntest)
     if parity is Parity.ANTISYMMETRIC:
         amp = 1j * cfg.k0 * np.sin(cfg.theta_in) * cfg.a * np.pi
-        jr = np.array([ck.bessel_ratio(int(mm), ks * cfg.a)[()] for mm in m])
-        return amp * (-1j) ** m * (m + 1) * jr
-    return cfg.eta * cfg.a * np.pi * (-1j) ** m * jv(m, ks * cfg.a)
+        return amp * (-1j) ** m * (m + 1) * jv(m + 1, x) / x
+    return cfg.eta * cfg.a * np.pi * (-1j) ** m * jv(m, x)
 
 
 class TestGalerkin:
