@@ -13,7 +13,6 @@ from .bie import (
     scattered_field,
     solve_antisymmetric,
     solve_symmetric,
-    strip_trace,
 )
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "scattered_field",
     "solve_antisymmetric",
     "solve_symmetric",
-    "strip_trace",
 ]
 
 __version__ = "0.1.0"

@@ -285,55 +285,7 @@ def solve_symmetric(cfg: ProblemConfig, N: int):
 
 
 # ---------------------------------------------------------------------------
-# the single-layer trace on the strip (closed-form singular parts)
-# ---------------------------------------------------------------------------
-def _kernel_columns(ker: KernelExpansion, s):
-    """pi_q(s) and q_q(s): the kernel factors' T_q(t) columns at fixed s."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    Np = ker.order
-    T = np.cos(np.arange(Np)[None, :] * np.arccos(np.clip(s, -1, 1))[:, None])
-    return T @ ker.pi_hat, T @ ker.q_hat          # (ns, Np) each
-
-
-@memo
-def _sym_trace_rows(k0: complex, a: float, N: int, s: tuple) -> np.ndarray:
-    """W[i, n] = (S T_n(./a))(a s_i): the single-layer trace at the points s
-    (scaled, |s_i| < 1) as a linear map of the N Chebyshev coefficients of
-    sigma.  The incidence is no argument: every density on one medium reuses
-    the entry.
-
-    With the kernel factors' columns pi_q(s), q_q(s), the moments
-    C3 = int T_q T_n and Lam_m(s) = int ln|s - t| T_m(t) dt,
-    W = a [(pi ln a + q) C3 + (1/2) sum_q pi_q (Lam_{q+n} + Lam_{|q-n|})],
-    from T_q T_n = (T_{q+n} + T_{|q-n|})/2.
-    """
-    s = np.asarray(s, dtype=float)
-    ker = kernel_expansion(k0, a, False)
-    Np = ker.order
-    pic, qc = _kernel_columns(ker, s)
-    Lam = ck.log_point_plain_t(N + Np + 2, s)
-    q = np.arange(Np)[:, None]
-    n = np.arange(N)[None, :]
-    G = Lam[:, q + n] + Lam[:, np.abs(q - n)]       # (ns, Np, N), real
-    # one real product per point for both planes of pi_q(s)
-    logpart = np.stack([pic.real, pic.imag], axis=1) @ G
-    W = (pic * np.log(a) + qc) @ ck.c3_matrix(Np, N)
-    W += 0.5 * (logpart[:, 0] + 1j * logpart[:, 1])
-    return a * W
-
-
-def sym_trace_on_strip(dens: Density, cfg: ProblemConfig, x):
-    """(S sigma)(x) = u_s(x, 0) for |x| < a, product-integration accurate:
-    the memoized rows of `_sym_trace_rows` times the density's coefficients."""
-    if dens.parity is not Parity.SYMMETRIC:
-        raise ValueError("sym_trace_on_strip needs the symmetric density")
-    s = np.atleast_1d(np.asarray(x, dtype=float)) / cfg.a
-    out = _sym_trace_rows(cfg.k0, cfg.a, len(dens.coeffs), tuple(s.tolist())) @ dens.coeffs
-    return out if np.ndim(x) else complex(out[0])
-
-
-# ---------------------------------------------------------------------------
-# field and trace evaluation
+# field evaluation
 # ---------------------------------------------------------------------------
 def _strip_theta_quad(s0: float, dist: float):
     """Theta nodes/weights on [0, pi] resolving a kernel feature at s = s0,
@@ -367,9 +319,10 @@ _FIELD_CHUNK_NODES = 2 ** 13
 def scattered_field(dens: Density, cfg: ProblemConfig, x, y):
     """Layer-potential field of the solved density at (x, y), y >= 0.
 
-    Evaluation on the open strip (y = 0, |x| < a) is an error: its one-sided
-    trace is `strip_trace`.  The antisymmetric field vanishes identically on
-    y = 0, |x| > a.
+    Evaluation on the open strip (y = 0, |x| < a) is an error.  The one-sided
+    traces there are the densities': u_a(x, +0) = mu(x)/2, and, from the
+    impedance condition, u_s(x, +0) = -sigma(x)/(2 eta) minus the incident
+    field.  The antisymmetric field vanishes identically on y = 0, |x| > a.
 
     Each target has its own `_strip_theta_quad` rule; the rules of a chunk
     of targets are concatenated, so the density and the kernel are evaluated
@@ -382,7 +335,8 @@ def scattered_field(dens: Density, cfg: ProblemConfig, x, y):
     xs, ys = np.broadcast_arrays(xs, ys)
     a, k0 = cfg.a, cfg.k0
     if np.any((ys == 0.0) & (np.abs(xs) < a)):
-        raise ValueError("scattered_field is not defined on the open strip; use strip_trace")
+        raise ValueError("scattered_field is not defined on the open strip, whose traces "
+                         "are mu/2 and -sigma/(2 eta) less the incident field")
     antisym = dens.parity is Parity.ANTISYMMETRIC
     shape = xs.shape
     xs, ys = xs.ravel(), ys.ravel()
@@ -422,14 +376,3 @@ def scattered_field(dens: Density, cfg: ProblemConfig, x, y):
         evaluate(targets, rules)
     return complex(out[0]) if scalar else out.reshape(shape)
 
-
-def strip_trace(dens: Density, cfg: ProblemConfig, x):
-    """One-sided trace on the strip: u_a(x, +0) = mu(x)/2 or u_s(x, +0) = (S sigma)(x)."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(np.abs(xs) >= cfg.a):
-        raise ValueError("strip_trace requires |x| < a")
-    if dens.parity is Parity.ANTISYMMETRIC:
-        out = dens(xs) / 2.0
-    else:
-        out = sym_trace_on_strip(dens, cfg, xs)
-    return out if np.ndim(x) else complex(out[0])

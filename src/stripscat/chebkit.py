@@ -123,45 +123,6 @@ def mass2_matrix(nrow: int, ncol: int) -> np.ndarray:
     return 0.5 * (J[np.abs(m - n)] - J[m + n + 2])
 
 
-def pv_t_over_linear(nmax: int, s) -> np.ndarray:
-    """R[i, p] = PV int_{-1}^{1} T_p(t)/(t - s_i) dt for |s_i| < 1.
-
-    Recurrence R_{p+1} = 2 s R_p - R_{p-1} + 2 J(p) with
-    R_0 = ln|(1-s)/(1+s)| and R_1 = 2 + s R_0.
-    """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    R = np.zeros((len(s), nmax))
-    R[:, 0] = np.log(np.abs((1 - s) / (1 + s)))
-    if nmax > 1:
-        R[:, 1] = 2.0 + s * R[:, 0]
-    J = plain_t_moments(nmax)
-    for p in range(1, nmax - 1):
-        R[:, p + 1] = 2 * s * R[:, p] - R[:, p - 1] + 2 * J[p]
-    return R
-
-
-def log_point_plain_t(nmax: int, s) -> np.ndarray:
-    """Lam[i, n] = int_{-1}^{1} ln|s_i - t| T_n(t) dt, |s_i| < 1 (also valid |s|>1).
-
-    Integration by parts with the T antiderivative A_n and the PV integrals
-    above: Lam_n = A_n(1) ln|s-1| - A_n(-1) ln|s+1| - PV int A_n/(t-s) dt.
-    """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    R = pv_t_over_linear(nmax + 2, s)
-    out = np.zeros((len(s), nmax))
-    l1 = np.log(np.abs(s - 1.0))[:, None]
-    l2 = np.log(np.abs(s + 1.0))[:, None]
-    # A_0 = t, A_1 = t^2/2 = (T_2 + T_0)/4 and A_n = T_{n+1}/(2(n+1)) - T_{n-1}/(2(n-1))
-    out[:, :1] = l1 - (-1.0) * l2 - R[:, 1:2]
-    out[:, 1:2] = 0.5 * l1 - 0.5 * l2 - 0.25 * (R[:, 2:3] + R[:, 0:1])
-    n = np.arange(2, nmax)
-    ap, am = 0.5 / (n + 1), 0.5 / (n - 1)
-    sign = np.where(n % 2 == 1, 1.0, -1.0)     # (-1)^(n+1) = (-1)^(n-1)
-    out[:, 2:] = ((ap - am) * l1 - (ap * sign - am * sign) * l2
-                  - (ap * R[:, 3:nmax + 1] - am * R[:, 1:nmax - 1]))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Chebyshev coefficient extraction (DCT on the roots grid)
 # ---------------------------------------------------------------------------
@@ -214,20 +175,21 @@ def _alt_harmonic_tail(m: int) -> float:
     return (-1.0) ** m * 0.5 * (psi((m + 1) / 2.0) - psi(m / 2.0))
 
 
-def edge_log_u_tail_sum(n_from: int, alternating: bool) -> float:
-    """sum_{n>=n_from} (+-1)^n (n+1) u_n for the U-image of (1-s)ln(1-s).
-
-    The U coefficients satisfy (n+1) u_n = 1/(n(n-1)) - 1/((n+2)(n+3)) for
-    n >= 2, so the plain sum telescopes and the alternating one reduces to
-    digamma tails.  Used to evaluate edge limits of densities that fold the
-    edge-log expansion into a truncated coefficient vector.
-    """
-    n = max(int(n_from), 2)
-    if not alternating:
-        return 1.0 / (n - 1) - 1.0 / (n + 2)
-    A = -_alt_harmonic_tail(n - 1) - _alt_harmonic_tail(n)
-    C = _alt_harmonic_tail(n + 2) + _alt_harmonic_tail(n + 3)
-    return A - C
+def edge_log_tail_sum(kind: str, n_from: int, alternating: bool) -> float:
+    """sum_{n>=n_from} (+-1)^n f_n(1) e_n: the value at s = 1 (plain) or
+    s = -1 (alternating) of the tail beyond n_from >= 2 of the expansion e_n
+    of (1-s)ln(1-s) in the family f_n of `kind`, T_n (f_n(1) = 1) or U_n
+    (f_n(1) = n+1).  It completes edge values of densities that fold the
+    edge-log expansion into a truncated coefficient vector.  For n >= 2,
+    e_n = 2/(n(n^2-1)) = 1/(n-1) - 2/n + 1/(n+1) (T) and (n+1) e_n =
+    1/(n(n-1)) - 1/((n+2)(n+3)) (U): the plain sums telescope, and the
+    alternating ones are digamma tails."""
+    n, h = max(int(n_from), 2), _alt_harmonic_tail
+    if kind == "T":
+        return -h(n - 1) - 2 * h(n) - h(n + 1) if alternating else 1.0 / (n * (n - 1))
+    if alternating:
+        return (-h(n - 1) - h(n)) - (h(n + 2) + h(n + 3))
+    return 1.0 / (n - 1) - 1.0 / (n + 2)
 
 
 # ---------------------------------------------------------------------------

@@ -11,26 +11,26 @@ y = 0 beyond the edge, faces at phi = +-pi).  The total symmetric field is
 
     u = d - (eta d/pi) rho ln(k0 rho) cos(phi) + F rho phi sin(phi) + ...
 
-The leading constants c_+-, d_+- follow in closed form from the densities:
-the antisymmetric strip trace is mu/2 so c = lim mu/(2 sqrt(k0 rho)); the
-symmetric d is the edge limit of the total trace (Richardson extrapolated
-with the rho log rho error model).  `local_expansion_fit` instead samples
-the actual field on polar fans and fits the expansions blind, recovering
-the leading exponent, the angular profile, and the second-order/leading
-coefficient ratio (-2 eta/(3 pi k0) in the antisymmetric case).
+The leading constants c_+-, d_+- follow in closed form from the densities'
+edge values: the antisymmetric strip trace is mu/2, so
+c = lim mu/(2 sqrt(k0 rho)); the impedance condition makes the symmetric
+density the total trace, sigma = -2 eta u, so d = -sigma(+-a)/(2 eta).
+`local_expansion_fit` instead samples the actual field on polar fans and
+fits the expansions blind, recovering the leading exponent, the angular
+profile, and the second-order/leading coefficient ratio (-2 eta/(3 pi k0)
+in the antisymmetric case).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bie import Density, scattered_field, strip_trace
+from .bie import Density, scattered_field
+from .chebkit import edge_log_tail_sum
 from .core import Parity, ProblemConfig, incident_field
 
-# distances from the edge, in units of a: the three trace samples of
-# extract_d and the radii of local_expansion_fit's polar fans, with the
+# the radii of local_expansion_fit's polar fans, in units of a, and the
 # number of fan angles over (-pi, pi)
-D_RHO_FACTORS = (1e-3, 5e-4, 2.5e-4)
 RADII_FACTORS = tuple(np.geomspace(1e-3, 3e-2, 8))
 N_ANGLES = 16
 
@@ -42,48 +42,47 @@ def _edge_sign(side: str) -> float:
     return 1.0 if side == "+" else -1.0
 
 
+def _edge_value(dens: Density, side: str) -> complex:
+    """The density's Chebyshev sum at s = +-1, P(+-1) = sum coeffs[n] f_n(+-1)
+    with U_n(+-1) = (+-1)^n (n+1) or T_n(+-1) = (+-1)^n, plus the exact
+    remainders of the folded edge-log tails beyond the stored coefficients
+    (`chebkit.edge_log_tail_sum`)."""
+    plus = _edge_sign(side) > 0
+    kind = "U" if dens.parity is Parity.ANTISYMMETRIC else "T"
+    n = np.arange(len(dens.coeffs))
+    sgn = 1.0 if plus else (-1.0) ** n
+    val = np.sum(dens.coeffs * sgn * (n + 1 if kind == "U" else 1.0))
+    ap, am = dens.aug_amp
+    # the tail of (1 - s)ln(1 - s) is plain at s = 1, alternating at s = -1
+    t_ap, t_am = (edge_log_tail_sum(kind, len(n), alt) for alt in (not plus, plus))
+    return val + (ap * t_ap + am * t_am)
+
+
 def extract_c(dens_a: Density, cfg: ProblemConfig, side: str) -> complex:
     """Leading antisymmetric edge coefficient c_side, analytically from the basis.
 
     c = lim mu(x) / (2 sqrt(k0 (a -+ x))); since mu = sqrt(a^2-x^2) times the
-    Chebyshev sum, the limit is sqrt(2a) * P(+-1) / (2 sqrt(k0)) with
-    P(+-1) = sum b_n (+-1)^n (n+1).
+    Chebyshev sum, the limit is sqrt(2a) * P(+-1) / (2 sqrt(k0)).
     """
     if dens_a.parity is not Parity.ANTISYMMETRIC:
         raise ValueError("extract_c needs the antisymmetric density")
-    from .chebkit import edge_log_u_tail_sum
-    plus = _edge_sign(side) > 0
-    n = np.arange(len(dens_a.coeffs))
-    sgn = 1.0 if plus else (-1.0) ** n
-    pval = np.sum(dens_a.coeffs * sgn * (n + 1))
-    # the folded edge-log tails continue beyond the stored coefficients;
-    # add their exact remainders (telescoping/digamma closed forms)
-    ap, am = dens_a.aug_amp
-    ntr = len(dens_a.coeffs)
-    s_plain = edge_log_u_tail_sum(ntr, False)
-    s_alt = edge_log_u_tail_sum(ntr, True)
-    if plus:
-        pval += ap * s_plain + am * s_alt
-    else:
-        pval += ap * s_alt + am * s_plain
+    pval = _edge_value(dens_a, side)
     return complex(np.sqrt(2 * cfg.a) * pval / (2 * np.sqrt(complex(cfg.k0))))
 
 
 def extract_d(dens_s: Density, cfg: ProblemConfig, side: str) -> complex:
-    """Symmetric edge constant d_side by extrapolating the total strip trace.
+    """Symmetric edge constant d_side, the total field at the edge x = +-a.
 
-    Model t(rho) = d + alpha rho ln(k0 rho) + beta rho fitted through three
-    trace samples (the rho log rho term is the known leading correction).
+    The impedance condition makes the density the total strip trace,
+    sigma = -2 eta u_total, so d = -sigma(+-a)/(2 eta).  At eta = 0 the
+    density vanishes and d is the incident value e^{-+i k_* a}.
     """
     if dens_s.parity is not Parity.SYMMETRIC:
         raise ValueError("extract_d needs the symmetric density")
-    a = cfg.a
-    rho = np.asarray(D_RHO_FACTORS, dtype=float) * a
-    x = _edge_sign(side) * (a - rho)
-    tot = strip_trace(dens_s, cfg, x) + incident_field(cfg, Parity.SYMMETRIC, x, 0.0)
-    M = np.column_stack([np.ones(3), rho * np.log(np.abs(cfg.k0) * rho), rho])
-    sol = np.linalg.solve(M, tot)
-    return complex(sol[0])
+    x = _edge_sign(side) * cfg.a
+    if cfg.eta == 0:
+        return complex(incident_field(cfg, Parity.SYMMETRIC, x, 0.0))
+    return complex(-_edge_value(dens_s, side) / (2 * cfg.eta))
 
 
 def _total_field(dens: Density, cfg: ProblemConfig, x, y):

@@ -209,9 +209,10 @@ def warn_near_pole(cfg: ProblemConfig, k) -> None:
 
 def pointwise_residual(fm, f0, fp) -> np.ndarray:
     """|F-(k) + F0(k) + F+(k)| / max(|F-|, |F0|, |F+|) at each k of a grid,
-    the maximum taken over the grid."""
-    scale = np.maximum(np.maximum(np.abs(fp), np.abs(fm)), np.abs(f0))
-    return np.abs(fp + fm + f0) / np.max(scale)
+    the maximum taken over the grid; 0 for a family that is zero on the grid."""
+    scale = np.max(np.maximum(np.maximum(np.abs(fp), np.abs(fm)), np.abs(f0)))
+    res = np.abs(fp + fm + f0)
+    return res / scale if scale > 0 else res
 
 
 def functional_residual(bundle: SpectralBundle, k_grid) -> float:
@@ -441,7 +442,8 @@ def contour_integral_rect(f, rect, refine_near=None) -> complex:
 
 
 def cauchy_analyticity_test(f, rect, refine_near=None) -> float:
-    """|contour integral| / (perimeter * max |f|) over the rectangle boundary."""
+    """|contour integral| / (perimeter * max |f|) over the rectangle boundary;
+    0 for an f that is zero on it."""
     re0, re1, im0, im1 = rect
     loop = contour_integral_rect(f, rect, refine_near=refine_near)
     xg, _ = ck.gauss_legendre(32)
@@ -451,7 +453,7 @@ def cauchy_analyticity_test(f, rect, refine_near=None) -> float:
         zq = (z0 + z1) / 2 + (z1 - z0) / 2 * xg
         samples.append(np.max(np.abs(np.atleast_1d(f(zq)))))
     perim = 2 * (re1 - re0) + 2 * (im1 - im0)
-    return abs(loop) / (perim * max(samples))
+    return abs(loop) / (perim * max(samples)) if max(samples) > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ Reference configuration: k0 = 2 + 0.05i, a = 1, eta = 1 - i,
 theta_in = 60 deg, N = 64.  Each test prints one pass/fail line.
 """
 
+import csv
 import json
 import subprocess
 import sys
@@ -92,6 +93,74 @@ def test_criterion_4_pole_residue_at_grazing_incidence(parity):
     c = verify.check_pole_residue(ctx, parity)
     _line(4, f"contour residue at k_*, 90 deg ({parity.value})", c.value, 1e-4,
           c.passed and c.tol <= 1e-4)
+
+
+# at theta_in = 0 the antisymmetric data k0 sin(theta_in) vanish, and so
+# does the antisymmetric density, exactly: its checks read 0 (they read nan
+# or 0.5, or raised ZeroDivisionError), and spectra's res_u reads 0 (nan)
+GRAZING = {"k0": {"re": 2.0, "im": 0.05}, "a": 1.0, "eta": {"re": 1.0, "im": -1.0},
+           "theta_in_deg": 0.0}
+ZERO_FAMILY_CHECKS = {
+    "fast": {"functional-equation-antisymmetric", "edge-exponent-antisymmetric",
+             "edge-log-ratio-antisymmetric", "edge-angular-profile-antisymmetric"},
+    "full": {"functional-equation-antisymmetric", "pole-residue-antisymmetric",
+             "cauchy-rectangle-minus", "edge-exponent-antisymmetric",
+             "edge-log-ratio-antisymmetric", "edge-angular-profile-antisymmetric",
+             "growth-U0-upper-imaginary", "growth-U0-lower-imaginary",
+             "growth-U+-upper-imaginary", "growth-U--lower-imaginary"},
+}
+
+
+def _grazing_config(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(GRAZING, out_dir=str(tmp_path / "out"))))
+    return str(p)
+
+
+@pytest.mark.parametrize("suite", ["fast", "full"])
+def test_zero_antisymmetric_family_passes_verify(tmp_path, suite):
+    from stripscat import cli
+    assert cli.main(["verify", "--config", _grazing_config(tmp_path), "--suite", suite]) == 0
+    text = (tmp_path / "out" / "report.json").read_text()
+    assert "NaN" not in text
+    checks = {c["id"]: c for c in json.loads(text)["checks"]}
+    zero = {i for i, c in checks.items() if c["details"].get("zero_density")}
+    assert zero == ZERO_FAMILY_CHECKS[suite]
+    assert all(checks[i]["value"] == 0.0 for i in zero)
+    if suite == "full":
+        # the growth control scans V0 with its exponent one unit too tight
+        assert checks["growth-negative-control"]["details"] == {"exponent": 2.0}
+
+
+def test_zero_antisymmetric_family_spectra(tmp_path):
+    from stripscat import cli
+    assert cli.main(["spectra", "--config", _grazing_config(tmp_path)]) == 0
+    with open(tmp_path / "out" / "spectra.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 41
+    assert all(r["res_u"] == "0" for r in rows)
+    assert np.all(np.isfinite([[float(v) for v in r.values()] for r in rows]))
+
+
+def test_planted_antisymmetric_coefficient_is_judged(monkeypatch):
+    # negative control: one nonzero antisymmetric coefficient at theta_in = 0
+    # makes the family nonzero, and its checks judge it
+    from stripscat import bie
+    solve_block = bie.solve_block
+
+    def planted(cfg, parity, theta_in, N):
+        coeffs, *rest = solve_block(cfg, parity, theta_in, N)
+        if parity is Parity.ANTISYMMETRIC and not np.any(theta_in):
+            coeffs = coeffs.copy()
+            coeffs[3] = 1e-3
+        return (coeffs, *rest)
+
+    monkeypatch.setattr(bie, "solve_block", planted)
+    report, _ = run_suite(RunConfig.from_dict(GRAZING), "full")
+    checks = {c.check_id: c for c in report.checks}
+    assert not checks["functional-equation-antisymmetric"].passed
+    assert not any("zero_density" in c.details for c in report.checks)
+    assert np.all(np.isfinite([c.value for c in report.checks]))
 
 
 def test_full_suite_logs_no_warning(full_report):

@@ -12,11 +12,21 @@ from stripscat.bie import (
     scattered_field,
     solve_antisymmetric,
     solve_symmetric,
-    strip_trace,
 )
-from stripscat.core import Parity, ProblemConfig
+from stripscat.core import Parity, ProblemConfig, incident_field
 
 K0, A, ETA, THETA = 2 + 0.05j, 1.0, 1 - 1j, np.pi / 3
+
+# the reference medium and two with larger kernel orders (Np = 72, 114, 184)
+_MEDIA = ((K0, ETA), (8 + 0.05j, -1 - 1j), (16.0, 0.5 - 2j))
+_MEDIA_IDS = ("reference", "k0=8+0.05i", "k0=16")
+
+
+@functools.lru_cache(maxsize=None)
+def _sym_solve(k0, eta):
+    """(config, symmetric density at N = 64) of the medium (k0, a = 1, eta)."""
+    cfg = ProblemConfig(k0, A, eta, THETA)
+    return cfg, solve_symmetric(cfg, 64)[0]
 
 
 class TestAntisymmetricSolve:
@@ -49,13 +59,15 @@ class TestSymmetricSolve:
         diff = np.max(np.abs(d96.coeffs[:48] - d48.coeffs[:48]))
         assert diff / np.max(np.abs(d48.coeffs)) < 1e-9
 
-    def test_interior_boundary_equation(self, ref_cfg, ref_solves):
-        # -sigma/2 - eta S sigma = eta e^{-i k_* x}; away from the edges the
-        # floor is set by the rho^2 log^2 rho edge remainder
-        _, ds, _, _ = ref_solves
+    @pytest.mark.parametrize("medium", _MEDIA, ids=_MEDIA_IDS)
+    def test_interior_boundary_equation(self, medium):
+        # -sigma/2 - eta S sigma = eta e^{-i k_* x}, with the trace S sigma
+        # the field at y = 1e-9; away from the edges the floor is set by the
+        # rho^2 log^2 rho edge remainder
+        cfg, ds = _sym_solve(*medium)
         x = np.linspace(-0.8, 0.8, 9)
-        lhs = -0.5 * ds(x) - ETA * strip_trace(ds, ref_cfg, x)
-        rhs = ETA * np.exp(-1j * ref_cfg.k_star * x)
+        lhs = -0.5 * ds(x) - cfg.eta * scattered_field(ds, cfg, x, 1e-9)
+        rhs = cfg.eta * np.exp(-1j * cfg.k_star * x)
         assert np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)) < 1e-6
 
     def test_eta_zero_returns_exact_zero(self):
@@ -88,12 +100,16 @@ class TestSymmetricSolve:
         x = np.linspace(0.0, 0.9, 7)
         assert np.allclose(d(x), d(-x), rtol=1e-10, atol=1e-12)
 
-    def test_edge_value_matches_impedance_relation(self, ref_cfg, ref_solves):
-        # sigma = -2 eta u_total on the strip, so sigma(edge) = -2 eta d
+    @pytest.mark.parametrize("medium", _MEDIA, ids=_MEDIA_IDS)
+    def test_edge_constant_is_the_field_limit(self, medium):
+        # d = -sigma(+-a)/(2 eta) is the total field at the edge: the field
+        # just beyond it, on y = 0, agrees (the three-point trace fit that
+        # d once was is 3.2e-6 and 1e-5 away on the two larger media)
         from stripscat.edge import extract_d
-        _, ds, _, _ = ref_solves
-        d_plus = extract_d(ds, ref_cfg, "+")
-        assert ds(np.array([A * (1 - 1e-9)]))[0] == pytest.approx(-2 * ETA * d_plus, rel=1e-4)
+        cfg, ds = _sym_solve(*medium)
+        for side, x in (("+", A * (1 + 1e-8)), ("-", -A * (1 + 1e-8))):
+            u = scattered_field(ds, cfg, x, 0.0) + incident_field(cfg, Parity.SYMMETRIC, x, 0.0)
+            assert abs(u - extract_d(ds, cfg, side)) <= 2e-6
 
 
 class TestFieldEvaluation:
@@ -117,18 +133,12 @@ class TestFieldEvaluation:
             res = abs(lap + K0 ** 2 * u(x, y)) / abs(K0 ** 2 * u(x, y))
             assert res < 1e-5
 
-    def test_strip_trace_is_half_density(self, ref_cfg, ref_solves):
+    def test_open_strip_is_an_error_with_the_trace_from_above(self, ref_cfg, ref_solves):
         da, _, _, _ = ref_solves
-        x = np.array([0.21, -0.68])
-        assert np.allclose(strip_trace(da, ref_cfg, x), da(x) / 2, rtol=1e-14)
-
-    def test_open_strip_points_to_strip_trace(self, ref_cfg, ref_solves):
-        da, _, _, _ = ref_solves
-        with pytest.raises(ValueError, match="strip_trace"):
+        with pytest.raises(ValueError, match="open strip"):
             scattered_field(da, ref_cfg, 0.2, 0.0)
-        # the on-strip entry point, and the field's limit from above
-        v = strip_trace(da, ref_cfg, 0.2)
-        assert v == pytest.approx(da(np.array([0.2]))[0] / 2)
+        # the field's limit from above is the trace the message names, mu/2
+        v = da(np.array([0.2]))[0] / 2
         assert scattered_field(da, ref_cfg, 0.2, 1e-7) == pytest.approx(v, rel=1e-5)
 
     def test_sym_off_strip_normal_derivative_vanishes(self, ref_cfg, ref_solves):
@@ -161,18 +171,15 @@ class TestFieldEvaluation:
             ref = _fine_field(dens, ref_cfg, x * A, y * A)
             assert abs(scattered_field(dens, ref_cfg, x * A, y * A) - ref) <= 1e-5 * abs(ref)
 
-    def test_domain_guards(self, ref_cfg, ref_solves):
-        da, _, _, _ = ref_solves
-        with pytest.raises(ValueError):
-            strip_trace(da, ref_cfg, 1.2)
-
-    def test_sym_trace_rejects_antisymmetric_density(self, ref_cfg, ref_solves):
+    def test_edge_constants_reject_the_other_parity(self, ref_cfg, ref_solves):
         # a raise, not an assert, so that `python -O` keeps it: the U
-        # coefficients would otherwise be traced as T coefficients
-        from stripscat.bie import sym_trace_on_strip
-        da, _, _, _ = ref_solves
+        # coefficients would otherwise be summed as T coefficients
+        from stripscat.edge import extract_c, extract_d
+        da, ds, _, _ = ref_solves
         with pytest.raises(ValueError, match="symmetric density"):
-            sym_trace_on_strip(da, ref_cfg, 0.3)
+            extract_d(da, ref_cfg, "+")
+        with pytest.raises(ValueError, match="antisymmetric density"):
+            extract_c(ds, ref_cfg, "+")
 
 
 # field targets off the open strip: above it, beyond both edges (near and
@@ -245,7 +252,7 @@ class TestBatchedField:
         dens = ref_solves[0] if parity is Parity.ANTISYMMETRIC else ref_solves[1]
         x = np.array([0.3, 1.5, -2.0, 0.999])
         y = np.array([0.5, 0.0, 0.2, 0.0])
-        with pytest.raises(ValueError, match="strip_trace"):
+        with pytest.raises(ValueError, match="open strip"):
             scattered_field(dens, ref_cfg, x, y)
         assert poly_calls == []
 
@@ -298,15 +305,16 @@ class TestRadiation:
 
     def test_x_reflection_commutes_with_operator(self, ref_cfg, ref_solves):
         # the layer operator has an even kernel, so reflecting the density
-        # reflects its action; this underwrites the x-parity of the
-        # directivity at normal incidence, S(pi - theta) = S(theta)
-        from stripscat.bie import Density, sym_trace_on_strip
+        # reflects its field, down to the strip; this underwrites the x-parity
+        # of the directivity at normal incidence, S(pi - theta) = S(theta)
+        from stripscat.bie import Density
         _, ds, _, _ = ref_solves
         n = np.arange(len(ds.coeffs))
         d_mir = Density(Parity.SYMMETRIC, A, ds.coeffs * (-1.0) ** n)
-        x = np.array([0.15, 0.62, -0.4])
-        lhs = sym_trace_on_strip(d_mir, ref_cfg, x)
-        rhs = sym_trace_on_strip(ds, ref_cfg, -x)
+        x = np.array([0.15, 0.62, -0.4, 1.3])[:, None]
+        y = np.array([1e-9, 1e-6, 1e-3, 0.5])
+        lhs = scattered_field(d_mir, ref_cfg, x, y)
+        rhs = scattered_field(ds, ref_cfg, -x, y)
         assert np.allclose(lhs, rhs, rtol=1e-11)
 
 
@@ -341,9 +349,8 @@ class TestOperatorReuse:
 
     def test_one_kernel_expansion_per_medium_and_parity(self, monkeypatch, ref_cfg):
         # the kernel factors depend on (k0, a) alone: the operator at every N
-        # and the trace rows behind extract_d share one expansion per parity
+        # shares one expansion per parity
         from stripscat import kernels
-        from stripscat.edge import extract_d
         from stripscat.spectral import Scattering
         built = []
         expansion = kernels.KernelExpansion
@@ -355,8 +362,7 @@ class TestOperatorReuse:
         monkeypatch.setattr(kernels, "KernelExpansion", counted)
         kernels.MEMO_CACHE.clear()
         for N in (32, 64, 128):
-            sc = Scattering(ref_cfg, N)
-        extract_d(sc.ds, sc.cfg, "+")
+            Scattering(ref_cfg, N)
         assert sorted(built) == [False, True]
 
     @pytest.mark.parametrize("parity", [Parity.ANTISYMMETRIC, Parity.SYMMETRIC])
@@ -372,18 +378,16 @@ class TestOperatorReuse:
             assert np.array_equal(dens.coeffs, coeffs[:, j])
             assert dens.aug_amp == (amp[0, j], amp[1, j])
 
-    def test_benchmark_reset_empties_the_memos(self, monkeypatch, ref_cfg, ref_solves):
+    def test_benchmark_reset_empties_the_memos(self, monkeypatch):
         # perfbench/worker.py empties the module dicts named *CACHE* before
         # each pass, so that every pass builds what a fresh process builds
         import importlib
         from pathlib import Path
         from stripscat import bie, kernels
-        from stripscat.edge import extract_d
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         reset_caches = importlib.import_module("worker").reset_caches
         solve_antisymmetric(ProblemConfig(K0, A, ETA, THETA), 24)
-        extract_d(ref_solves[1], ref_cfg, "+")
-        memos = (bie._operator, bie._sym_trace_rows, kernels.kernel_expansion)
+        memos = (bie._operator, kernels.kernel_expansion)
         assert set(kernels.MEMO_CACHE.values()) == set(memos)
         assert all(m.cache_info().currsize > 0 for m in memos)
         reset_caches()
@@ -442,72 +446,6 @@ class TestConvergenceVerdict:
         for parity in Parity:
             bie._operator(ref_cfg.k0, ref_cfg.a, ref_cfg.eta, parity, 64)
         assert bie._operator.cache_info()[:2] == (2, 2)
-
-
-def _sym_trace_loop(dens, cfg, x):
-    """Reference: sym_trace_on_strip with its log part summed per (q, n)."""
-    from stripscat import chebkit as ck
-    from stripscat.bie import _kernel_columns
-    from stripscat.kernels import kernel_expansion
-    a, c = cfg.a, dens.coeffs
-    N = len(c)
-    s = np.asarray(x, dtype=float) / a
-    ker = kernel_expansion(cfg.k0, a, False)
-    Np = ker.order
-    pic, qc = _kernel_columns(ker, s)
-    smooth = (pic * np.log(a) + qc) @ (ck.c3_matrix(Np, N) @ c)
-    Lam = ck.log_point_plain_t(N + Np + 2, s)
-    logpart = np.zeros(len(s), dtype=complex)
-    for q in range(Np):
-        col = np.zeros(len(s), dtype=complex)
-        for n in range(N):
-            col += 0.5 * c[n] * (Lam[:, q + n] + Lam[:, abs(q - n)])
-        logpart += pic[:, q] * col
-    return a * (smooth + logpart)
-
-
-# the reference medium and two with larger kernel orders (Np = 72, 114, 184)
-_MEDIA = ((K0, ETA), (8 + 0.05j, -1 - 1j), (16.0, 0.5 - 2j))
-_MEDIA_IDS = ("reference", "k0=8+0.05i", "k0=16")
-
-
-@functools.lru_cache(maxsize=None)
-def _sym_solve(k0, eta):
-    """(config, symmetric density at N = 64) of the medium (k0, a = 1, eta)."""
-    cfg = ProblemConfig(k0, A, eta, THETA)
-    return cfg, solve_symmetric(cfg, 64)[0]
-
-
-class TestVectorisedLogParts:
-    """The indexed-product log parts equal the per-(q, n) loop sums."""
-
-    @staticmethod
-    def _points(cfg):
-        s = np.cos((2 * np.arange(48) + 1) * np.pi / 96)   # 48 Chebyshev roots
-        rho = cfg.a * np.array([1e-3, 5e-4, 2.5e-4])   # extract_d's samples
-        return [cfg.a * s, cfg.a - rho, -cfg.a + rho]
-
-    @pytest.mark.parametrize("medium", _MEDIA, ids=_MEDIA_IDS)
-    def test_sym_trace_on_strip(self, medium):
-        from stripscat.bie import sym_trace_on_strip
-        cfg, ds = _sym_solve(*medium)
-        for x in self._points(cfg):
-            got = sym_trace_on_strip(ds, cfg, x)
-            ref = _sym_trace_loop(ds, cfg, x)
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-    @pytest.mark.parametrize("medium", _MEDIA, ids=_MEDIA_IDS)
-    def test_extract_d_is_the_fit_of_the_loop_trace(self, medium):
-        # extract_d's three-point fit, with the samples from the per-(q, n) sum
-        from stripscat import edge
-        from stripscat.core import incident_field
-        cfg, ds = _sym_solve(*medium)
-        rho = cfg.a * np.asarray(edge.D_RHO_FACTORS)
-        M = np.column_stack([np.ones(3), rho * np.log(abs(cfg.k0) * rho), rho])
-        for side, x in (("+", cfg.a - rho), ("-", -cfg.a + rho)):
-            tot = _sym_trace_loop(ds, cfg, x) + incident_field(cfg, Parity.SYMMETRIC, x, 0.0)
-            ref = np.linalg.solve(M, tot)[0]
-            assert abs(edge.extract_d(ds, cfg, side) - ref) <= 1e-14 * abs(ref)
 
 
 def _log_sum_loop(Lbig, Rbig, Pi, rmax):

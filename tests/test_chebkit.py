@@ -27,17 +27,6 @@ P_TRANSFORM_REF = {
     (2, 1.5): -0.782929194993112767 + 0.0j,
     (5, 4.0): 0.0 + 0.584718996542596799j,
 }
-# int ln|s - t| T_n(t) dt
-LAM_PLAIN_REF = {
-    (0, 0.37): -1.859791625964986,
-    (1, 0.37): -0.705247977366861,
-    (2, 0.37): 1.160897095376237,
-    (5, 0.37): -0.562916919333486,
-    (0, 1.20): 0.056493775288214,
-    (1, 1.20): -0.672463039984359,
-    (2, 1.20): -0.205883233515490,
-    (5, 1.20): 0.121894030238419,
-}
 
 
 def test_u_transform():
@@ -153,12 +142,6 @@ def test_plain_t_transform_moment_table():
     assert np.array_equal(ck.fourier_image("T", nmax, z), ref)
 
 
-def test_log_point_plain_t():
-    for (n, s), ref in LAM_PLAIN_REF.items():
-        lam = ck.log_point_plain_t(n + 1, np.array([s]))
-        assert lam[0, n] == pytest.approx(ref, abs=1e-12)
-
-
 def test_w_matrix_against_quadrature():
     s, w = ck.gauss_cheb2(300)
     W = ck.w_matrix(5, 8)
@@ -182,49 +165,6 @@ def test_mass2_matches_double_loop():
         assert np.array_equal(ck.c3_matrix(nrow, ncol), c3)
         J = ck.plain_t_moments(nrow + ncol)
         assert np.array_equal(J, [_plain_t_moment(j) for j in range(nrow + ncol)])
-
-
-def _pv_t_over_linear_loop(nmax, s):
-    """`chebkit.pv_t_over_linear` with one moment per order (the reference)."""
-    R = np.zeros((len(s), nmax))
-    R[:, 0] = np.log(np.abs((1 - s) / (1 + s)))
-    if nmax > 1:
-        R[:, 1] = 2.0 + s * R[:, 0]
-    for p in range(1, nmax - 1):
-        R[:, p + 1] = 2 * s * R[:, p] - R[:, p - 1] + 2 * _plain_t_moment(p)
-    return R
-
-
-def _log_point_plain_t_loop(nmax, s):
-    """`chebkit.log_point_plain_t` one column per order (the reference)."""
-    R = _pv_t_over_linear_loop(nmax + 2, s)
-    out = np.zeros((len(s), nmax))
-    l1 = np.log(np.abs(s - 1.0))
-    l2 = np.log(np.abs(s + 1.0))
-    for n in range(nmax):
-        if n == 0:
-            out[:, 0] = l1 - (-1.0) * l2 - R[:, 1]
-        elif n == 1:
-            out[:, 1] = 0.5 * l1 - 0.5 * l2 - 0.25 * (R[:, 2] + R[:, 0])
-        else:
-            ap = 0.5 / (n + 1)
-            am = 0.5 / (n - 1)
-            A1 = ap - am
-            Am1 = ap * (-1.0) ** (n + 1) - am * (-1.0) ** (n - 1)
-            out[:, n] = A1 * l1 - Am1 * l2 - (ap * R[:, n + 1] - am * R[:, n - 1])
-    return out
-
-
-# points inside and outside [-1, 1]; the log terms are infinite at s = +-1
-_log_points = arrays(float, st.integers(1, 8),
-                     elements=st.floats(-3.0, 3.0).filter(lambda v: abs(v) != 1.0))
-
-
-@settings(max_examples=60, deadline=None)
-@given(nmax=st.integers(1, 300), s=_log_points)
-def test_log_point_plain_t_is_the_loop(nmax, s):
-    assert np.array_equal(ck.pv_t_over_linear(nmax, s), _pv_t_over_linear_loop(nmax, s))
-    assert np.array_equal(ck.log_point_plain_t(nmax, s), _log_point_plain_t_loop(nmax, s))
 
 
 def test_mass2_and_c3():
@@ -279,6 +219,26 @@ def test_edge_log_t_coeffs():
     # closed-form decay 2/(j(j^2-1))
     j = np.arange(10, 390)
     assert np.allclose(b[10:390], 2.0 / (j * (j ** 2 - 1)), rtol=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["T", "U"])
+@pytest.mark.parametrize("M", [2, 3, 64, 160, 192, 300])
+def test_edge_log_tail_sums(kind, M):
+    # the closed-form tails beyond M equal the coefficient table's partial
+    # sums: tail(M) - tail(L) is the sum over M <= n < L, and tail(L) -> 0
+    L = M + 5000
+    b = ck.edge_log_t_coeffs(L + 3)
+    n = np.arange(L)
+    if kind == "T":
+        e, at_one = b[:L], 1.0
+    else:                       # U coefficients, from T_n = (U_n - U_{n-2})/2
+        e, at_one = np.concatenate([[b[0] - b[2] / 2], 0.5 * (b[1:L] - b[3:L + 2])]), n + 1.0
+    for alternating in (False, True):
+        w = at_one * (-1.0) ** n if alternating else at_one
+        tail = ck.edge_log_tail_sum(kind, M, alternating)
+        rest = ck.edge_log_tail_sum(kind, L, alternating)
+        assert tail - rest == pytest.approx(np.sum((w * e)[M:]), abs=1e-14)
+        assert abs(rest) <= 1e-6
 
 
 def test_graded_panels_resolve_near_singularity():

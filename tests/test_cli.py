@@ -424,25 +424,6 @@ class TestSweep:
         with open(tmp_path / "out" / "sweep_summary.csv", newline="") as fh:
             assert [r["status"] for r in csv.DictReader(fh)] == ["ok", "ok", "ok"]
 
-    def test_incidence_sweep_builds_the_trace_rows_once(self, cfg_file, monkeypatch):
-        # the trace rows behind extract_d depend on the medium alone: the
-        # first incidence builds them, the other two reuse them
-        from stripscat import bie, chebkit, cli
-        log_point = chebkit.log_point_plain_t
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return log_point(*args)
-
-        monkeypatch.setattr(chebkit, "log_point_plain_t", counted)
-        bie._sym_trace_rows.cache_clear()
-        assert cli.main(["sweep", "--config", str(cfg_file), "--param", "theta_in",
-                         "--values", "20,50,80"]) == 0
-        info = bie._sym_trace_rows.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
-        assert len(calls) == 1
-
     def test_bad_value_keeps_its_own_row(self, tmp_path, cfg_file):
         # 95 deg fails its config; 30 and 60 still share one block, and their
         # files match single-value sweeps to roundoff

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stripscat.bie import solve_antisymmetric, solve_symmetric, strip_trace
+from stripscat.bie import solve_antisymmetric, solve_symmetric
 from stripscat.core import Parity, ProblemConfig, incident_field
 from stripscat.edge import extract_c, extract_d, local_expansion_fit
 
@@ -21,8 +21,8 @@ class TestExtractC:
         cp = extract_c(da, ref_cfg, "+")
         # Richardson on the trace limit mu/(2 sqrt(k0 rho)) with rho log rho model
         rhos = np.array([1e-4, 1e-5]) * A
-        vals = np.array([strip_trace(da, ref_cfg, A - r) / np.sqrt(K0 * r)
-                         for r in rhos])
+        # the antisymmetric strip trace is mu/2
+        vals = np.array([da(A - r) / 2 / np.sqrt(K0 * r) for r in rhos])
         # leading correction ~ rho log rho: eliminate with two-point model
         w = rhos * np.log(rhos)
         c_extrap = (vals[1] * w[0] - vals[0] * w[1]) / (w[0] - w[1])
@@ -44,11 +44,13 @@ class TestExtractC:
 
 class TestExtractD:
     def test_eta_zero_incident_value(self):
+        # the hard strip's symmetric density is zero: d is the incident value
         cfg = ProblemConfig(K0, A, 0.0, THETA)
         ds, _ = solve_symmetric(cfg, 32)
         for side, x in (("+", A), ("-", -A)):
             ref = complex(incident_field(cfg, Parity.SYMMETRIC, x, 0.0))
-            assert extract_d(ds, cfg, side) == pytest.approx(ref, rel=1e-6)
+            assert extract_d(ds, cfg, side) == ref
+            assert ref == np.exp(-1j * cfg.k_star * x)
 
     def test_normal_incidence_equal_sides(self):
         cfg = ProblemConfig(K0, A, ETA, np.pi / 2)
@@ -56,23 +58,33 @@ class TestExtractD:
         assert extract_d(ds, cfg, "+") == pytest.approx(extract_d(ds, cfg, "-"),
                                                         rel=1e-8)
 
-    def test_extrapolation_order(self, ref_cfg, ref_solves, monkeypatch):
-        # successively tighter ladders converge; the rho log rho model beats
-        # naive last-point sampling by orders of magnitude
-        from stripscat import edge
-        _, ds, _, _ = ref_solves
-        d_mid = extract_d(ds, ref_cfg, "+")
-        monkeypatch.setattr(edge, "D_RHO_FACTORS", (2e-4, 1e-4, 5e-5))
-        d_ref = extract_d(ds, ref_cfg, "+")
-        naive = strip_trace(ds, ref_cfg, A * (1 - 1e-3)) + \
-            incident_field(ref_cfg, Parity.SYMMETRIC, A * (1 - 1e-3), 0.0)
-        assert abs(d_mid - d_ref) < 1e-2 * abs(complex(naive) - d_ref)
+    def test_convergence(self, ref_cfg):
+        # d(N) against the N = 512 limit: the edge values converge like
+        # N^-3.8 (1.3e-7 and 9.3e-9 at N = 64 and 128 on the reference); the
+        # three-point trace fit that d once was stayed 6.6e-7 off at every N
+        ds512, _ = solve_symmetric(ref_cfg, 512)
+        for side in "+-":
+            ref = _edge_limit(ds512, ref_cfg, side)
+            assert abs(extract_d(ds512, ref_cfg, side) - ref) <= 1e-12 * abs(ref)
+            for N, bound in ((64, 4e-7), (128, 3e-8)):
+                ds, _ = solve_symmetric(ref_cfg, N)
+                assert abs(extract_d(ds, ref_cfg, side) - ref) <= bound * abs(ref)
 
-    def test_refinement_invariance(self, ref_cfg):
-        d64, _ = solve_symmetric(ref_cfg, 64)
-        d128, _ = solve_symmetric(ref_cfg, 128)
-        assert extract_d(d64, ref_cfg, "+") == pytest.approx(
-            extract_d(d128, ref_cfg, "+"), rel=1e-8)
+
+def _edge_limit(ds, cfg, side, L=10 ** 6):
+    """-sigma(+-a)/(2 eta), with the folded edge-log tails beyond the stored
+    coefficients summed term by term to order L from their coefficients
+    2/(j(j^2-1)): a reference that shares no code with extract_d."""
+    sgn = 1.0 if side == "+" else -1.0
+    n = np.arange(L)
+    at_edge = sgn ** n
+    head = np.sum(ds.coeffs * at_edge[:len(ds.coeffs)])
+    j = n[len(ds.coeffs):].astype(float)
+    beta = 2.0 / (j * (j * j - 1.0))
+    plain, alt = np.sum(beta), np.sum(beta * (-1.0) ** n[len(ds.coeffs):])
+    ap, am = ds.aug_amp
+    tails = ap * plain + am * alt if side == "+" else ap * alt + am * plain
+    return -(head + tails) / (2 * cfg.eta)
 
 
 class TestEdgeName:
