@@ -166,7 +166,8 @@ def _galerkin(k0: complex, a: float, eta: complex, parity: Parity, Ntest: int, N
     edge function (1 - s) ln(1 - s), and the kernel expansion.
     """
     antisym = parity is Parity.ANTISYMMETRIC
-    ker = kernel_expansion(k0, a, antisym)
+    ker = kernel_expansion(k0, a)
+    pi_hat, q_hat = ker.hats[parity]
     Np = ker.order
     rmax = min(Ntest, Ntr) + Np + 2
     big = Np + rmax + 3
@@ -183,8 +184,8 @@ def _galerkin(k0: complex, a: float, eta: complex, parity: Parity, Ntest: int, N
         L, R, c = ck.v_matrix(Ntest, big), ck.c3_matrix(big, Ntr).T, -eta * a * a
         static[n, n] = -0.5 * a * L[n, n]
         edge = beta[:Ntr]
-    K = (np.log(a) - np.log(2.0)) * ker.pi_hat + ker.q_hat
-    O = static + c * _log_sum_rect(L, R, ker.pi_hat, rmax, K)
+    K = (np.log(a) - np.log(2.0)) * pi_hat + q_hat
+    O = static + c * _log_sum_rect(L, R, pi_hat, rmax, K)
     return O, edge, ker
 
 
@@ -228,7 +229,7 @@ def _operator(k0: complex, a: float, eta: complex, parity: Parity, N: int):
     cond = float(np.linalg.cond(A))
     if not np.isfinite(cond) or cond > 1e13:
         raise SingularSystemError(f"{parity.value} system condition {cond:.2e}")
-    return A, cond, tails, ker.tail_mass()
+    return A, cond, tails, ker.tail_mass(parity)
 
 
 def solve_block(cfg: ProblemConfig, parity: Parity, theta_in, N: int):

@@ -149,24 +149,14 @@ def cheb_coeffs_2d(f, M: int) -> np.ndarray:
 def edge_log_t_coeffs(nmax: int) -> np.ndarray:
     """T-coefficients of (1-s) ln(1-s) on [-1, 1] (exact).
 
-    From ln(1-s) = -ln2 - 2 sum_r T_r/r and (1-s)T_r = T_r - (T_{r+1}+T_{|r-1|})/2;
-    coefficients decay like 2/j^3.  The mirror function (1+s)ln(1+s) has
-    coefficients (-1)^j times these.
+    From ln(1-s) = -ln2 - 2 sum_r T_r/r and (1-s)T_r = T_r - (T_{r+1}+T_{|r-1|})/2:
+    b_0 = 1 - ln2, b_1 = ln2 - 3/2 and b_j = 1/(j-1) - 2/j + 1/(j+1) =
+    2/(j(j^2-1)) for j >= 2, so the coefficients decay like 2/j^3.  The
+    mirror function (1+s)ln(1+s) has coefficients (-1)^j times these.
     """
-    b = np.zeros(nmax)
-    b[0] -= np.log(2)
-    if nmax > 1:
-        b[1] += np.log(2)
-    for r in range(1, nmax + 2):
-        c = -2.0 / r
-        if r < nmax:
-            b[r] += c
-        if r + 1 < nmax:
-            b[r + 1] -= c / 2
-        j = abs(r - 1)
-        if j < nmax:
-            b[j] -= c / 2
-    return b
+    j = np.arange(2, nmax)
+    head = [1.0 - np.log(2), (np.log(2) - 2.0) + 0.5]
+    return np.concatenate([head, (1 / (j - 1) - 2 / j) + 1 / (j + 1)])[:nmax]
 
 
 def _alt_harmonic_tail(m: int) -> float:

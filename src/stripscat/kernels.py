@@ -10,9 +10,12 @@ Chebyshev bases in closed form (see chebkit); P and Q are expanded in a
 bivariate Chebyshev series on the strip square and never quadratured near
 their (removable) diagonal.
 
-Q is evaluated by its power series for |k0 r| <= Z_SWITCH and from the
-Hankel function directly above (where the subtraction of the singular
-parts is benign); the two paths agree to ~1e-13 at the switch radius.
+Both kernels are Bessel functions of the same z = k0 r, so `kernels`
+evaluates the four factors in one pass, and one `kernel_expansion` per
+medium holds both parities' expansions.  Q is evaluated by its power series
+for |k0 r| <= Z_SWITCH and from the Hankel function directly above (where
+the subtraction of the singular parts is benign); the two paths agree to
+~1e-13 at the switch radius.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import numpy as np
 from scipy.special import hankel1, jv
 
 from .chebkit import cheb_coeffs_2d
+from .core import Parity
 
 EULER_GAMMA = 0.5772156649015328606
 Z_SWITCH = 6.0
@@ -53,116 +57,91 @@ def _harmonic(n: int) -> float:
     return sum(1.0 / i for i in range(1, n + 1))
 
 
-def p_antisym(k0: complex, rho: np.ndarray) -> np.ndarray:
-    """Coefficient of ln r in the hypersingular kernel: -(k0/(2 pi)) J1(k0 r)/r."""
+def kernels(k0: complex, rho: np.ndarray) -> np.ndarray:
+    """P and Q of both kernels at rho = r^2, stacked as (P_a, Q_a, P_s, Q_s).
+
+    P_a = -(k0/(2 pi)) J1(k0 r)/r and P_s = -(1/(2 pi)) J0(k0 r) are the
+    coefficients of ln r.  Both Q take their power series where
+    |k0 r| <= Z_SWITCH and the Hankel function less the singular parts
+    elsewhere, at the same z = k0 r."""
     rho = np.asarray(rho, dtype=complex)
     z = k0 * np.sqrt(rho)
-    small = np.abs(z) < 1e-6
-    zs = np.where(small, 1.0, z)
-    ratio = np.where(small, 0.5 - (z * z) / 16.0, jv(1, zs) / zs)
-    return -(k0 * k0 / (2 * np.pi)) * ratio
-
-
-def q_antisym(k0: complex, rho: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Smooth part of the hypersingular kernel; `p` is p_antisym(k0, rho),
-    which the direct branch needs and the caller has already evaluated."""
-    rho = np.asarray(rho, dtype=complex)
-    out = np.empty(rho.shape, dtype=complex)
+    out = np.empty((4,) + rho.shape, dtype=complex)
+    tiny = np.abs(z) < 1e-6
+    zs = np.where(tiny, 1.0, z)
+    # a named array: NumPy scales a large temporary in place, which rounds
+    # some products differently in the last bit
+    ratio = np.where(tiny, 0.5 - (z * z) / 16.0, jv(1, zs) / zs)
+    out[0] = -(k0 * k0 / (2 * np.pi)) * ratio
+    out[2] = -jv(0, z) / (2 * np.pi)
     small = np.abs((k0 * k0 / 4.0) * rho) <= (Z_SWITCH / 2.0) ** 2
 
-    # series branch
+    # series branch: term_a runs through (-z2q)^j / (j! (j+1)!), term_s
+    # through (-z2q)^j / (j!)^2
     z2q = (k0 * k0 / 4.0) * rho[small]
-    s1 = np.zeros_like(z2q)
-    s2 = np.zeros_like(z2q)
-    term = np.ones_like(z2q)
+    sa1, sa2, ss1, ss2 = (np.zeros_like(z2q) for _ in range(4))
+    term_a = term_s = np.ones_like(z2q)
     for j in range(_NTERMS):
-        psum = -2.0 * EULER_GAMMA + _harmonic(j) + _harmonic(j + 1)
-        s1 += term
-        s2 += term * psum
-        term = term * (-z2q) / ((j + 1) * (j + 2))
+        sa1 += term_a
+        sa2 += term_a * (-2.0 * EULER_GAMMA + _harmonic(j) + _harmonic(j + 1))
+        term_a = term_a * (-z2q) / ((j + 1) * (j + 2))
+        ss1 += term_s
+        ss2 += -term_s * _harmonic(j)          # (-1)^{j+1} H_j z2q^j / (j!)^2
+        term_s = term_s * (-z2q) / ((j + 1) * (j + 1))
     c0 = 1j * k0 * k0 / 8.0 - (k0 * k0 / (4 * np.pi)) * np.log(k0 / 2.0)
-    out[small] = c0 * s1 + (k0 * k0 / (8 * np.pi)) * s2
-
-    # direct branch
-    big = rho[~small]
-    r = np.sqrt(big)
-    out[~small] = (1j * k0 / 4.0) * hankel1(1, k0 * r) / r - 1.0 / (2 * np.pi * r * r) \
-        - np.asarray(p)[~small] * np.log(r)
-    return out
-
-
-def p_sym(k0: complex, rho: np.ndarray) -> np.ndarray:
-    """Coefficient of ln r in the single-layer kernel: -(1/(2 pi)) J0(k0 r)."""
-    rho = np.asarray(rho, dtype=complex)
-    return -jv(0, k0 * np.sqrt(rho)) / (2 * np.pi)
-
-
-def q_sym(k0: complex, rho: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Smooth part of the single-layer kernel; `p` is p_sym(k0, rho), which
-    the direct branch needs and the caller has already evaluated."""
-    rho = np.asarray(rho, dtype=complex)
-    out = np.empty(rho.shape, dtype=complex)
-    small = np.abs((k0 * k0 / 4.0) * rho) <= (Z_SWITCH / 2.0) ** 2
-
-    z2q = (k0 * k0 / 4.0) * rho[small]
-    s1 = np.zeros_like(z2q)
-    s2 = np.zeros_like(z2q)
-    term = np.ones_like(z2q)
-    for j in range(_NTERMS):
-        s1 += term
-        term = term * (-z2q) / ((j + 1) * (j + 1))
-    term = np.ones_like(z2q)
-    for j in range(1, _NTERMS):
-        term = term * (-z2q) / (j * j)
-        s2 += -term * _harmonic(j)          # (-1)^{j+1} H_j z2q^j / (j!)^2
+    out[1, small] = c0 * sa1 + (k0 * k0 / (8 * np.pi)) * sa2
     c0 = 0.25j - (np.log(k0 / 2.0) + EULER_GAMMA) / (2 * np.pi)
-    out[small] = c0 * s1 - s2 / (2 * np.pi)
+    out[3, small] = c0 * ss1 - ss2 / (2 * np.pi)
 
-    big = rho[~small]
-    r = np.sqrt(big)
-    out[~small] = 0.25j * hankel1(0, k0 * r) - np.asarray(p)[~small] * np.log(r)
+    # Hankel branch
+    big = ~small
+    r, zb = np.sqrt(rho[big]), z[big]
+    lr = np.log(r)
+    out[1, big] = (1j * k0 / 4.0) * hankel1(1, zb) / r - 1.0 / (2 * np.pi * r * r) \
+        - out[0, big] * lr
+    out[3, big] = 0.25j * hankel1(0, zb) - out[2, big] * lr
     return out
 
 
-def _symmetric_grid(pfun, qfun, k0: complex, a: float):
-    """f(S, T) = [P, Q](a^2 (S - T)^2) on the roots grid, stacked, evaluated
-    on the quarter i <= j, i + j <= M - 1 and copied to its three images: the
-    grid is exactly antisymmetric, s[M-1-i] = -s[i], so (s_i - s_j)^2 is
-    exactly invariant under i <-> j and (i, j) -> (M-1-i, M-1-j).  Q's direct
-    branch takes the P values of the same points."""
+def _symmetric_grid(k0: complex, a: float):
+    """f(S, T) = kernels(k0, a^2 (S - T)^2) on the roots grid, a (4, M, M)
+    stack, evaluated on the quarter i <= j, i + j <= M - 1 and copied to its
+    three images: the grid is exactly antisymmetric, s[M-1-i] = -s[i], so
+    (s_i - s_j)^2 is exactly invariant under i <-> j and
+    (i, j) -> (M-1-i, M-1-j)."""
     def f(S, T):
         M = S.shape[0]
         i, j = np.triu_indices(M)
         i, j = i[i + j <= M - 1], j[i + j <= M - 1]
-        rho = a * a * (S[i, j] - T[i, j]) ** 2
-        p = pfun(k0, rho)
-        F = np.empty((2,) + S.shape, dtype=complex)
-        F[:, i, j] = F[:, j, i] = p, qfun(k0, rho, p)
-        F[:, M - 1 - i, M - 1 - j] = F[:, M - 1 - j, M - 1 - i] = F[:, i, j]
+        # evaluated before F exists, so its temporaries and F never coexist
+        K = kernels(k0, a * a * (S[i, j] - T[i, j]) ** 2)
+        F = np.empty((4,) + S.shape, dtype=complex)
+        F[:, i, j] = F[:, j, i] = K
+        F[:, M - 1 - i, M - 1 - j] = F[:, M - 1 - j, M - 1 - i] = K
         return F
     return f
 
 
 class KernelExpansion:
-    """Bivariate Chebyshev data of the P/Q kernel factors on the strip square.
+    """Bivariate Chebyshev data of both kernels' P/Q factors on the strip square.
 
     For the scaled variables s = x/a, t = x'/a the factors P(a^2 (s-t)^2)
-    and Q(a^2 (s-t)^2) are entire; `pi_hat` and `q_hat` are their T_p(s)T_q(t)
-    coefficient matrices on a roots grid of size `order`.
+    and Q(a^2 (s-t)^2) are entire; `hats[parity]` holds that parity's
+    kernel's (pi_hat, q_hat), their T_p(s)T_q(t) coefficient matrices on a
+    roots grid of size `order`.
     """
 
-    def __init__(self, k0: complex, a: float, parity_antisym: bool, order: int):
+    def __init__(self, k0: complex, a: float, order: int):
         self.order = order
-        funs = (p_antisym, q_antisym) if parity_antisym else (p_sym, q_sym)
-        self.pi_hat, self.q_hat = cheb_coeffs_2d(_symmetric_grid(*funs, k0, a), order)
+        pa, qa, ps, qs = cheb_coeffs_2d(_symmetric_grid(k0, a), order)
+        self.hats = {Parity.ANTISYMMETRIC: (pa, qa), Parity.SYMMETRIC: (ps, qs)}
 
-    def tail_mass(self) -> float:
-        """Relative magnitude of the trailing coefficient block (resolution check)."""
-        m = self.order
-        tail = max(np.max(np.abs(self.pi_hat[m - 4:, :])), np.max(np.abs(self.pi_hat[:, m - 4:])),
-                   np.max(np.abs(self.q_hat[m - 4:, :])), np.max(np.abs(self.q_hat[:, m - 4:])))
-        base = max(np.max(np.abs(self.pi_hat)), np.max(np.abs(self.q_hat)))
-        return float(tail / base)
+    def tail_mass(self, parity: Parity) -> float:
+        """Relative magnitude of one parity's trailing coefficient block
+        (resolution check)."""
+        m, hats = self.order, self.hats[parity]
+        tail = max(max(np.max(np.abs(C[m - 4:])), np.max(np.abs(C[:, m - 4:]))) for C in hats)
+        return float(tail / max(np.max(np.abs(C)) for C in hats))
 
 
 def kernel_order(k0: complex, a: float) -> int:
@@ -171,8 +150,7 @@ def kernel_order(k0: complex, a: float) -> int:
 
 
 @memo
-def kernel_expansion(k0: complex, a: float, parity_antisym: bool) -> KernelExpansion:
-    """The memoized KernelExpansion of one medium and parity at
-    `kernel_order(k0, a)`: the operator at every N and the symmetric trace
-    rows share it."""
-    return KernelExpansion(k0, a, parity_antisym, kernel_order(k0, a))
+def kernel_expansion(k0: complex, a: float) -> KernelExpansion:
+    """The memoized KernelExpansion of one medium at `kernel_order(k0, a)`:
+    both parities' operators at every N share it."""
+    return KernelExpansion(k0, a, kernel_order(k0, a))

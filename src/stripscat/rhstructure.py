@@ -217,12 +217,14 @@ def k_prime_reclassified(cfg: ProblemConfig) -> SheetPoint:
 
     Crossing into a deformation lens flips the sheet relative to the
     principal classification (the lens interior is reached by crossing the
-    retired piece of the original cut).
+    retired piece of the original cut).  The cut is truncated at 50 |k0|,
+    or at 4 |k'| where k' lies beyond that (small |k0|), so that the detour
+    can rejoin it beyond k'.
     """
     base = k_prime(cfg)
     if not deformation_needed(cfg):
         return base
-    nodes, deformed, lens = _deformed_g2(cfg, 50 * abs(cfg.k0))
+    nodes, deformed, lens = _deformed_g2(cfg, max(50 * abs(cfg.k0), 4 * abs(base.k)))
     flip = _point_in_polygon(base.k, lens) or _point_in_polygon(-base.k, -lens)
     if not flip:
         raise DeformationError("k' not enclosed by the deformation lens")

@@ -380,7 +380,8 @@ def growth_scan(bundle: SpectralBundle, which: str, ray: str, t_grid,
     The a-priori envelopes are |k|^{-p} e^{+- i k a} with p = 1/2 for the
     antisymmetric family and p = 1 for the symmetric one; `exponent`
     overrides p (negative-control use).  Returns the dict with the
-    compensated magnitudes and the log-log slope beyond t = 2|k0|.
+    compensated magnitudes and their log-log slope over t_grid, which
+    should lie beyond t = 2|k0|.
     """
     p = GROWTH_EXPONENT[bundle.parity] if exponent is None else float(exponent)
     t = np.asarray(t_grid, dtype=float)
@@ -402,10 +403,7 @@ def growth_scan(bundle: SpectralBundle, which: str, ray: str, t_grid,
     else:
         raise ValueError(f"unknown function tag {which!r}")
 
-    mask = t >= 2 * abs(bundle.cfg.k0)
-    lt = np.log(t[mask])
-    lm = np.log(np.maximum(comp[mask], 1e-300))
-    slope = float(np.polyfit(lt, lm, 1)[0])
+    slope = float(np.polyfit(np.log(t), np.log(np.maximum(comp, 1e-300)), 1)[0])
     return {
         "t": t,
         "compensated": comp,

@@ -295,8 +295,10 @@ def check_edge_sym(ctx: _Ctx) -> CheckResult:
 
 def check_growth(ctx: _Ctx):
     ba, bs = ctx.sc.bundles
-    k0a = abs(ctx.cfg.k0)
-    t = np.geomspace(2 * k0a, 20 * k0a, 10)
+    # the envelopes hold beyond 2|k0| and 4/a; e^{t a} is finite below t a = 600
+    a = ctx.cfg.a
+    lo = max(2 * abs(ctx.cfg.k0), 4 / a)
+    t = np.geomspace(lo, min(10 * lo, 600 / a), 10)
     cases = [
         (ba, "0", "upper-imaginary"), (ba, "0", "lower-imaginary"),
         (ba, "+", "upper-imaginary"), (ba, "-", "lower-imaginary"),

@@ -347,23 +347,25 @@ class TestOperatorReuse:
             assert diag == fresh_diag
         assert len(calls) == 1 + len(cfgs)
 
-    def test_one_kernel_expansion_per_medium_and_parity(self, monkeypatch, ref_cfg):
-        # the kernel factors depend on (k0, a) alone: the operator at every N
-        # shares one expansion per parity
+    def test_one_kernel_expansion_per_medium(self, monkeypatch, ref_cfg):
+        # the kernel factors depend on (k0, a) alone: both parities' operators
+        # at every N share one expansion
         from stripscat import kernels
         from stripscat.spectral import Scattering
         built = []
         expansion = kernels.KernelExpansion
 
-        def counted(k0, a, parity_antisym, order):
-            built.append(parity_antisym)
-            return expansion(k0, a, parity_antisym, order)
+        def counted(k0, a, order):
+            built.append((k0, a))
+            return expansion(k0, a, order)
 
         monkeypatch.setattr(kernels, "KernelExpansion", counted)
         kernels.MEMO_CACHE.clear()
         for N in (32, 64, 128):
             Scattering(ref_cfg, N)
-        assert sorted(built) == [False, True]
+        solve_antisymmetric(ref_cfg, 48)
+        solve_symmetric(ref_cfg, 48)
+        assert built == [(ref_cfg.k0, ref_cfg.a)]
 
     @pytest.mark.parametrize("parity", [Parity.ANTISYMMETRIC, Parity.SYMMETRIC])
     def test_solves_are_columns_of_a_block(self, parity):
@@ -593,9 +595,8 @@ class TestLogSumToeplitz:
         # the order of every N, and an odd one: the class takes any order
         for order in (kernel_order(k0, a), kernel_order(k0, a) + 1):
             odd = np.add.outer(np.arange(order), np.arange(order)) % 2 == 1
-            for antisym in (True, False):
-                ker = KernelExpansion(k0, a, antisym, order)
-                for C in (ker.pi_hat, ker.q_hat):
+            for hats in KernelExpansion(k0, a, order).hats.values():
+                for C in hats:
                     assert np.max(np.abs(C[odd])) <= 1e-15 * np.max(np.abs(C))
 
     def test_assembly_memory_is_bounded(self):
@@ -621,15 +622,16 @@ def _galerkin_antisym_ref(cfg, Ntest, Ntr):
     from stripscat import chebkit as ck
     from stripscat.kernels import kernel_expansion
     k0, a, eta = cfg.k0, cfg.a, cfg.eta
-    ker = kernel_expansion(k0, a, True)
+    ker = kernel_expansion(k0, a)
+    pi_hat, q_hat = ker.hats[Parity.ANTISYMMETRIC]
     Np = ker.order
     rmax = min(Ntest, Ntr) + Np + 2
     big = Np + rmax + 3
     WL = ck.w_matrix(Ntest, big)
     WR = ck.w_matrix(Ntr, big)
-    D = WL[:, :Np] @ ker.pi_hat @ WR[:, :Np].T
-    DQ = WL[:, :Np] @ ker.q_hat @ WR[:, :Np].T
-    Slog = bie._log_sum_rect(WL, WR, ker.pi_hat, rmax, np.zeros_like(ker.pi_hat))
+    D = WL[:, :Np] @ pi_hat @ WR[:, :Np].T
+    DQ = WL[:, :Np] @ q_hat @ WR[:, :Np].T
+    Slog = bie._log_sum_rect(WL, WR, pi_hat, rmax, np.zeros_like(pi_hat))
     M = np.zeros((Ntest, Ntr), dtype=complex)
     n = np.arange(min(Ntest, Ntr))
     M[n, n] = -a * np.pi * (n + 1) / 4.0
@@ -645,7 +647,8 @@ def _galerkin_sym_ref(cfg, Ntest, Ntr):
     from stripscat import chebkit as ck
     from stripscat.kernels import kernel_expansion
     k0, a = cfg.k0, cfg.a
-    ker = kernel_expansion(k0, a, False)
+    ker = kernel_expansion(k0, a)
+    pi_hat, q_hat = ker.hats[Parity.SYMMETRIC]
     Np = ker.order
     rmax = min(Ntest, Ntr) + Np + 2
     big = Np + rmax + 3
@@ -654,12 +657,12 @@ def _galerkin_sym_ref(cfg, Ntest, Ntr):
     Vb = np.zeros((Ntest, big))
     Vb[np.arange(Ntest), np.arange(Ntest)] = vdiag
     C3R = ck.c3_matrix(big, Ntr).T
-    K = (np.log(a) - np.log(2.0)) * ker.pi_hat + ker.q_hat
+    K = (np.log(a) - np.log(2.0)) * pi_hat + q_hat
     # the test orders m >= Np meet no row of K
     Kt = np.zeros((Ntest, Np), dtype=complex)
     Kt[:Np] = K[:Ntest]
     D = vdiag[:, None] * (Kt @ C3R[:, :Np].T)
-    S = a * a * (D + bie._log_sum_rect(Vb, C3R, ker.pi_hat, rmax, np.zeros_like(K)))
+    S = a * a * (D + bie._log_sum_rect(Vb, C3R, pi_hat, rmax, np.zeros_like(K)))
     M = -cfg.eta * S
     M[np.arange(Ntest), np.arange(Ntest)] += -0.5 * a * vdiag
     return M

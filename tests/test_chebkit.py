@@ -221,6 +221,33 @@ def test_edge_log_t_coeffs():
     assert np.allclose(b[10:390], 2.0 / (j * (j ** 2 - 1)), rtol=1e-10)
 
 
+def _edge_log_t_coeffs_loop(nmax):
+    """Reference: the T-coefficients of (1-s) ln(1-s) summed order by order
+    from ln(1-s) = -ln2 - 2 sum_r T_r/r and (1-s)T_r = T_r - (T_{r+1}+T_{|r-1|})/2."""
+    b = np.zeros(nmax)
+    b[0] -= np.log(2)
+    if nmax > 1:
+        b[1] += np.log(2)
+    for r in range(1, nmax + 2):
+        c = -2.0 / r
+        if r < nmax:
+            b[r] += c
+        if r + 1 < nmax:
+            b[r + 1] -= c / 2
+        j = abs(r - 1)
+        if j < nmax:
+            b[j] -= c / 2
+    return b
+
+
+@pytest.mark.parametrize("nmax", [1, 2, 3, 5, 67, 195, 227, 1027])
+def test_edge_log_t_coeffs_closed_form_is_the_loop(nmax):
+    b = ck.edge_log_t_coeffs(nmax)
+    ref = _edge_log_t_coeffs_loop(nmax)
+    assert b.shape == ref.shape
+    assert np.array_equal(b, ref)
+
+
 @pytest.mark.parametrize("kind", ["T", "U"])
 @pytest.mark.parametrize("M", [2, 3, 64, 160, 192, 300])
 def test_edge_log_tail_sums(kind, M):

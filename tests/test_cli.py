@@ -201,6 +201,17 @@ class TestVerify:
         assert err.count("\n") == 1 and err.startswith("numerical failure:")
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("suite", ["fast", "full"])
+    def test_small_k0_writes_a_report(self, tmp_path, main_cli, suite):
+        # at k0 = 0.01 + 0.001i the sheet check classifies eta = -1 - i, whose
+        # k' lies beyond 50 |k0|: a report, not a traceback
+        p = _write_cfg(tmp_path, k0={"re": 0.01, "im": 0.001})
+        code, err = main_cli("verify", "--suite", suite, "--config", str(p))
+        assert code in (0, 1), err
+        checks = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
+        assert all(math.isfinite(c["value"]) for c in checks)
+        assert next(c for c in checks if c["id"] == "deformation-declassifies")["passed"]
+
     def test_module_entry_point_exit_code(self, tmp_path, run_cli):
         # `python -m stripscat.cli verify` exits with the code cli.main returns
         p = tmp_path / "cfg.json"

@@ -134,15 +134,15 @@ class TestIncidentField:
 def single_kernel(k0, r):
     """(i/4) H0(k0 r) from the split P_s ln r + Q_s of stripscat.kernels."""
     r = np.asarray(r, dtype=float)
-    p = kn.p_sym(k0, r * r)
-    return p * np.log(r) + kn.q_sym(k0, r * r, p)
+    p, q = kn.kernels(k0, r * r)[2:]
+    return p * np.log(r) + q
 
 
 def hyper_kernel(k0, r):
     """(i k0/4) H1(k0 r)/r from the split 1/(2 pi r^2) + P_a ln r + Q_a."""
     r = np.asarray(r, dtype=float)
-    p = kn.p_antisym(k0, r * r)
-    return 1 / (2 * np.pi * r * r) + p * np.log(r) + kn.q_antisym(k0, r * r, p)
+    p, q = kn.kernels(k0, r * r)[:2]
+    return 1 / (2 * np.pi * r * r) + p * np.log(r) + q
 
 
 class TestGreenKernels:

@@ -179,6 +179,14 @@ class TestDeformation:
         sp = rh.k_prime_reclassified(CFG3)
         assert sp.sheet is rh.Sheet.UNPHYSICAL
 
+    @pytest.mark.parametrize("k0", [0.001, 0.01, 0.03, 0.05, 0.1, 0.5, 2.0, 40.0])
+    def test_declassification_at_every_k0(self, k0):
+        # at small |k0|, k' = sqrt(k0^2 + eta^2) lies beyond 50 |k0|: the cut
+        # must reach past it for the detour to rejoin it
+        for eta in (-1 - 1j, -0.5 - 2j, -2 - 0.5j, -0.1 - 0.1j, -3 - 3j, -1 - 0.05j):
+            cfg = ProblemConfig(complex(k0, 0.1 * k0), A, eta, THETA)
+            assert rh.k_prime_reclassified(cfg).sheet is rh.Sheet.UNPHYSICAL
+
     def test_noop_outside_third_quadrant(self):
         # no deformation, so the principal classification stands
         assert not rh.deformation_needed(CFG)

@@ -422,6 +422,18 @@ class TestGrowth:
         assert not g["bounded"]
         assert g["slope"] > 0.5
 
+    @pytest.mark.parametrize("k0, a", [(2 + 0.05j, 0.01), (2 + 0.05j, 0.05), (0.1 + 0.005j, 1.0),
+                                       (40 + 0.05j, 1.0), (64 + 0.05j, 1.0), (2 + 0.05j, 20.0)])
+    def test_verify_scans_off_the_reference(self, k0, a):
+        # the suite's scan starts where the envelopes hold at any a and k0, and
+        # stops before e^{t a} overflows
+        from stripscat import verify
+        ctx = verify._Ctx(verify.RunConfig(k0, a, 1 - 1j, 60.0, N=64))
+        checks = {c.check_id: c for c in verify.check_growth(ctx)}
+        assert len(checks) == 9
+        assert all(np.isfinite(c.value) and c.passed for c in checks.values())
+        assert checks["growth-negative-control"].value > 0.5
+
     def test_wrong_ray_rejected(self, ref_bundles):
         ba, _ = ref_bundles
         with pytest.raises(ValueError):
