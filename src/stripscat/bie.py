@@ -85,6 +85,7 @@ class SolveDiagnostics:
     N: int
     condition_estimate: float
     kernel_tail: float
+    kernel_order: int
 
 
 # ---------------------------------------------------------------------------
@@ -220,31 +221,31 @@ def _rhs(cfg: ProblemConfig, parity: Parity, theta_in, Ntest: int) -> np.ndarray
 @memo
 def _operator(k0: complex, a: float, eta: complex, parity: Parity, N: int):
     """(augmented matrix, condition estimate, edge-tail vectors with their
-    norms, kernel tail mass) of one parity on the medium (k0, a, eta).  The
-    incidence is no argument: every incidence on one medium reuses the entry.
-    A singular system raises and is not memoized."""
+    norms, kernel tail mass, kernel order) of one parity on the medium
+    (k0, a, eta).  The incidence is no argument: every incidence on one
+    medium reuses the entry.  A singular system raises and is not memoized."""
     O, edge, ker = _galerkin(k0, a, eta, parity, N + 2, max(192, N + 96))
     tails = _edge_tails(edge, N)
     A = np.column_stack([O[:, :N], O @ tails[0], O @ tails[1]])
     cond = float(np.linalg.cond(A))
     if not np.isfinite(cond) or cond > 1e13:
         raise SingularSystemError(f"{parity.value} system condition {cond:.2e}")
-    return A, cond, tails, ker.tail_mass(parity)
+    return A, cond, tails, ker.tail_mass(parity), ker.order
 
 
 def solve_block(cfg: ProblemConfig, parity: Parity, theta_in, N: int):
     """Solve one parity for every incidence theta_in on the medium of cfg.
 
-    Returns (coeffs, aug_amp, condition, kernel_tail): column j of coeffs
-    and of aug_amp belongs to theta_in[j].  The operator does not depend on
-    the incidence, so the right-hand sides are the columns of one block and
-    the system is solved once.  The solution's last two rows are the
-    amplitudes of the unit-normalized edge-log tails; they are folded into
-    one long coefficient vector per column.
+    Returns (coeffs, aug_amp, condition, kernel_tail, kernel_order): column
+    j of coeffs and of aug_amp belongs to theta_in[j].  The operator does
+    not depend on the incidence, so the right-hand sides are the columns of
+    one block and the system is solved once.  The solution's last two rows
+    are the amplitudes of the unit-normalized edge-log tails; they are
+    folded into one long coefficient vector per column.
     """
     if N < 4:
         raise ValueError("N must be >= 4")
-    A, cond, (vp, vm, norm_p, norm_m), ker_tail = _operator(cfg.k0, cfg.a, cfg.eta, parity, N)
+    A, cond, (vp, vm, norm_p, norm_m), *ker = _operator(cfg.k0, cfg.a, cfg.eta, parity, N)
     sol = np.linalg.solve(A, _rhs(cfg, parity, theta_in, N + 2))
     coeffs = np.zeros((len(vp), sol.shape[1]), dtype=complex)
     coeffs[:N] = sol[:N]
@@ -255,15 +256,15 @@ def solve_block(cfg: ProblemConfig, parity: Parity, theta_in, N: int):
     # last bit, which edge.extract_c would carry into its output
     norms = np.array([[norm_p], [norm_m]])
     amp = sol[N:].real / norms + 1j * (sol[N:].imag / norms)
-    return coeffs, amp, cond, ker_tail
+    return (coeffs, amp, cond, *ker)
 
 
 def _solve(cfg: ProblemConfig, parity: Parity, N: int):
     """One incidence, the one-column case of `solve_block`; returns
     (Density, SolveDiagnostics)."""
-    coeffs, amp, cond, ker_tail = solve_block(cfg, parity, [cfg.theta_in], N)
+    coeffs, amp, *diag = solve_block(cfg, parity, [cfg.theta_in], N)
     dens = Density(parity, cfg.a, coeffs[:, 0], aug_amp=(complex(amp[0, 0]), complex(amp[1, 0])))
-    return dens, SolveDiagnostics(N, cond, ker_tail)
+    return dens, SolveDiagnostics(N, *diag)
 
 
 def solve_antisymmetric(cfg: ProblemConfig, N: int):

@@ -79,18 +79,26 @@ def plain_t_moments(n: int) -> np.ndarray:
     return J
 
 
-def fourier_image(kind: str, nmax: int, z) -> np.ndarray:
-    """F[i, n] = int f_n(s) e^{i z_i s} ds, n < nmax, for the family f_n of
-    `kind`: "U" sqrt(w) U_n, "T" T_n, "V" T_n/sqrt(w).
+def fourier_images(families, z) -> list:
+    """[F for (kind, nmax) in families], F[i, n] = int f_n(s) e^{i z_i s} ds,
+    n < nmax, for the family f_n of `kind`: "U" sqrt(w) U_n, "T" T_n,
+    "V" T_n/sqrt(w).
 
-    The Jacobi-Anger row eps_m i^m J_m(z_i), m <= max|z| + 48, times the
-    family's T-moments (the module docstring)."""
+    One Jacobi-Anger row eps_m i^m J_m(z_i), m <= max|z| + 48, serves every
+    family: it is multiplied by each family's T-moments (the module
+    docstring)."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     mmax = int(np.max(np.abs(z))) + 48
     m = np.arange(mmax + 1)
     row = jv(m[None, :], z[:, None]) * (np.where(m == 0, 1.0, 2.0) * i_pow(m))
-    return row @ (w_matrix(nmax, mmax + 1).T if kind == "U" else
-                  c3_matrix(mmax + 1, nmax) if kind == "T" else v_matrix(mmax + 1, nmax))
+    return [row @ (w_matrix(nmax, mmax + 1).T if kind == "U" else
+                   c3_matrix(mmax + 1, nmax) if kind == "T" else v_matrix(mmax + 1, nmax))
+            for kind, nmax in families]
+
+
+def fourier_image(kind: str, nmax: int, z) -> np.ndarray:
+    """The one-family case of `fourier_images`."""
+    return fourier_images([(kind, nmax)], z)[0]
 
 
 # ---------------------------------------------------------------------------

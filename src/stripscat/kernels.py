@@ -57,6 +57,10 @@ def _harmonic(n: int) -> float:
     return sum(1.0 / i for i in range(1, n + 1))
 
 
+# H_0 .. H_{_NTERMS}, the same left-to-right sums as `_harmonic`
+_HARMONIC = tuple(_harmonic(j) for j in range(_NTERMS + 1))
+
+
 def kernels(k0: complex, rho: np.ndarray) -> np.ndarray:
     """P and Q of both kernels at rho = r^2, stacked as (P_a, Q_a, P_s, Q_s).
 
@@ -83,10 +87,10 @@ def kernels(k0: complex, rho: np.ndarray) -> np.ndarray:
     term_a = term_s = np.ones_like(z2q)
     for j in range(_NTERMS):
         sa1 += term_a
-        sa2 += term_a * (-2.0 * EULER_GAMMA + _harmonic(j) + _harmonic(j + 1))
+        sa2 += term_a * (-2.0 * EULER_GAMMA + _HARMONIC[j] + _HARMONIC[j + 1])
         term_a = term_a * (-z2q) / ((j + 1) * (j + 2))
         ss1 += term_s
-        ss2 += -term_s * _harmonic(j)          # (-1)^{j+1} H_j z2q^j / (j!)^2
+        ss2 += -term_s * _HARMONIC[j]          # (-1)^{j+1} H_j z2q^j / (j!)^2
         term_s = term_s * (-z2q) / ((j + 1) * (j + 1))
     c0 = 1j * k0 * k0 / 8.0 - (k0 * k0 / (4 * np.pi)) * np.log(k0 / 2.0)
     out[1, small] = c0 * sa1 + (k0 * k0 / (8 * np.pi)) * sa2
@@ -145,8 +149,18 @@ class KernelExpansion:
 
 
 def kernel_order(k0: complex, a: float) -> int:
-    """DCT resolution adequate for the entire kernel factors (type ~ 2 k0 a)."""
-    return int(max(72, 24 + 10 * np.ceil(abs(k0) * a)))
+    """The DCT order of the kernel factors, 24 + 3 ceil(c) rounded up to even,
+    c = |k0| a.
+
+    In each of s and t the factors are entire of exponential type c (they
+    behave like e^{i k0 a s}), so the Bernstein-ellipse bound at rho = 2n/c
+    puts their order-n Chebyshev coefficients below 2 e^{c^2/4n} (e c/2n)^n
+    of their size.  The tail block `tail_mass` reads starts at n = order - 4
+    >= 3c + 20, where the bound is below 1e-24 for every c (its largest,
+    5e-25, is at c = 4): the coefficients reach roundoff well before it.
+    The order is even, so the odd-(p + q) coefficients vanish exactly."""
+    order = 24 + 3 * int(np.ceil(abs(k0) * a))
+    return order + order % 2
 
 
 @memo

@@ -48,12 +48,19 @@ def xi_prefactor(parity: Parity, eta: complex, x):
     return 1j * (eta - 1j * x) / (eta * x)
 
 
+def strip_transforms(a: float, coeffs: dict, k: np.ndarray) -> dict:
+    """{parity: U0~(k) (antisymmetric) or V0~(k) (symmetric)} of each
+    parity's coefficient vector, or block with one density per column;
+    entire in k.  The parities share one `chebkit.fourier_images` row."""
+    images = ck.fourier_images([("U" if p is Parity.ANTISYMMETRIC else "T", len(c))
+                                for p, c in coeffs.items()], k * a)
+    return {p: 0.5 * a * a * (F @ c) if p is Parity.ANTISYMMETRIC else -0.5 * a * (F @ c)
+            for F, (p, c) in zip(images, coeffs.items())}
+
+
 def strip_transform(parity: Parity, a: float, coeffs: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """U0~(k) (antisymmetric) or V0~(k) (symmetric) of a coefficient vector,
-    or of a block with one density per column; entire in k."""
-    if parity is Parity.ANTISYMMETRIC:
-        return 0.5 * a * a * (ck.fourier_image("U", len(coeffs), k * a) @ coeffs)
-    return -0.5 * a * (ck.fourier_image("T", len(coeffs), k * a) @ coeffs)
+    """The one-parity case of `strip_transforms`."""
+    return strip_transforms(a, {parity: coeffs}, k)[parity]
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +242,21 @@ class DirectivityTable:
         return self.S_a + self.S_s
 
 
-def directivity_part(parity: Parity, cfg: ProblemConfig, coeffs: np.ndarray, theta) -> np.ndarray:
-    """S_a or S_s on theta in [0, pi] of a coefficient vector, or of a block
-    with one incidence per column (rows theta): the one place the far-field
-    normalisation is written."""
+def directivity_parts(cfg: ProblemConfig, coeffs: dict, theta) -> dict:
+    """{parity: S_a or S_s} on theta in [0, pi] of each parity's coefficient
+    vector, or block with one incidence per column (rows theta): the one
+    place the far-field normalisation is written."""
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     k0 = cfg.k0
     k = np.asarray(-k0 * np.cos(th), dtype=complex)
-    f0t = strip_transform(parity, cfg.a, coeffs, k)
-    if np.ndim(coeffs) == 2:
-        th = th[:, None]
-    if parity is Parity.ANTISYMMETRIC:
-        return np.exp(-1j * np.pi / 4) * k0 * np.sin(th) * f0t
-    return -1j * np.exp(-1j * np.pi / 4) * f0t
+    out = {}
+    for p, f0t in strip_transforms(cfg.a, coeffs, k).items():
+        t = th[:, None] if np.ndim(f0t) == 2 else th
+        if p is Parity.ANTISYMMETRIC:
+            out[p] = np.exp(-1j * np.pi / 4) * k0 * np.sin(t) * f0t
+        else:
+            out[p] = -1j * np.exp(-1j * np.pi / 4) * f0t
+    return out
 
 
 def directivity(bundle_a: SpectralBundle, bundle_s: SpectralBundle, theta_grid) -> DirectivityTable:
@@ -255,8 +264,9 @@ def directivity(bundle_a: SpectralBundle, bundle_s: SpectralBundle, theta_grid) 
     if bundle_a.cfg != bundle_s.cfg:
         raise ValueError("bundles must share one ProblemConfig")
     th = np.asarray(theta_grid, dtype=float)
-    return DirectivityTable(th, *(directivity_part(b.parity, b.cfg, b.density.coeffs, th)
-                                  for b in (bundle_a, bundle_s)))
+    parts = directivity_parts(bundle_a.cfg, {b.parity: b.density.coeffs
+                                             for b in (bundle_a, bundle_s)}, th)
+    return DirectivityTable(th, *parts.values())
 
 
 class Scattering:
@@ -277,7 +287,7 @@ class Scattering:
         # a scalar incidence reads column 0 of each table, a block all columns
         self._cols = 0 if np.ndim(th) == 0 else slice(None)
         self.cfg = replace(cfg, theta_in=float(self.theta_in[0]))
-        # parity -> (coeffs, aug_amp, condition, kernel_tail)
+        # parity -> (coeffs, aug_amp, condition, kernel_tail, kernel_order)
         self.blocks = {p: bie.solve_block(self.cfg, p, self.theta_in, N) for p in Parity}
         self.diag_a, self.diag_s = (SolveDiagnostics(N, *self.blocks[p][2:]) for p in Parity)
         self.da, self.ds = (self.density(p) for p in Parity)
@@ -292,8 +302,8 @@ class Scattering:
     def directivity(self, theta_grid) -> DirectivityTable:
         """S_a and S_s on theta_grid, one product per parity for every incidence."""
         th = np.asarray(theta_grid, dtype=float)
-        return DirectivityTable(th, *(directivity_part(p, self.cfg, c, th)[:, self._cols]
-                                      for p, (c, *_) in self.blocks.items()))
+        parts = directivity_parts(self.cfg, {p: c for p, (c, *_) in self.blocks.items()}, th)
+        return DirectivityTable(th, *(S[:, self._cols] for S in parts.values()))
 
 
 FULL_CIRCLE_ANGLES = 720

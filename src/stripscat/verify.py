@@ -25,7 +25,7 @@ from .spectral import (
     Scattering,
     cauchy_analyticity_test,
     contour_integral_rect,
-    directivity_part,
+    directivity_parts,
     embedding_rank_test,
     energy_balance,
     farfield_oracle,
@@ -407,7 +407,7 @@ def check_energy(ctx: _Ctx):
 def check_eta_zero_sym(ctx: _Ctx) -> CheckResult:
     cfg0 = ProblemConfig(ctx.cfg.k0, ctx.cfg.a, 0.0, ctx.cfg.theta_in)
     ds, _ = solve_symmetric(cfg0, ctx.rc.N)
-    Ss = directivity_part(Parity.SYMMETRIC, cfg0, ds.coeffs, ctx.rc.theta_grid())
+    Ss, = directivity_parts(cfg0, {Parity.SYMMETRIC: ds.coeffs}, ctx.rc.theta_grid()).values()
     return _chk("eta-zero-symmetric-vanishes", float(np.max(np.abs(Ss))), 1e-12)
 
 

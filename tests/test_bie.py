@@ -373,7 +373,7 @@ class TestOperatorReuse:
         from stripscat.bie import solve_block
         solve = solve_antisymmetric if parity is Parity.ANTISYMMETRIC else solve_symmetric
         incidences = (0.3, np.deg2rad(60.0), np.deg2rad(75.0), np.pi / 2)
-        coeffs, amp, _, _ = solve_block(ProblemConfig(K0, A, ETA, THETA), parity, incidences, 64)
+        coeffs, amp, *_ = solve_block(ProblemConfig(K0, A, ETA, THETA), parity, incidences, 64)
         assert coeffs.shape[1] == len(incidences)
         for j, t in enumerate(incidences):
             dens, _ = solve(ProblemConfig(K0, A, ETA, t), 64)

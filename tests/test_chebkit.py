@@ -89,6 +89,19 @@ def test_fourier_image_matches_closed_forms(kind):
         assert np.max(np.abs(row - ref)) <= tol * np.max(np.abs(ref)), z
 
 
+def test_fourier_images_share_one_row(monkeypatch):
+    # every family of one call is bitwise its one-family image, from one jv row
+    z = np.array([0.3, 2 + 0.05j, 16.0, 40 - 0.2j])
+    families = [("U", 70), ("T", 66), ("V", 9)]
+    ref = [ck.fourier_image(kind, nmax, z) for kind, nmax in families]
+    rows = []
+    jv = ck.jv
+    monkeypatch.setattr(ck, "jv", lambda v, x: rows.append(1) or jv(v, x))
+    got = ck.fourier_images(families, z)
+    assert len(rows) == 1
+    assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+
+
 def test_transform_phases_exact(monkeypatch):
     # with a real J_m(z) (jv of a complex argument is off by ~1e-14 in its
     # imaginary part at real z) both transforms are i^n times a real number,

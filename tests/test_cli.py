@@ -68,7 +68,9 @@ class TestSolve:
         diags = json.loads((out / "diagnostics.json").read_text())
         assert set(diags) == {"antisymmetric", "symmetric", "self_convergence", "config"}
         for parity in ("antisymmetric", "symmetric"):
-            assert set(diags[parity]) == {"N", "condition_estimate", "kernel_tail"}
+            assert set(diags[parity]) == {"N", "condition_estimate", "kernel_tail", "kernel_order"}
+            # k0 = 2+0.05i, a = 1: 24 + 3 ceil(|k0| a) = 33, rounded up to even
+            assert diags[parity]["kernel_order"] == 34
         assert set(diags["self_convergence"]) == {"value", "tol", "N2", "passed"}
         assert diags["self_convergence"]["N2"] == 2 * SMALL_CFG["numerics"]["N"]
 

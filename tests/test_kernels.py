@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stripscat import kernels as kn
 from stripscat.core import Parity
@@ -59,6 +61,32 @@ def test_q_at_zero_is_finite_limit():
 def test_expansion_tail_is_negligible(ref_cfg):
     ker = kn.kernel_expansion(ref_cfg.k0, ref_cfg.a)
     assert max(ker.tail_mass(parity) for parity in Parity) < 1e-14
+
+
+@given(st.floats(0.0, 1e3), st.floats(0.0, 1e2), st.floats(1e-3, 1e2))
+def test_kernel_order_is_even(re_k0, im_k0, a):
+    order = kn.kernel_order(complex(re_k0, im_k0), a)
+    assert order % 2 == 0
+    assert order >= 24 + 3 * abs(complex(re_k0, im_k0)) * a
+
+
+# the media of the order rule's gauge, less those with |k0| a > 130 (cost)
+_ORDER_MEDIA = [(k0, a) for k0 in (0.01, 0.1 + 0.005j, 2.0, 2 + 0.75j, 8.5, 16.0, 40 + 0.05j,
+                                   64 + 0.05j, 128 + 0.05j)
+                for a in (0.05, 1.0, 20.0) if abs(k0) * a <= 130]
+
+
+@pytest.mark.parametrize("k0, a", _ORDER_MEDIA)
+def test_kernel_order_resolves_the_kernels(k0, a):
+    ker = kn.KernelExpansion(k0, a, kn.kernel_order(k0, a))
+    assert max(ker.tail_mass(parity) for parity in Parity) <= 1e-15
+
+
+def test_short_order_fails_the_tail_bound():
+    # negative control: at k0 a = 16 order 40 reads 2e-12 (P) and 5e-11 (Q);
+    # order 48 already passes, and kernel_order gives 72
+    ker = kn.KernelExpansion(16.0, 1.0, 40)
+    assert min(ker.tail_mass(parity) for parity in Parity) > 1e-15
 
 
 def _p_antisym(k0, rho):
@@ -120,10 +148,11 @@ def _q_sym_both_branches(k0, rho):
     return np.where(small, ser, direct)
 
 
-# |k0| a up to 8.5 keeps the grid below 16384 points; see the bound below.
-# kernel_order is even; the class takes any order, so one case is odd
-@pytest.mark.parametrize("k0a, extra", [(0.01, 0), (2.0, 0), (2.0, 1), (8.5, 0), (16.0, 0)],
-                         ids=["0.01", "2.0", "2.0-odd", "8.5", "16.0"])
+# |k0| a up to 16 keeps the grid below 16384 points, 40 does not; see the
+# bound below.  kernel_order is even; the class takes any order, so one case is odd
+@pytest.mark.parametrize("k0a, extra", [(0.01, 0), (2.0, 0), (2.0, 1), (8.5, 0), (16.0, 0),
+                                        (40.0, 0)],
+                         ids=["0.01", "2.0", "2.0-odd", "8.5", "16.0", "40.0"])
 @pytest.mark.parametrize("antisym", [True, False])
 def test_expansion_equals_full_grid_evaluation(k0a, extra, antisym):
     from stripscat.chebkit import cheb_coeffs_2d

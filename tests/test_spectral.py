@@ -347,16 +347,27 @@ class TestFullCircle:
     def test_half_the_angles_are_transformed(self, ref_bundles, m, monkeypatch):
         from stripscat import spectral
         seen = []
-        transform = spectral.strip_transform
+        transforms = spectral.strip_transforms
 
-        def counted(parity, a, coeffs, k):
-            seen.append((parity, len(k)))
-            return transform(parity, a, coeffs, k)
+        def counted(a, coeffs, k):
+            seen.extend((parity, len(k)) for parity in coeffs)
+            return transforms(a, coeffs, k)
 
-        monkeypatch.setattr(spectral, "strip_transform", counted)
+        monkeypatch.setattr(spectral, "strip_transforms", counted)
         monkeypatch.setattr(spectral, "FULL_CIRCLE_ANGLES", m)
         directivity_full_circle(*ref_bundles)
         assert len(seen) == 2 and dict(seen) == dict.fromkeys(Parity, (m + 1) // 2)
+
+    def test_one_bessel_row_for_both_parities(self, ref_cfg, ref_bundles, monkeypatch):
+        # S_a and S_s of one angle grid share one Jacobi-Anger row
+        from stripscat import chebkit, spectral
+        sc = spectral.Scattering(ref_cfg, 64, [0.3, THETA])
+        rows = []
+        jv = chebkit.jv
+        monkeypatch.setattr(chebkit, "jv", lambda v, z: rows.append(1) or jv(v, z))
+        directivity_full_circle(*ref_bundles)
+        sc.directivity(np.linspace(0.1, 3.0, 9))
+        assert len(rows) == 2
 
     @pytest.mark.parametrize("eta", [1.0, 1 - 1j, 0.0])
     def test_energy_balance_unchanged(self, eta, monkeypatch):
