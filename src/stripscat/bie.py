@@ -309,13 +309,34 @@ def _strip_theta_quad(s0: float, dist: float):
     return ck.graded_panels(0.0, np.pi, [(th0, width), (0.0, 2.0 ** -16), (np.pi, 2.0 ** -16)], 20)
 
 
-# quadrature nodes per batched field evaluation.  A target near the strip
-# takes about 1000 nodes and every node some 130 bytes of temporaries, so a
-# chunk stays near 1 MiB however many targets a call has.  It also keeps each
-# complex temporary under the 256 KiB from which NumPy reuses a temporary
-# operand in place: the in-place complex product and quotient round
+# quadrature nodes per chunk of the kernel evaluation.  A target near the
+# strip takes about 1000 nodes and every node some 130 bytes of temporaries,
+# so a chunk stays near 1 MiB however many targets a call has.  It also keeps
+# each complex temporary under the 256 KiB from which NumPy reuses a
+# temporary operand in place: the in-place complex product and quotient round
 # differently, and a target's value would then depend on its chunk.
 _FIELD_CHUNK_NODES = 2 ** 13
+# quadrature nodes per series block.  The density's series runs once on the
+# distinct nodes of a block, and its cost is mostly NumPy call overhead per
+# term, so one call per block is far cheaper than one per chunk.  A full
+# block's rules, indices and series values peak near 5 MiB; the edge fits'
+# fan (39,040 nodes) is one block
+_FIELD_BLOCK_NODES = 2 ** 16
+
+
+def _grouped(items, size, limit):
+    """Consecutive runs of `items` whose sizes sum to at most `limit`; an
+    item larger than `limit` makes a run of its own."""
+    run, total = [], 0
+    for item in items:
+        n = size(item)
+        if run and total + n > limit:
+            yield run
+            run, total = [], 0
+        run.append(item)
+        total += n
+    if run:
+        yield run
 
 
 def scattered_field(dens: Density, cfg: ProblemConfig, x, y):
@@ -326,10 +347,13 @@ def scattered_field(dens: Density, cfg: ProblemConfig, x, y):
     impedance condition, u_s(x, +0) = -sigma(x)/(2 eta) minus the incident
     field.  The antisymmetric field vanishes identically on y = 0, |x| > a.
 
-    Each target has its own `_strip_theta_quad` rule; the rules of a chunk
-    of targets are concatenated, so the density and the kernel are evaluated
-    once per chunk.  Each target's sum stays its own `np.sum`, which keeps a
-    target's value independent of the other targets of the call.
+    Each target has its own `_strip_theta_quad` rule.  The rules are grouped
+    into series blocks of at most `_FIELD_BLOCK_NODES` nodes, and the density
+    series runs once per block, on the block's distinct nodes (targets about
+    one edge share most of theirs).  The kernel is evaluated on chunks of at
+    most `_FIELD_CHUNK_NODES` nodes of a block.  Each target's sum stays its
+    own `np.sum`, and the series is elementwise real arithmetic, so a
+    target's value does not depend on the other targets of the call.
     """
     scalar = np.ndim(x) == 0 and np.ndim(y) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -344,16 +368,13 @@ def scattered_field(dens: Density, cfg: ProblemConfig, x, y):
     xs, ys = xs.ravel(), ys.ravel()
     out = np.zeros(len(xs), dtype=complex)
 
-    def evaluate(targets, rules):
-        segs = np.cumsum([0] + [len(th) for th, _ in rules])
-        th = np.concatenate([th for th, _ in rules])
-        w = np.concatenate([w for _, w in rules])
-        xv, yv = (np.repeat(v[targets], np.diff(segs)) for v in (xs, ys))
+    def evaluate(targets, sizes, th, w, P):
+        segs = np.cumsum([0] + sizes)
+        xv, yv = (np.repeat(v[targets], sizes) for v in (xs, ys))
         tau = np.cos(th)
         # x - a tau from half angles, exact at the edge points (+-a, 0)
         R = np.hypot(np.where(tau > 0, (xv - a) + 2 * a * np.sin(th / 2) ** 2,
                               (xv + a) - 2 * a * np.cos(th / 2) ** 2), yv)
-        P = dens.poly(tau)
         if antisym:
             kern = 0.25j * k0 * hankel1(1, k0 * R) * yv / R
             vals, scale = w * np.sin(th) ** 2 * P * kern, a * a
@@ -362,19 +383,25 @@ def scattered_field(dens: Density, cfg: ProblemConfig, x, y):
             vals, scale = w * np.sin(th) * P * kern, a
         out[targets] = [scale * np.sum(vals[lo:hi]) for lo, hi in zip(segs[:-1], segs[1:])]
 
-    # the antisymmetric field is zero on y = 0 off the strip
-    targets, rules, nodes = [], [], 0
-    for i in np.flatnonzero(ys != 0.0) if antisym else range(len(xs)):
-        s0 = xs[i] / a
-        dist = np.hypot(max(abs(s0) - 1.0, 0.0), ys[i] / a)
-        rule = _strip_theta_quad(s0, dist)
-        if targets and nodes + len(rule[0]) > _FIELD_CHUNK_NODES:
-            evaluate(targets, rules)
-            targets, rules, nodes = [], [], 0
-        targets.append(i)
-        rules.append(rule)
-        nodes += len(rule[0])
-    if targets:
-        evaluate(targets, rules)
+    def rules():
+        # the antisymmetric field is zero on y = 0 off the strip
+        for i in np.flatnonzero(ys != 0.0) if antisym else range(len(xs)):
+            s0 = xs[i] / a
+            yield i, _strip_theta_quad(s0, np.hypot(max(abs(s0) - 1.0, 0.0), ys[i] / a))
+
+    def size(item):
+        return len(item[1][0])
+
+    for block in _grouped(rules(), size, _FIELD_BLOCK_NODES):
+        th = np.concatenate([th for _, (th, _) in block])
+        w = np.concatenate([w for _, (_, w) in block])
+        nodes, inv = np.unique(th, return_inverse=True)
+        P = dens.poly(np.cos(nodes))
+        lo = 0
+        for chunk in _grouped(block, size, _FIELD_CHUNK_NODES):
+            sizes = [size(item) for item in chunk]
+            c = slice(lo, lo + sum(sizes))
+            evaluate([i for i, _ in chunk], sizes, th[c], w[c], P[inv[c]])
+            lo = c.stop
     return complex(out[0]) if scalar else out.reshape(shape)
 

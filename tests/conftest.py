@@ -86,14 +86,14 @@ def phase_builds(monkeypatch):
 
 @pytest.fixture()
 def poly_calls(monkeypatch):
-    """Records the number of points of every `Density.poly` call: the
+    """Records the points of every `Density.poly` call, as a float array: the
     Chebyshev series evaluations of the package."""
     from stripscat.bie import Density
     calls = []
     poly = Density.poly
 
     def counted(self, s):
-        calls.append(np.size(s))
+        calls.append(np.array(s, dtype=float))
         return poly(self, s)
 
     monkeypatch.setattr(Density, "poly", counted)

@@ -198,7 +198,7 @@ def _bits(z):
 
 
 class TestBatchedField:
-    """`scattered_field` evaluates the quadrature rules of a chunk of targets
+    """`scattered_field` evaluates the quadrature rules of a block of targets
     at once; every target's value is bitwise that of a call with it alone."""
 
     @pytest.mark.parametrize("parity", list(Parity))
@@ -257,21 +257,29 @@ class TestBatchedField:
         assert poly_calls == []
 
     @pytest.mark.parametrize("parity", list(Parity))
-    def test_one_series_evaluation_per_chunk(self, ref_cfg, ref_solves, parity, poly_calls):
+    def test_one_series_evaluation_per_block(self, ref_cfg, ref_solves, parity, poly_calls):
         from stripscat import bie
         dens = ref_solves[0] if parity is Parity.ANTISYMMETRIC else ref_solves[1]
-        # eight targets near the strip fill one chunk
-        scattered_field(dens, ref_cfg, np.linspace(-0.9, 1.2, 8), 0.01)
-        assert len(poly_calls) == 1
-        # a larger call: chunks under the node budget, one series evaluation each
-        poly_calls.clear()
-        x = np.linspace(-1.2, 1.2, 40)
-        scattered_field(dens, ref_cfg, x, 0.01)
-        nodes = [len(bie._strip_theta_quad(s0, np.hypot(max(abs(s0) - 1, 0), 0.01))[0])
-                 for s0 in x / A]
-        assert sum(poly_calls) == sum(nodes)
-        assert 1 < len(poly_calls) <= 2 * sum(nodes) / bie._FIELD_CHUNK_NODES + 1
-        assert max(poly_calls) <= bie._FIELD_CHUNK_NODES
+        # 160 targets near the strip, some 150,000 quadrature nodes: the
+        # targets' rules in order, cut into series blocks under the node limit
+        x = np.linspace(-1.2, 1.2, 40)[:, None]
+        y = np.array([1e-3, 4e-3, 0.01, 0.03])
+        scattered_field(dens, ref_cfg, x, y)
+        blocks, nodes = [[]], 0
+        for xv, yv in np.broadcast(x / A, y / A):
+            th = bie._strip_theta_quad(xv, np.hypot(max(abs(xv) - 1, 0), yv))[0]
+            if blocks[-1] and nodes + len(th) > bie._FIELD_BLOCK_NODES:
+                blocks.append([])
+                nodes = 0
+            blocks[-1].append(th)
+            nodes += len(th)
+        assert len(blocks) > 1
+        assert all(sum(map(len, b)) <= bie._FIELD_BLOCK_NODES for b in blocks)
+        # one series evaluation per block, on exactly its distinct nodes
+        assert len(poly_calls) == len(blocks)
+        for s, b in zip(poly_calls, blocks):
+            assert np.array_equal(s, np.cos(np.unique(np.concatenate(b))))
+        assert sum(map(len, poly_calls)) < 0.5 * sum(len(th) for b in blocks for th in b)
 
     def test_memory_is_bounded(self, ref_cfg, ref_solves):
         # 400 targets near the strip take about 380,000 quadrature nodes: in
